@@ -93,32 +93,49 @@ def satisfies(cs: ConstraintSystem, x: PermutationMatrix) -> bool:
     return True
 
 
+# satisfies_mask evaluates the table in blocks of this many rows.  Each block
+# is copied column-major once, and the entry tests of every constraint row run
+# on it while it is in cache, so temporaries are block-sized, not n!-sized.
+_BLOCK_ROWS = 1 << 15
+
+
 def satisfies_mask(cs: ConstraintSystem, table: np.ndarray) -> np.ndarray:
     """Vectorized :func:`satisfies` over a permutation table (see perm module)."""
     n = cs.n
-    count = table.shape[0]
-    mask = np.ones(count, dtype=bool)
+    # Entry-equality rows compare two binary entries directly; every other
+    # row sums its coefficients over the entries that are one, in an
+    # accumulator wide enough for the row's largest possible |sum|.
+    ties, sums = [], []
     for row in cs.rows:
+        entries = [(j - 1, i) for i, j in (var_entry(p, n) for p, _ in row.coeffs)]
         if (
             row.relation is Relation.EQ
             and row.rhs == 0
             and len(row.coeffs) == 2
             and row.coeffs[0][1] == -row.coeffs[1][1]
         ):
-            # Entry-equality row: compare the two binary entries directly.
-            (p1, _), (p2, _) = row.coeffs
-            i1, j1 = var_entry(p1, n)
-            i2, j2 = var_entry(p2, n)
-            mask &= (table[:, j1 - 1] == i1) == (table[:, j2 - 1] == i2)
-            continue
-        acc = np.zeros(count, dtype=np.int32)
-        for p, c in row.coeffs:
-            i, j = var_entry(p, n)
-            acc += c * (table[:, j - 1] == i)
-        if row.relation is Relation.EQ:
-            mask &= acc == row.rhs
+            ties.append(entries)
         else:
-            mask &= acc <= row.rhs
+            coeffs = [c for _, c in row.coeffs]
+            dtype = np.int8 if sum(abs(c) for c in coeffs) <= 127 else np.int64
+            sums.append((list(zip(entries, coeffs)), dtype, row.relation is Relation.EQ, row.rhs))
+    used = {e for entries in ties for e in entries} | {e for terms, *_ in sums for e, _ in terms}
+    count = table.shape[0]
+    mask = np.ones(count, dtype=bool)
+    for start in range(0, count, _BLOCK_ROWS):
+        cols = np.ascontiguousarray(table[start : start + _BLOCK_ROWS].T)
+        hit = {(j, i): cols[j] == i for j, i in used}
+        ok = mask[start : start + _BLOCK_ROWS]
+        for e1, e2 in ties:
+            ok &= hit[e1] == hit[e2]
+        for terms, dtype, is_eq, rhs in sums:
+            acc = np.zeros(cols.shape[1], dtype=dtype)
+            for e, c in terms:
+                if c == 1:
+                    acc += hit[e]
+                else:
+                    acc += c * hit[e]
+            ok &= (acc == rhs) if is_eq else (acc <= rhs)
     return mask
 
 

@@ -10,18 +10,23 @@ solver switches permanently to Bland's rule, which guarantees termination.
 LP decoding maximizes trace(C^T X) with C = y s^T over the code polytope
 (Birkhoff rows plus the constraint system).  An integral optimum is the
 maximum-likelihood codeword; a fractional optimum is a decoding failure.
+The polytope depends on the constraint system alone, so phase one runs once
+per system and is cached; every decode starts phase two from a copy of that
+feasible tableau.  Phase one never reads the objective, so a decode makes the
+same pivots, and returns the same result, as a cold two-phase solve.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .codebook import Code
-from .constraints import ConstraintSystem, Relation, satisfies
+from .constraints import ConstraintSystem, Relation
 from .perm import PermutationMatrix, var_index
 
 _EPS = 1e-9
@@ -49,6 +54,8 @@ class LPProblem:
             pairs = tuple(sorted((int(p), float(c)) for p, c in items))
             if any(not 1 <= p <= num_vars for p, _ in pairs):
                 raise ValueError("row references a variable outside [1, num_vars]")
+            if len({p for p, _ in pairs}) != len(pairs):
+                raise ValueError("duplicate variable position in constraint row")
             packed.append((pairs, rel, float(rhs)))
         obj = np.asarray(objective, dtype=float)
         if obj.shape != (num_vars,):
@@ -64,26 +71,28 @@ class LPSolution:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    # Rows with a zero factor would only have zero subtracted from them.
+    hit = factors.nonzero()[0]
+    tableau[hit] -= factors[hit, None] * pivot_row
     basis[row] = col
 
 
 def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int, m: int):
     """Minimum-ratio row; ties broken towards the smallest basis variable."""
     column = tableau[:m, col]
-    rhs = tableau[:m, -1]
+    rows = (column > _EPS).nonzero()[0]
+    ratios = tableau[rows, -1] / column[rows]
     best_row, best_ratio = -1, np.inf
-    for r in range(m):
-        if column[r] > _EPS:
-            ratio = rhs[r] / column[r]
-            if ratio < best_ratio - _EPS or (
-                abs(ratio - best_ratio) <= _EPS
-                and (best_row < 0 or basis[r] < basis[best_row])
-            ):
-                best_row, best_ratio = r, ratio
+    for r, ratio in zip(rows.tolist(), ratios.tolist()):
+        if ratio < best_ratio - _EPS or (
+            abs(ratio - best_ratio) <= _EPS
+            and (best_row < 0 or basis[r] < basis[best_row])
+        ):
+            best_row, best_ratio = r, ratio
     return best_row, best_ratio
 
 
@@ -96,12 +105,12 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, m: int) -> 
     for _ in range(max_iters):
         reduced = tableau[-1, :ncols]
         if blands:
-            candidates = np.flatnonzero(reduced > _EPS)
+            candidates = (reduced > _EPS).nonzero()[0]
             if candidates.size == 0:
                 return LPStatus.OPTIMAL
             col = int(candidates[0])
         else:
-            col = int(np.argmax(reduced))
+            col = int(reduced.argmax())
             if reduced[col] <= _EPS:
                 return LPStatus.OPTIMAL
         row, ratio = _choose_leaving(tableau, basis, col, m)
@@ -117,32 +126,49 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, m: int) -> 
     raise RuntimeError("simplex failed to terminate within the iteration cap")
 
 
-def solve(problem: LPProblem) -> LPSolution:
-    """Two-phase simplex.  The optimal x is a vertex of the feasible region."""
+@dataclass(frozen=True)
+class _FeasibleTableau:
+    """A problem's rows after phase one, ready for any objective.
+
+    ``tableau`` holds the real and slack columns plus the rhs, with redundant
+    rows dropped, the artificial columns removed (phase two keeps them at zero,
+    so they never influence another entry) and a zero objective row.  ``rows``,
+    ``rhs`` and ``eq`` are the problem's rows as given, for the final
+    feasibility re-check.  The arrays are read-only; phase two works on copies.
+    """
+
+    tableau: np.ndarray
+    basis: np.ndarray
+    num_vars: int
+    rows: np.ndarray
+    rhs: np.ndarray
+    eq: np.ndarray
+
+
+def _phase_one(problem: LPProblem) -> Optional[_FeasibleTableau]:
+    """A feasible basis of the problem's rows, or None when they are infeasible.
+
+    Phase one never reads the objective.
+    """
     m = len(problem.rows)
     nv = problem.num_vars
 
     # Assemble dense rows with rhs >= 0; flipped <= rows become >= rows.
     dense = np.zeros((m, nv), dtype=float)
-    rhs = np.zeros(m, dtype=float)
-    kinds = []  # "le", "ge", or "eq" after normalization
-    for r, (coeffs, rel, b) in enumerate(problem.rows):
+    rhs = np.array([b for _, _, b in problem.rows], dtype=float)
+    eq = np.array([rel is Relation.EQ for _, rel, _ in problem.rows], dtype=bool)
+    for r, (coeffs, _, _) in enumerate(problem.rows):
         for p, c in coeffs:
             dense[r, p - 1] = c
-        rhs[r] = b
-        kind = "le" if rel is Relation.LE else "eq"
-        if b < 0:
-            dense[r] = -dense[r]
-            rhs[r] = -b
-            kind = "ge" if kind == "le" else "eq"
-        kinds.append(kind)
+    flip = rhs < 0
+    kinds = ["eq" if e else ("ge" if f else "le") for e, f in zip(eq.tolist(), flip.tolist())]
 
     n_slack = sum(k != "eq" for k in kinds)
     n_art = sum(k != "le" for k in kinds)
     ncols = nv + n_slack + n_art
     tableau = np.zeros((m + 1, ncols + 1), dtype=float)
-    tableau[:m, :nv] = dense
-    tableau[:m, -1] = rhs
+    tableau[:m, :nv] = np.where(flip[:, None], -dense, dense)
+    tableau[:m, -1] = np.where(flip, -rhs, rhs)
     basis = np.full(m, -1, dtype=int)
     slack_at = nv
     art_at = nv + n_slack
@@ -167,8 +193,7 @@ def solve(problem: LPProblem) -> LPSolution:
 
     keep = np.ones(m, dtype=bool)
     if art_cols:
-        # Phase one: maximize -(sum of artificials).
-        tableau[-1, :] = 0.0
+        # Maximize -(sum of artificials).
         for c in art_cols:
             tableau[-1, c] = -1.0
         for r in range(m):
@@ -178,7 +203,7 @@ def solve(problem: LPProblem) -> LPSolution:
         if status is not LPStatus.OPTIMAL:  # pragma: no cover - bounded by construction
             raise RuntimeError("phase one cannot be unbounded")
         if tableau[-1, -1] > 1e-7:
-            return LPSolution(LPStatus.INFEASIBLE, None, float("nan"))
+            return None
         # Pivot lingering artificials out; a row with no real coefficient is
         # redundant and dropped.
         for r in range(m):
@@ -189,36 +214,49 @@ def solve(problem: LPProblem) -> LPSolution:
                 else:
                     keep[r] = False
 
-    if not np.all(keep):
-        rows_keep = np.append(keep, True)
-        tableau = tableau[rows_keep]
-        basis = basis[keep]
-        m = int(keep.sum())
+    tableau = np.delete(tableau[np.append(keep, True)], np.s_[nv + n_slack : -1], axis=1)
+    tableau[-1] = 0.0
+    basis = basis[keep]
+    for a in (tableau, basis, dense, rhs, eq):
+        a.setflags(write=False)
+    return _FeasibleTableau(tableau, basis, nv, dense, rhs, eq)
 
-    # Phase two on the real objective, artificial columns frozen out.
-    tableau[:, nv + n_slack : -1] = 0.0
-    tableau[-1, :] = 0.0
-    tableau[-1, :nv] = problem.objective
-    for r in range(m):
-        if tableau[-1, basis[r]] != 0.0:
-            tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
-    status = _run_simplex(tableau, basis, nv + n_slack, m)
+
+def _phase_two(feasible: _FeasibleTableau, objective: np.ndarray) -> LPSolution:
+    """Optimize the objective from the feasible basis (the tables are copied)."""
+    tableau = feasible.tableau.copy()
+    basis = feasible.basis.copy()
+    m = basis.size
+    nv = feasible.num_vars
+    tableau[-1, :nv] = objective
+    # Basis columns are exact unit vectors, so subtracting row r changes no
+    # other basic cost: the costs read up front are the ones a sequential
+    # elimination would read, and the subtractions keep their order.
+    costs = tableau[-1, basis]
+    for r in costs.nonzero()[0].tolist():
+        tableau[-1] -= costs[r] * tableau[r]
+    status = _run_simplex(tableau, basis, tableau.shape[1] - 1, m)
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, float("nan"))
 
     x = np.zeros(nv, dtype=float)
-    for r in range(m):
-        if basis[r] < nv:
-            x[basis[r]] = tableau[r, -1]
-    value = float(problem.objective @ x)
+    real = basis < nv
+    x[basis[real]] = tableau[:m, -1][real]
+    value = float(objective @ x)
 
     # Cheap internal revalidation against drift.
-    for coeffs, rel, b in problem.rows:
-        lhs = sum(c * x[p - 1] for p, c in coeffs)
-        bad = abs(lhs - b) > 1e-6 if rel is Relation.EQ else lhs - b > 1e-6
-        if bad:  # pragma: no cover - defensive
-            raise RuntimeError("simplex returned an infeasible point")
+    dev = feasible.rows @ x - feasible.rhs
+    if np.any(np.where(feasible.eq, np.abs(dev), dev) > 1e-6):  # pragma: no cover - defensive
+        raise RuntimeError("simplex returned an infeasible point")
     return LPSolution(LPStatus.OPTIMAL, x, value)
+
+
+def solve(problem: LPProblem) -> LPSolution:
+    """Two-phase simplex.  The optimal x is a vertex of the feasible region."""
+    feasible = _phase_one(problem)
+    if feasible is None:
+        return LPSolution(LPStatus.INFEASIBLE, None, float("nan"))
+    return _phase_two(feasible, problem.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +311,60 @@ class DecodeResult:
 INTEGRALITY_TOL = 1e-6
 
 
+@dataclass(frozen=True)
+class _CodePolytope:
+    """What LP decoding needs of a constraint system, whatever s and y are.
+
+    ``feasible`` is phase one of the decoding LP (None when the polytope is
+    empty); ``rows``, ``rhs`` and ``eq`` are the system's rows as int64
+    arrays over vec(X), for the exact codeword check.
+    """
+
+    feasible: Optional[_FeasibleTableau]
+    rows: np.ndarray
+    rhs: np.ndarray
+    eq: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
+    n = cs.n
+    # Phase one never reads the objective, so any s and y give the same basis.
+    feasible = _phase_one(build_decoding_lp(cs, np.zeros(n), np.zeros(n)))
+    rows = np.zeros((cs.num_rows, n * n), dtype=np.int64)
+    for r, row in enumerate(cs.rows):
+        for p, c in row.coeffs:
+            rows[r, p - 1] = c
+    rhs = np.array([row.rhs for row in cs.rows], dtype=np.int64)
+    eq = np.array([row.relation is Relation.EQ for row in cs.rows], dtype=bool)
+    for a in (rows, rhs, eq):
+        a.setflags(write=False)
+    return _CodePolytope(feasible, rows, rhs, eq)
+
+
 def lp_decode(
     cs: ConstraintSystem,
     s: Sequence[float],
     y: Sequence[float],
     tol: float = INTEGRALITY_TOL,
 ) -> DecodeResult:
-    """LP decoding of y against the code (cs, s)."""
-    problem = build_decoding_lp(cs, s, y)
-    sol = solve(problem)
-    if sol.status is LPStatus.INFEASIBLE:
+    """LP decoding of y against the code (cs, s).
+
+    Phase one of the decoding LP is solved once per constraint system and
+    cached; each call runs phase two only, which gives the same result as
+    ``solve(build_decoding_lp(cs, s, y))``.
+    """
+    n = cs.n
+    s = np.asarray(s, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if s.shape != (n,) or y.shape != (n,):
+        raise ValueError("initial vector and received vector must have length n")
+    polytope = _code_polytope(cs)
+    if polytope.feasible is None:
         raise InfeasibleCodeError("empty code polytope")
+    sol = _phase_two(polytope.feasible, np.outer(y, s).reshape(n * n))
     if sol.status is not LPStatus.OPTIMAL:  # pragma: no cover - polytope is bounded
         raise RuntimeError(f"unexpected LP status {sol.status}")
-    n = cs.n
     frac = sol.x.reshape(n, n)
     rounded = np.rint(frac)
     if np.max(np.abs(frac - rounded)) <= tol:
@@ -294,13 +372,15 @@ def lp_decode(
             x = PermutationMatrix.from_dense(rounded.astype(np.int8))
         except ValueError:
             x = None
-        if x is not None and satisfies(cs, x):
-            return DecodeResult(
-                matrix=x,
-                word=x.apply(s),
-                fractional=None,
-                objective_value=sol.objective_value,
-            )
+        if x is not None:
+            lhs = polytope.rows @ rounded.astype(np.int64).reshape(n * n)
+            if np.all(np.where(polytope.eq, lhs == polytope.rhs, lhs <= polytope.rhs)):
+                return DecodeResult(
+                    matrix=x,
+                    word=x.apply(s),
+                    fractional=None,
+                    objective_value=sol.objective_value,
+                )
     return DecodeResult(
         matrix=None, word=None, fractional=frac, objective_value=sol.objective_value
     )

@@ -48,14 +48,13 @@ class PermutationMatrix:
         a = np.asarray(arr)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-        n = a.shape[0]
-        perm = [0] * n
-        for j in range(n):
-            col = np.flatnonzero(a[:, j])
-            if len(col) != 1 or a[col[0], j] != 1:
-                raise ValueError("matrix is not a permutation matrix")
-            perm[j] = int(col[0]) + 1
-        return cls(tuple(perm))
+        if a.size == 0:
+            raise ValueError("matrix is not a permutation matrix")
+        rows = (a != 0).argmax(axis=0)
+        # Every column must hold exactly one nonzero entry, and it must be 1.
+        if (np.count_nonzero(a, axis=0) != 1).any() or (a[rows, np.arange(a.shape[1])] != 1).any():
+            raise ValueError("matrix is not a permutation matrix")
+        return cls(tuple((rows + 1).tolist()))
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=np.int8)

@@ -259,6 +259,7 @@ def test_criterion_08():
         assert integral_successes >= 500  # the check must actually bite
 
 
+@pytest.mark.slow
 @_criterion(9, "random ensembles: cardinality and weight means within 3 SE of the formulas, < 15 min")
 def test_criterion_09():
     t0 = time.monotonic()
@@ -275,6 +276,7 @@ def test_criterion_09():
     assert time.monotonic() - t0 < 900
 
 
+@pytest.mark.slow
 @_criterion(10, "BLER within union bound at every grid point; derangement separated below at 4 dB")
 def test_criterion_10():
     s = (0.0, 1.0, 2.0, 3.0, 4.0)

@@ -11,8 +11,17 @@ from permlp.channel import (
     sigma_from_snr_db,
     simulate_bler,
 )
-from permlp.codebook import CodeSpec
-from permlp.constraints import cyclic, derangement
+from permlp.codebook import CodeSpec, build_code
+from permlp.constraints import (
+    ConstraintRow,
+    ConstraintSystem,
+    Relation,
+    block,
+    cyclic,
+    derangement,
+    pure_involution,
+)
+from permlp.perm import var_index
 
 
 def test_sigma_from_snr_db_anchors():
@@ -87,6 +96,35 @@ def test_simulate_fixed_transmitted_word():
     assert a == b
     with pytest.raises(ValueError):
         simulate_bler(spec, [4.0], 50, seed=8, transmitted=np.array([9.0, 9.0, 9.0, 9.0]))
+
+
+def _fixpair5():
+    row = ConstraintRow.make({var_index(1, 1, 5): 1, var_index(5, 5, 5): 1}, Relation.EQ, 1)
+    return ConstraintSystem(5, (row,))
+
+
+# (lp_errors, lp_failures) per SNR point: three points with random codewords,
+# then two with codewords[0] fixed.  Pinned so that solver speed-ups are
+# checked to leave seeded results unchanged.
+PINNED_LP_COUNTS = {
+    "derangement5": (lambda: derangement(5), [(84, 0), (73, 0), (44, 0), (60, 0), (39, 0)]),
+    "fixpair5": (_fixpair5, [(97, 0), (79, 0), (67, 0), (92, 1), (67, 0)]),
+    "pure_involution8": (lambda: pure_involution(8), [(39, 0), (20, 0), (5, 0), (13, 3), (5, 2)]),
+    "block8_2r": (lambda: block(8, 2, redundant=True), [(104, 0), (89, 0), (63, 0), (96, 0), (87, 0)]),
+    "block6_3": (lambda: block(6, 3), [(105, 6), (94, 1), (69, 0), (109, 7), (84, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LP_COUNTS))
+def test_simulate_bler_lp_counts_pinned(name):
+    make, want = PINNED_LP_COUNTS[name]
+    cs = make()
+    spec = CodeSpec(cs.n, cs, tuple(float(v) for v in range(cs.n)))
+    recs = simulate_bler(spec, [0, 2, 4], 150, seed=11, decoders=("lp",))
+    recs += simulate_bler(
+        spec, [0, 2], 150, seed=12, decoders=("lp",), transmitted=build_code(spec).codewords[0]
+    )
+    assert [(r.lp_errors, r.lp_failures) for r in recs] == want
 
 
 def test_simulate_rejects_empty_code():

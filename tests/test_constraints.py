@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permlp import constraints
 from permlp.constraints import (
     ConstraintRow,
     ConstraintSystem,
@@ -32,7 +33,7 @@ from permlp.constraints import (
     theta,
     transposition,
 )
-from permlp.perm import PermutationMatrix, enumerate_all, permutation_table, var_entry
+from permlp.perm import PermutationMatrix, enumerate_all, permutation_table, var_entry, var_index
 
 
 def _family_members(cs, n):
@@ -225,9 +226,34 @@ def test_satisfies_mask_matches_scalar(n, rnd):
         rows.append(ConstraintRow.make(coeffs, rel, rnd.choice([-1, 0, 1, 2])))
     cs = ConstraintSystem(n, tuple(rows))
     table = permutation_table(n)
+    scalar = np.array([satisfies(cs, x) for x in enumerate_all(n)])
+    assert np.array_equal(satisfies_mask(cs, table), scalar)
+    # A small odd block size makes every table above n = 3 cross blocks.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constraints, "_BLOCK_ROWS", 7)
+        assert np.array_equal(satisfies_mask(cs, table), scalar)
+
+
+def test_satisfies_mask_across_blocks_n8():
+    # 8! = 40,320 rows is more than one block at the default block size.
+    n = 8
+    rows = (
+        ConstraintRow.make({var_index(2, 3, n): 1, var_index(5, 7, n): -1}, Relation.EQ, 0),
+        ConstraintRow.make(
+            {var_index(1, 1, n): -2, var_index(4, 6, n): 1, var_index(8, 2, n): -1},
+            Relation.LE,
+            -1,
+        ),
+        # |sum| up to 200 does not fit the narrowest accumulator.
+        ConstraintRow.make({var_index(3, 3, n): 100, var_index(6, 1, n): 100}, Relation.LE, 150),
+    )
+    cs = ConstraintSystem(n, rows)
+    table = permutation_table(n)
+    assert table.shape[0] > constraints._BLOCK_ROWS
     mask = satisfies_mask(cs, table)
     scalar = np.array([satisfies(cs, x) for x in enumerate_all(n)])
     assert np.array_equal(mask, scalar)
+    assert 0 < mask.sum() < table.shape[0]
 
 
 def test_satisfies_mask_boolean_fast_path():

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from permlp import lp
 from permlp.constraints import (
     ConstraintRow,
     ConstraintSystem,
     Relation,
+    block,
     derangement,
+    pure_involution,
     satisfies,
 )
 from permlp.codebook import CodeSpec, build_code
@@ -53,6 +56,15 @@ def test_simplex_negative_rhs_normalization():
     sol = solve(prob)
     assert sol.status is LPStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-2.0)
+
+
+def test_problem_rejects_duplicate_positions():
+    # Packing pairs into a dense row used to keep only the last duplicate: the
+    # first LP below is unbounded, the second is feasible at x = (0, 0).
+    with pytest.raises(ValueError, match="duplicate"):
+        LPProblem.make(2, [1.0, 1.0], [([(1, 1.0), (1, -1.0), (2, 1.0)], Relation.LE, 1)])
+    with pytest.raises(ValueError, match="duplicate"):
+        LPProblem.make(2, [1.0, 1.0], [([(1, 1.0), (1, 1.0)], Relation.LE, 1)])
 
 
 def test_simplex_unbounded():
@@ -220,3 +232,69 @@ def test_ml_certificate_small():
         d_ml = float(np.min(np.sum((code.codewords - y) ** 2, axis=1)))
         assert d_lp == pytest.approx(d_ml, abs=1e-9)
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# Phase one cached per constraint system
+# ---------------------------------------------------------------------------
+
+
+def _same(a, b):
+    return (
+        a.is_codeword == b.is_codeword
+        and a.objective_value == b.objective_value
+        and a.matrix == b.matrix
+        and (a.word is None and b.word is None or np.array_equal(a.word, b.word))
+        and (
+            a.fractional is None and b.fractional is None
+            or np.array_equal(a.fractional, b.fractional)
+        )
+    )
+
+
+def test_lp_decode_cache_is_not_mutated():
+    cs = pure_involution(6)
+    s = np.arange(6.0)
+    rng = np.random.default_rng(3)
+    y1, y2 = s + rng.normal(scale=1.5, size=6), s[::-1] + rng.normal(scale=1.5, size=6)
+    first = lp_decode(cs, s, y1)
+    lp_decode(cs, s, y2)
+    assert _same(first, lp_decode(cs, s, y1))
+
+
+def test_lp_decode_interleaved_systems_match_fresh_cache():
+    a, b = derangement(5), block(6, 3)
+    rng = np.random.default_rng(4)
+    calls = [(a, rng.normal(size=5)), (b, rng.normal(size=6)), (a, rng.normal(size=5))]
+    interleaved = [lp_decode(cs, np.arange(float(cs.n)), y) for cs, y in calls]
+    for (cs, y), got in zip(calls, interleaved):
+        lp._code_polytope.cache_clear()
+        assert _same(got, lp_decode(cs, np.arange(float(cs.n)), y))
+
+
+def test_lp_decode_infeasible_every_call():
+    lp._code_polytope.cache_clear()
+    for _ in range(3):
+        with pytest.raises(InfeasibleCodeError):
+            lp_decode(derangement(1), np.array([1.0]), np.array([0.3]))
+
+
+def test_lp_decode_matches_cold_solve():
+    cs = block(6, 3)
+    s = np.arange(6.0)
+    rng = np.random.default_rng(6)
+    integral = 0
+    for _ in range(60):
+        y = s[rng.permutation(6)] + rng.normal(scale=1.0, size=6)
+        res = lp_decode(cs, s, y)
+        sol = solve(build_decoding_lp(cs, s, y))
+        assert sol.status is LPStatus.OPTIMAL
+        assert res.objective_value == sol.objective_value
+        if res.is_codeword:
+            integral += 1
+            assert satisfies(cs, res.matrix)
+            assert np.array_equal(res.matrix.vec(), np.rint(sol.x))
+            assert np.array_equal(res.word, res.matrix.apply(s))
+        else:
+            assert np.array_equal(res.fractional, sol.x.reshape(6, 6))
+    assert 0 < integral < 60
