@@ -50,7 +50,7 @@ def run_code(label: str, cs: ConstraintSystem, cfg: Config) -> None:
     spec = CodeSpec(n=cs.n, cs=cs, s=tuple(float(v) for v in range(cs.n)))
     code = build_code(spec)
     vs = enumerate_vertices(cs, cs.n)
-    x = code.matrices[0]
+    x = code.matrix(0)
     word = tuple(float(v) for v in code.codewords[0])
     records = simulate_bler(
         spec,

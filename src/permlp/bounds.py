@@ -55,14 +55,15 @@ def ml_union_bound(x: PermutationMatrix, code: Code, sigma: float) -> float:
     """Union bound on ML block error for transmitted matrix x over codewords."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if x not in code.matrices:
+    k = code.find(x)
+    if k is None:
         raise ValueError("transmitted matrix is not in the code")
-    xs = x.apply(code.spec.s)
+    words = code.codewords
     total = 0.0
-    for k, other in enumerate(code.matrices):
-        if other == x:
+    for t in range(len(words)):
+        if t == k:
             continue
-        d = float(np.linalg.norm(code.codewords[k] - xs))
+        d = float(np.linalg.norm(words[t] - words[k]))
         total += q_function(d / (2.0 * sigma))
     return total
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .codebook import Code, CodeSpec, build_code
+from .codebook import CodeSpec, build_code
 from .constraints import sample_ensemble, satisfies_mask, theta
 from .lp import lp_decode, ml_decode_detail
 from .perm import BRUTE_FORCE_LIMIT, permutation_table
@@ -61,14 +61,9 @@ def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
 
 
 def _simulate_point(args) -> TrialRecord:
-    spec, snr_db, point_idx, trials, seed, decoders, transmitted, limit = args
+    spec, code, snr_db, point_idx, trials, seed, decoders, transmitted = args
     sigma = sigma_from_snr_db(snr_db)
     s = np.asarray(spec.s, dtype=float)
-    code: Optional[Code] = None
-    if "ml" in decoders or transmitted is None:
-        code = build_code(spec, limit)
-        if len(code) == 0:
-            raise ValueError("the code is empty; nothing to transmit")
     fixed = None if transmitted is None else np.asarray(transmitted, dtype=float)
     lp_errors = lp_failures = ml_errors = 0
     for t in range(trials):
@@ -113,20 +108,26 @@ def simulate_bler(
     """Monte-Carlo block error rates per SNR point.
 
     ``transmitted`` fixes the sent codeword; None draws uniformly per trial
-    (which requires an enumerable code, as does the ML decoder).
+    (which requires an enumerable code, as does the ML decoder).  The code is
+    built once per call; worker processes receive its permutations only.
     """
     decoders = tuple(decoders)
     if not decoders or any(d not in ("lp", "ml") for d in decoders):
         raise ValueError("decoders must be a nonempty subset of {'lp', 'ml'}")
     if trials_per_point < 1:
         raise ValueError("need at least one trial per point")
+    code = build_code(spec, limit)
     if transmitted is not None:
         word = np.asarray(tuple(transmitted), dtype=float)
-        code = build_code(spec, limit)
-        if not any(np.array_equal(word, w) for w in code.codewords):
+        if word.shape != (spec.n,) or not (code.codewords == word).all(axis=1).any():
             raise ValueError("transmitted word is not a codeword of this spec")
+    elif len(code) == 0:
+        raise ValueError("the code is empty; nothing to transmit")
+    # LP-only runs with a fixed word need the code for the check above only.
+    job_code = code if "ml" in decoders or transmitted is None else None
     jobs = [
-        (spec, float(db), k, trials_per_point, seed, decoders, None if transmitted is None else tuple(transmitted), limit)
+        (spec, job_code, float(db), k, trials_per_point, seed, decoders,
+         None if transmitted is None else tuple(transmitted))
         for k, db in enumerate(snr_db_list)
     ]
     if threads > 1 and len(jobs) > 1:

@@ -68,10 +68,10 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
 
 
 def _matrix_for_word(code: codebook.Code, word: np.ndarray) -> PermutationMatrix:
-    for k, w in enumerate(code.codewords):
-        if np.allclose(w, word, atol=1e-12):
-            return code.matrices[k]
-    raise SpecFileError("the given word is not a codeword of this spec")
+    hits = np.flatnonzero(np.isclose(code.codewords, word, atol=1e-12).all(axis=1))
+    if hits.size == 0:
+        raise SpecFileError("the given word is not a codeword of this spec")
+    return code.matrix(int(hits[0]))
 
 
 # ---------------------------------------------------------------------------

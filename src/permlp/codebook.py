@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,13 +40,26 @@ class CodeSpec:
             raise ValueError("initial vector length does not match n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Code:
-    """Enumerated code: matrices in lexicographic order and their images."""
+    """Enumerated code: permutations in lexicographic order and their images.
+
+    ``perms`` is a read-only (k, n) int8 array whose rows are column-to-row
+    maps (rows of :func:`permutation_table`); everything else is derived
+    from it on first use.
+    """
 
     spec: CodeSpec
-    matrices: tuple[PermutationMatrix, ...]
-    singular: bool
+    perms: np.ndarray
+
+    def __post_init__(self) -> None:
+        perms = np.asarray(self.perms, dtype=np.int8)
+        if perms.ndim != 2 or perms.shape[1] != self.spec.n:
+            raise ValueError("perms must be a (k, n) array of permutations of 1..n")
+        if perms.flags.writeable:
+            perms = perms.copy()
+            perms.setflags(write=False)
+        object.__setattr__(self, "perms", perms)
 
     @property
     def n(self) -> int:
@@ -54,29 +67,57 @@ class Code:
 
     @cached_property
     def codewords(self) -> np.ndarray:
-        """(num matrices, n) float array, row k the image of matrices[k]."""
-        s = np.asarray(self.spec.s, dtype=float)
-        out = np.empty((len(self.matrices), self.n), dtype=float)
-        for k, x in enumerate(self.matrices):
-            out[k] = x.apply(s)
+        """(k, n) float array, row k the image of perms[k]: word[perm[j]-1] = s[j]."""
+        out = np.empty(self.perms.shape, dtype=float)
+        np.put_along_axis(out, self.perms - 1, np.asarray(self.spec.s, dtype=float), axis=1)
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def matrices(self) -> tuple[PermutationMatrix, ...]:
+        """The rows of ``perms`` as matrix objects, built on first use."""
+        return tuple(PermutationMatrix(tuple(p)) for p in self.perms.tolist())
+
+    @cached_property
+    def singular(self) -> bool:
+        """Whether two matrices of the code share an image."""
+        if len(set(self.spec.s)) == self.n:
+            return False
+        return len(np.unique(self.codewords, axis=0)) < len(self)
+
+    def find(self, x: PermutationMatrix) -> Optional[int]:
+        """0-based row of ``x`` in ``perms``, or None when x is not in the code."""
+        if x.n != self.n:
+            return None
+        hits = np.flatnonzero((self.perms == np.asarray(x.perm, dtype=np.int8)).all(axis=1))
+        return int(hits[0]) if hits.size else None
+
+    def matrix(self, k: int) -> PermutationMatrix:
+        """Matrix of row k (0-based)."""
+        return PermutationMatrix(tuple(self.perms[k].tolist()))
+
     def __len__(self) -> int:
-        return len(self.matrices)
+        return self.perms.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Code):
+            return NotImplemented
+        return self.spec == other.spec and np.array_equal(self.perms, other.perms)
+
+    def __hash__(self) -> int:
+        return hash(self.spec)
+
+    def __reduce__(self):
+        # Pickle the spec and the permutations only; derived arrays are rebuilt.
+        return (Code, (self.spec, self.perms))
 
 
 def build_code(spec: CodeSpec, limit: int = BRUTE_FORCE_LIMIT) -> Code:
     """Filter the full symmetric group through the constraint system."""
     table = permutation_table(spec.n, limit)
-    mask = satisfies_mask(spec.cs, table)
-    matrices = tuple(
-        PermutationMatrix(tuple(int(v) for v in table[k])) for k in np.flatnonzero(mask)
-    )
-    s = np.asarray(spec.s, dtype=float)
-    images = {tuple(x.apply(s)) for x in matrices}
-    singular = len(images) < len(matrices)
-    return Code(spec=spec, matrices=matrices, singular=singular)
+    perms = table[satisfies_mask(spec.cs, table)]
+    perms.setflags(write=False)
+    return Code(spec=spec, perms=perms)
 
 
 def min_hamming_distance(code: Code) -> int:
@@ -122,10 +163,10 @@ def distance_enumerator(code: Code, x: PermutationMatrix) -> DistanceEnumerator:
     """Distances from the image of ``x`` to all codewords (self included)."""
     if code.singular:
         raise ValueError("distance profile of a singular code is undefined here")
-    if x not in code.matrices:
+    k = code.find(x)
+    if k is None:
         raise ValueError("center matrix is not in the code")
-    s = np.asarray(code.spec.s, dtype=float)
-    center = x.apply(s)
+    center = code.codewords[k]
     dists = np.sort(np.sqrt(np.sum((code.codewords - center) ** 2, axis=1)))
     entries: list[tuple[float, int]] = []
     for d in dists:

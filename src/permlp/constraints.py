@@ -72,6 +72,21 @@ class ConstraintSystem:
     def num_rows(self) -> int:
         return len(self.rows)
 
+    def __hash__(self) -> int:
+        # Same value as the dataclass hash, computed once: lp_decode looks its
+        # system up in a cache on every call, and rehashing every row costs
+        # a sizeable share of a decode.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.n, self.rows))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # Enum members hash by name, which varies between processes, so the
+        # cached hash is never pickled.
+        return (ConstraintSystem, (self.n, self.rows))
+
 
 def satisfies(cs: ConstraintSystem, x: PermutationMatrix) -> bool:
     """Exact integer check of every row against the permutation matrix."""

@@ -103,9 +103,10 @@ def codeword_rank(code: Code, word) -> int:
     if code.singular:
         raise ValueError("ranking a singular code is ambiguous")
     word = np.asarray(word, dtype=float)
-    for k, w in enumerate(code.codewords):
-        if np.array_equal(w, word):
-            return k + 1
+    if word.shape == (code.n,):
+        hits = np.flatnonzero((code.codewords == word).all(axis=1))
+        if hits.size:
+            return int(hits[0]) + 1
     raise ValueError("vector is not a codeword")
 
 

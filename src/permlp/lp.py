@@ -389,16 +389,19 @@ def lp_decode(
 def ml_decode_detail(code: Code, y: Sequence[float]) -> tuple[int, np.ndarray, bool]:
     """Exhaustive ML decoding: (1-based index, codeword, tie flag).
 
-    Ties on squared Euclidean distance resolve to the lowest codeword index.
+    Every codeword c is a permutation of s, so |c - y|^2 = |s|^2 + |y|^2 - 2 c.y
+    and the nearest codeword is the one with the largest inner product with y.
+    Ties resolve to the lowest codeword index; the flag is set when another
+    codeword is within 1e-12 in squared distance.
     """
     if len(code) == 0:
         raise ValueError("empty code")
     y = np.asarray(y, dtype=float)
     if y.shape != (code.n,):
         raise ValueError("received vector length does not match the code degree")
-    d2 = np.sum((code.codewords - y) ** 2, axis=1)
-    k = int(np.argmin(d2))
-    tie = bool(np.any(np.delete(d2, k) <= d2[k] + 1e-12))
+    g = code.codewords @ y
+    k = int(np.argmax(g))
+    tie = bool(np.count_nonzero(g >= g[k] - 0.5e-12) > 1)
     return k + 1, code.codewords[k].copy(), tie
 
 

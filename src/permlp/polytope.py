@@ -40,6 +40,10 @@ _DET_TOL = 0.5
 _FEAS_TOL = -1e-7
 _GROUP_DECIMALS = 9
 
+# Bases screened per vectorized batch; each batch holds this many rank-by-rank
+# float matrices, so the batch size bounds the screen's working memory.
+_SCREEN_CHUNK = 4096
+
 DEFAULT_BASIS_BUDGET = 6_000_000
 
 
@@ -300,10 +304,9 @@ def enumerate_vertices(
     at_float = np.ascontiguousarray(a_float.T)  # (width, rank)
 
     candidates: dict[bytes, tuple[int, ...]] = {}
-    chunk = 32768
     comb_iter = itertools.combinations(range(width), rank)
     while True:
-        block = list(itertools.islice(comb_iter, chunk))
+        block = list(itertools.islice(comb_iter, _SCREEN_CHUNK))
         if not block:
             break
         combos = np.array(block, dtype=np.int32)

@@ -1,8 +1,11 @@
 """AWGN simulation harness: determinism, parallel equivalence, statistics."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from permlp import channel
 from permlp.channel import (
     SnrPoint,
     awgn,
@@ -19,6 +22,7 @@ from permlp.constraints import (
     block,
     cyclic,
     derangement,
+    involution,
     pure_involution,
 )
 from permlp.perm import var_index
@@ -125,6 +129,77 @@ def test_simulate_bler_lp_counts_pinned(name):
         spec, [0, 2], 150, seed=12, decoders=("lp",), transmitted=build_code(spec).codewords[0]
     )
     assert [(r.lp_errors, r.lp_failures) for r in recs] == want
+
+
+# ml_errors per SNR point (0, 3, 6 dB; 150 trials, seed 21), pinned so that
+# faster code construction and ML decoding leave seeded results unchanged.
+_RANGE6 = tuple(float(v) for v in range(6))
+PINNED_ML_COUNTS = {
+    "derangement6": (lambda: derangement(6), _RANGE6, [109, 70, 27]),
+    "involution6": (lambda: involution(6), _RANGE6, [71, 41, 19]),
+    "block6_3": (lambda: block(6, 3), _RANGE6, [119, 89, 40]),
+    "derangement6_singular": (lambda: derangement(6), (0.0, 0.0, 1.0, 1.0, 2.0, 2.0), [129, 104, 64]),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(PINNED_ML_COUNTS))
+def test_simulate_bler_ml_counts_pinned(name, threads):
+    make, s, want = PINNED_ML_COUNTS[name]
+    cs = make()
+    recs = simulate_bler(CodeSpec(cs.n, cs, s), [0, 3, 6], 150, seed=21, decoders=("ml",),
+                         threads=threads)
+    assert [r.ml_errors for r in recs] == want
+
+
+class _PicklingPool:
+    """Stands in for ProcessPoolExecutor: runs each job from its pickle."""
+
+    blobs: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        out = []
+        for job in jobs:
+            blob = pickle.dumps(job)
+            _PicklingPool.blobs.append(blob)
+            out.append(fn(pickle.loads(blob)))
+        return out
+
+
+def test_simulate_bler_jobs_ship_permutations_only(monkeypatch):
+    spec = CodeSpec(6, derangement(6), _RANGE6)
+    built = []
+
+    def capture(*args):
+        built.append(build_code(*args))
+        return built[-1]
+
+    monkeypatch.setattr(channel, "build_code", capture)
+    monkeypatch.setattr(channel, "ProcessPoolExecutor", _PicklingPool)
+    _PicklingPool.blobs = []
+    serial = simulate_bler(spec, [1.0, 3.0], 40, seed=5, threads=1)
+    parallel = simulate_bler(spec, [1.0, 3.0], 40, seed=5, threads=2)
+    assert serial == parallel
+    assert len(built) == 2  # one build per call, not one per SNR point
+    assert len(_PicklingPool.blobs) == 2
+    words = built[1].codewords
+    for blob in _PicklingPool.blobs:
+        assert len(blob) < words.nbytes
+        job_code = pickle.loads(blob)[1]
+        assert job_code == built[1] and "codewords" not in job_code.__dict__
+    # An LP-only run with a fixed word ships no code at all.
+    _PicklingPool.blobs = []
+    simulate_bler(spec, [1.0, 3.0], 5, seed=5, decoders=("lp",), transmitted=words[0], threads=2)
+    assert all(pickle.loads(blob)[1] is None for blob in _PicklingPool.blobs)
 
 
 def test_simulate_rejects_empty_code():

@@ -1,11 +1,16 @@
 """Code construction, distances, and spectra against brute-force oracles."""
 
 import itertools
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from permlp import channel, cli, codebook
+from permlp.bounds import ml_bound_report
+from permlp.channel import simulate_bler
 from permlp.codebook import (
     Code,
     CodeSpec,
@@ -16,8 +21,18 @@ from permlp.codebook import (
     min_hamming_distance,
     weight_distribution,
 )
-from permlp.constraints import block, cyclic, derangement, pure_involution, repetition
-from permlp.perm import BruteForceLimitError
+from permlp.constraints import (
+    block,
+    cyclic,
+    derangement,
+    involution,
+    pure_involution,
+    repetition,
+    satisfies,
+    transposition,
+)
+from permlp.encoder import codeword_rank
+from permlp.perm import BruteForceLimitError, PermutationMatrix
 
 
 def _spec(n, cs, s=None):
@@ -154,3 +169,124 @@ def test_code_spec_validation():
         CodeSpec(3, derangement(4), (0.0, 1.0, 2.0))
     with pytest.raises(ValueError):
         CodeSpec(4, derangement(4), (0.0, 1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Array-backed codes against the row-by-row construction
+# ---------------------------------------------------------------------------
+
+
+def _row_by_row(spec):
+    """Oracle: one matrix object per satisfying permutation, images one by one."""
+    matrices = tuple(
+        x
+        for x in (PermutationMatrix(p) for p in itertools.permutations(range(1, spec.n + 1)))
+        if satisfies(spec.cs, x)
+    )
+    words = np.array([x.apply(spec.s) for x in matrices], dtype=float).reshape(-1, spec.n)
+    singular = len({tuple(w) for w in words}) < len(matrices)
+    return matrices, words, singular
+
+
+FAMILIES = [
+    ("derangement5", lambda: derangement(5)),
+    ("derangement7", lambda: derangement(7)),
+    ("involution6", lambda: involution(6)),
+    ("pure_involution6", lambda: pure_involution(6)),
+    ("transposition5", lambda: transposition(5)),
+    ("transposition5_sym", lambda: transposition(5, with_symmetry=True)),
+    ("cyclic7", lambda: cyclic(7)),
+    ("repetition6_2", lambda: repetition(6, 2)),
+    ("repetition6_3", lambda: repetition(6, 3)),
+    ("block4_2", lambda: block(4, 2)),
+    ("block6_2", lambda: block(6, 2)),
+    ("block6_3_redundant", lambda: block(6, 3, redundant=True)),
+]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FAMILIES])
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct_s", "repeated_s"])
+def test_array_code_matches_row_by_row(name, repeated):
+    cs = dict(FAMILIES)[name]()
+    n = cs.n
+    s = [float(v // 2) for v in range(n)] if repeated else [0.5 * v - 1.0 for v in range(n)]
+    spec = CodeSpec(n, cs, tuple(s))
+    code = build_code(spec)
+    matrices, words, singular = _row_by_row(spec)
+    assert code.perms.dtype == np.int8 and not code.perms.flags.writeable
+    assert code.perms.tolist() == [list(x.perm) for x in matrices]
+    assert np.array_equal(code.codewords, words)
+    assert code.singular == singular
+    assert code.matrices == matrices
+    assert len(code) == len(matrices)
+    for k in (0, len(code) // 2, len(code) - 1):
+        assert code.find(matrices[k]) == k
+        assert code.matrix(k) == matrices[k]
+
+
+def test_singular_flag_cases():
+    # Distinct entries: no image can repeat, and nothing is computed.
+    code = build_code(_spec(5, derangement(5)))
+    assert not code.singular and "codewords" not in code.__dict__
+    # Repeated entries that the constraints keep apart: not singular.
+    code = build_code(_spec(4, transposition(4, with_symmetry=True), s=(0.0, 0.0, 1.0, 2.0)))
+    assert len(code) == 6 and not code.singular and "codewords" in code.__dict__
+    code = build_code(_spec(2, derangement(2), s=(1.0, 1.0)))
+    assert len(code) == 1 and not code.singular
+
+
+def test_code_find_rejects_foreign_matrices():
+    code = build_code(_spec(4, derangement(4)))
+    assert code.find(PermutationMatrix.identity(4)) is None
+    assert code.find(PermutationMatrix.identity(3)) is None
+    with pytest.raises(ValueError):
+        distance_enumerator(code, PermutationMatrix.identity(4))
+
+
+def test_code_equality_hash_and_pickle():
+    spec = _spec(5, derangement(5))
+    a, b = build_code(spec), build_code(spec)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    other = build_code(_spec(5, cyclic(5)))
+    assert a != other
+    a.codewords, a.matrices  # fill the cached fields
+    blob = pickle.dumps(a)
+    assert len(blob) < a.codewords.nbytes
+    c = pickle.loads(blob)
+    assert c == a and "codewords" not in c.__dict__ and "matrices" not in c.__dict__
+    assert not c.perms.flags.writeable
+    assert np.array_equal(c.codewords, a.codewords)
+
+
+def test_code_rejects_bad_perms_shape():
+    spec = _spec(4, derangement(4))
+    with pytest.raises(ValueError):
+        Code(spec, np.zeros((3, 5), dtype=np.int8))
+    # A writable input array is copied, so the code cannot change under it.
+    perms = np.array([[2, 1, 4, 3]], dtype=np.int8)
+    code = Code(spec, perms)
+    perms[0, 0] = 1
+    assert code.perms.tolist() == [[2, 1, 4, 3]]
+
+
+def test_library_paths_never_build_matrices(monkeypatch, tmp_path, capsys):
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(build_code(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(channel, "build_code", capture)
+    monkeypatch.setattr(codebook, "build_code", capture)
+    spec = _spec(6, pure_involution(6))
+    simulate_bler(spec, [2.0], 20, seed=1, decoders=("ml",))
+    code = capture(spec)
+    ml_bound_report(code, 0.5)
+    assert codeword_rank(code, code.codewords[7]) == 8
+    path = tmp_path / "pinv6.json"
+    path.write_text(json.dumps({"n": 6, "s": list(range(6)),
+                                "constraints": {"family": "pure_involution"}}))
+    assert cli.main(["bounds", str(path), "--snr", "0:4:2"]) == 0
+    assert "ml_bound" in capsys.readouterr().out
+    assert len(built) == 3
+    assert all("matrices" not in c.__dict__ for c in built)

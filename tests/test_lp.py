@@ -215,6 +215,41 @@ def test_ml_decode_tie_flag():
     assert tie
 
 
+def _ml_by_distance(code, y):
+    """Oracle: argmin of squared distances, ties to the lowest index."""
+    d2 = np.sum((code.codewords - y) ** 2, axis=1)
+    k = int(np.argmin(d2))
+    return k + 1, code.codewords[k], bool(np.any(np.delete(d2, k) <= d2[k] + 1e-12))
+
+
+@pytest.mark.parametrize(
+    "cs,s",
+    [
+        (derangement(6), tuple(float(v) for v in range(6))),
+        (block(6, 3), tuple(float(v) for v in range(6))),
+        (pure_involution(6), (-1.5, -0.5, 0.25, 1.0, 2.0, 4.0)),
+        (derangement(5), (0.0, 0.0, 1.0, 1.0, 2.0)),  # singular: repeated words
+    ],
+    ids=["derangement6", "block6_3", "pure_involution6", "derangement5_singular"],
+)
+def test_ml_decode_matches_distance_oracle(cs, s):
+    code = build_code(CodeSpec(cs.n, cs, s))
+    rng = np.random.default_rng(17)
+    ties = 0
+    for t in range(600):
+        if t % 2:
+            # Half-integer points: many are equidistant from several codewords.
+            y = rng.integers(-2, 2 * cs.n + 2, size=cs.n) / 2.0
+        else:
+            y = code.codewords[rng.integers(len(code))] + rng.normal(scale=0.8, size=cs.n)
+        k, word, tie = ml_decode_detail(code, y)
+        want_k, want_word, want_tie = _ml_by_distance(code, y)
+        assert (k, tie) == (want_k, want_tie)
+        assert np.array_equal(word, want_word)
+        ties += tie
+    assert ties > 5
+
+
 def test_ml_certificate_small():
     # Whenever LP decoding returns a codeword it is an ML answer.
     spec = CodeSpec(4, derangement(4), (0.0, 1.0, 2.0, 3.0))
@@ -298,3 +333,15 @@ def test_lp_decode_matches_cold_solve():
         else:
             assert np.array_equal(res.fractional, sol.x.reshape(6, 6))
     assert 0 < integral < 60
+
+
+def test_constraint_system_hash_cached_and_shared():
+    a, b = block(8, 2, redundant=True), block(8, 2, redundant=True)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.n, a.rows))  # the dataclass hash, computed once
+    lp._code_polytope.cache_clear()
+    s = np.arange(8.0)
+    lp_decode(a, s, s[::-1])
+    lp_decode(b, s, s)
+    info = lp._code_polytope.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)

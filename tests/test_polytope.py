@@ -16,7 +16,9 @@ from permlp.constraints import (
     derangement,
     involution,
     pure_involution,
+    transposition,
 )
+from permlp import polytope
 from permlp.lp import LPProblem, LPStatus, birkhoff_rows, solve
 from permlp.perm import PermutationMatrix, var_index
 from permlp.polytope import (
@@ -249,3 +251,22 @@ def test_min_pseudo_distance_brute_force_small():
 def test_pure_involution_polytope_n4_is_integral():
     vs = enumerate_vertices(pure_involution(4), 4)
     assert len(vs) == 3 and len(vs.fractional) == 0
+
+
+def test_screen_chunk_size_does_not_change_vertices(monkeypatch):
+    # The acceptance-3 families and the acceptance-4 trace polytope, screened
+    # in batches of 7 bases, so every instance spans many batches.
+    systems = [
+        (cyclic(4), 4),
+        (derangement(4), 4),
+        (involution(4), 4),
+        (transposition(4), 4),
+        (transposition(4, with_symmetry=True), 4),
+        (block(4, 2), 4),
+        (block(4, 2, redundant=True), 4),
+        (_trace_cs(3, 1), 3),
+    ]
+    want = [enumerate_vertices(cs, n).vertices for cs, n in systems]
+    monkeypatch.setattr(polytope, "_SCREEN_CHUNK", 7)
+    got = [enumerate_vertices(cs, n).vertices for cs, n in systems]
+    assert got == want
