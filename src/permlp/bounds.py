@@ -12,18 +12,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .codebook import Code
 from .perm import PermutationMatrix
-from .polytope import RationalMatrix, VertexSet
+from .polytope import RationalMatrix, VertexSet, pairwise_terms
 
 
 def q_function(x: float) -> float:
     """Upper tail of the standard normal, via the complementary error function."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def _lp_args(vs: VertexSet, s: Sequence[float], sigma: float, starts: np.ndarray, message: str):
+    """LP term arguments b / (sigma d) per pairwise_terms chunk, inf on own pairs."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    for b, d, own in pairwise_terms(vs.images(s), starts):
+        if (d[~own] < 1e-12).any():
+            raise ValueError(message)
+        yield np.divide(b, sigma * d, out=np.full_like(d, np.inf), where=~own)
+
+
+def _ml_args(code: Code, sigma: float, starts: np.ndarray):
+    """ML term arguments d / (2 sigma), inf on own pairs (b / d is 0/0 for a singular code)."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    for _, d, own in pairwise_terms(code.codewords, starts):
+        yield np.divide(d, 2.0 * sigma, out=np.full_like(d, np.inf), where=~own)
 
 
 def lp_union_bound(
@@ -33,39 +51,20 @@ def lp_union_bound(
     sigma: float,
 ) -> float:
     """Union bound on LP block error for transmitted matrix x over all vertices."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     xr = x if isinstance(x, RationalMatrix) else RationalMatrix.from_permutation(x)
     if not xr.is_integral or xr not in vs.vertices:
         raise ValueError("transmitted matrix is not an integral vertex of the polytope")
-    xs = xr.image(s)
-    total = 0.0
-    for v in vs.vertices:
-        if v == xr:
-            continue
-        vi = v.image(s)
-        denom = float(np.linalg.norm(vi - xs))
-        if denom < 1e-12:
-            raise ValueError("vertex shares the transmitted image; bound undefined")
-        total += q_function(float(xs @ xs - vi @ xs) / (sigma * denom))
-    return total
+    message = "vertex shares the transmitted image; bound undefined"
+    start = np.array([vs.vertices.index(xr)])
+    return _report("lp", _lp_args(vs, s, sigma, start, message)).values[0]
 
 
 def ml_union_bound(x: PermutationMatrix, code: Code, sigma: float) -> float:
     """Union bound on ML block error for transmitted matrix x over codewords."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     k = code.find(x)
     if k is None:
         raise ValueError("transmitted matrix is not in the code")
-    words = code.codewords
-    total = 0.0
-    for t in range(len(words)):
-        if t == k:
-            continue
-        d = float(np.linalg.norm(words[t] - words[k]))
-        total += q_function(d / (2.0 * sigma))
-    return total
+    return _report("ml", _ml_args(code, sigma, np.array([k]))).values[0]
 
 
 @dataclass(frozen=True)
@@ -77,49 +76,33 @@ class BoundReport:
     max_pair: tuple[int, int]  # (transmitted index, competitor index), 1-based
 
 
+def _report(kind: str, chunks: Iterable[np.ndarray]) -> BoundReport:
+    """Row sums of Q(args), one erfc per distinct argument; max_pair is the first largest term."""
+    values: list[float] = []
+    worst = (0.0, (1, 1))
+    for args in chunks:
+        distinct, inverse = np.unique(args, return_inverse=True)
+        terms = np.array([q_function(a) for a in distinct.tolist()])[inverse].reshape(args.shape)
+        r, t = divmod(int(terms.argmax()), terms.shape[1])
+        if terms[r, t] > worst[0]:
+            worst = (terms[r, t], (len(values) + r + 1, t + 1))
+        values.extend(terms.sum(axis=1).tolist())
+    return BoundReport(kind, tuple(values), worst[1])
+
+
 def lp_bound_report(vs: VertexSet, s: Sequence[float], sigma: float) -> BoundReport:
     """Per-codeword LP union bounds across all integral vertices of vs."""
-    integral = [(k, v) for k, v in enumerate(vs.vertices) if v.is_integral]
-    if not integral:
+    starts = np.flatnonzero(vs.integral_mask)
+    if not starts.size:
         raise ValueError("polytope has no integral vertices")
-    imgs = np.array([v.image(s) for v in vs.vertices])
-    values = []
-    worst = (0.0, (1, 1))
-    for pos, (k, _) in enumerate(integral):
-        xs = imgs[k]
-        total = 0.0
-        for t in range(len(vs)):
-            if t == k:
-                continue
-            denom = float(np.linalg.norm(imgs[t] - xs))
-            if denom < 1e-12:
-                raise ValueError("vertices share an image; bound undefined")
-            term = q_function(float(xs @ xs - imgs[t] @ xs) / (sigma * denom))
-            if term > worst[0]:
-                worst = (term, (pos + 1, t + 1))
-            total += term
-        values.append(total)
-    return BoundReport("lp", tuple(values), worst[1])
+    return _report("lp", _lp_args(vs, s, sigma, starts, "vertices share an image; bound undefined"))
 
 
 def ml_bound_report(code: Code, sigma: float) -> BoundReport:
     """Per-codeword ML union bounds."""
     if len(code) < 2:
         raise ValueError("need at least two codewords")
-    words = code.codewords
-    values = []
-    worst = (0.0, (1, 1))
-    for k in range(len(words)):
-        total = 0.0
-        for t in range(len(words)):
-            if t == k:
-                continue
-            term = q_function(float(np.linalg.norm(words[t] - words[k])) / (2 * sigma))
-            if term > worst[0]:
-                worst = (term, (k + 1, t + 1))
-            total += term
-        values.append(total)
-    return BoundReport("ml", tuple(values), worst[1])
+    return _report("ml", _ml_args(code, sigma, np.arange(len(code))))
 
 
 # ---------------------------------------------------------------------------

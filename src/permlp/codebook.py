@@ -19,10 +19,12 @@ from .constraints import ConstraintSystem, satisfies_mask
 from .perm import (
     BRUTE_FORCE_LIMIT,
     PermutationMatrix,
-    hamming_distance,
     permutation_table,
     sq_euclidean_distance,
 )
+
+# Entries compared per min_hamming_distance chunk (one byte each).
+_HAMMING_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -127,13 +129,16 @@ def min_hamming_distance(code: Code) -> int:
     if len(code) < 2:
         raise ValueError("need at least two codewords")
     words = code.codewords
-    best = code.n + 1
-    for a, b in itertools.combinations(range(len(words)), 2):
-        d = int(np.sum(words[a] != words[b]))
-        if d < best:
-            best = d
-            if best == 1:
-                break
+    k, n = words.shape
+    rows = max(1, _HAMMING_CHUNK // (k * n))
+    best = n
+    for lo in range(0, k - 1, rows):
+        # dist[r, c] compares word lo + r with word lo + 1 + c, a later word when c >= r.
+        dist = np.count_nonzero(words[lo : lo + rows, None, :] != words[None, lo + 1 :, :], axis=2)
+        dist[np.tri(*dist.shape, -1, dtype=bool)] = n
+        best = min(best, int(dist.min()))
+        if best == 2:  # distinct rearrangements of one vector differ in two places at least
+            break
     return best
 
 
@@ -187,10 +192,7 @@ def weight_distribution(code: Code, origin: Sequence[float]) -> tuple[int, ...]:
     s = np.asarray(code.spec.s, dtype=float)
     if o.shape != s.shape or sorted(o.tolist()) != sorted(s.tolist()):
         raise ValueError("origin is not a permutation of the initial vector")
-    counts = [0] * (code.n + 1)
-    for word in code.codewords:
-        counts[int(np.sum(word != o))] += 1
-    return tuple(counts)
+    return tuple(np.bincount((code.codewords != o).sum(axis=1), minlength=code.n + 1).tolist())
 
 
 def block_min_sq_distance(

@@ -99,18 +99,6 @@ class PermutationMatrix:
         return PermutationMatrix(tuple(self.perm[k - 1] for k in other.perm))
 
 
-def apply(x: PermutationMatrix, s: Sequence[float]) -> np.ndarray:
-    return x.apply(s)
-
-
-def vectorize(x: PermutationMatrix) -> np.ndarray:
-    return x.vec()
-
-
-def multiply(x: PermutationMatrix, y: PermutationMatrix) -> PermutationMatrix:
-    return x @ y
-
-
 def var_index(i: int, j: int, n: int) -> int:
     """1-based row-major position of entry (i, j) within vec(X)."""
     if not (1 <= i <= n and 1 <= j <= n):

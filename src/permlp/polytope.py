@@ -25,7 +25,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +44,9 @@ _GROUP_DECIMALS = 9
 # Bases screened per vectorized batch; each batch holds this many rank-by-rank
 # float matrices, so the batch size bounds the screen's working memory.
 _SCREEN_CHUNK = 4096
+
+# Start rows times images per pairwise_terms chunk: about 2 MB of float arrays at n = 8.
+_PAIR_CHUNK = 16_384
 
 DEFAULT_BASIS_BUDGET = 6_000_000
 
@@ -107,13 +111,29 @@ class VertexSet:
     n: int
     vertices: tuple[RationalMatrix, ...]
 
+    @cached_property
+    def integral_mask(self) -> np.ndarray:
+        """Whether each vertex is integral, in vertex order."""
+        return np.array([v.is_integral for v in self.vertices], dtype=bool)
+
+    @cached_property
+    def float_stack(self) -> np.ndarray:
+        """(len, n, n) float array of the vertices, built on first use."""
+        return np.array([v.to_float() for v in self.vertices]).reshape(-1, self.n, self.n)
+
     @property
     def integral(self) -> tuple[RationalMatrix, ...]:
-        return tuple(v for v in self.vertices if v.is_integral)
+        return tuple(v for v, i in zip(self.vertices, self.integral_mask) if i)
 
     @property
     def fractional(self) -> tuple[RationalMatrix, ...]:
-        return tuple(v for v in self.vertices if not v.is_integral)
+        return tuple(v for v, i in zip(self.vertices, self.integral_mask) if not i)
+
+    def images(self, s: Sequence[float]) -> np.ndarray:
+        """(len, n) array whose row k is the image of vertex k."""
+        if np.shape(s) != (self.n,):
+            raise ValueError("vector length does not match degree")
+        return self.float_stack @ np.asarray(s, dtype=float)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -386,28 +406,35 @@ def pseudo_distance(x, x_other, s: Sequence[float]) -> float:
     return float((xs @ xs - os_ @ xs) / denom)
 
 
+def pairwise_terms(images: np.ndarray, starts: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Pseudo distance parts from images[starts] to every image, in chunks of starts.
+
+    Yields (b, d, own) per chunk; row r is one start x = images[starts[k]], and with v =
+    images[t], b[r, t] = |x|^2 - v.x, d[r, t] = |v - x| and own[r, t] = (t == starts[k]).
+    """
+    m = len(images)
+    step = max(1, _PAIR_CHUNK // m)
+    for lo in range(0, len(starts), step):
+        idx = starts[lo : lo + step]
+        x = images[idx]
+        diff = images[None, :, :] - x[:, None, :]
+        b = np.einsum("rj,rj->r", x, x)[:, None] - x @ images.T
+        yield b, np.sqrt(np.einsum("rtj,rtj->rt", diff, diff)), np.arange(m) == idx[:, None]
+
+
 def min_pseudo_distance(vs: VertexSet, cs: ConstraintSystem, s: Sequence[float]) -> float:
     """Minimum pseudo distance from any code matrix to any other vertex."""
-    integral = vs.integral
-    if not integral:
+    if not vs.integral_mask.any():
         raise ValueError("polytope has no integral vertices")
     if len(vs) < 2:
         raise ValueError("need at least two vertices")
-    for v in integral:
-        if not satisfies(cs, v.to_permutation()):
-            raise ValueError("integral vertex violates the constraint system")
-    imgs = np.array([v.image(s) for v in vs.vertices])
-    int_idx = [k for k, v in enumerate(vs.vertices) if v.is_integral]
+    # Column j of an integral vertex holds its one in row perm[j].
+    perms = vs.float_stack[vs.integral_mask].argmax(axis=1) + 1
+    if not all(satisfies(cs, PermutationMatrix(tuple(p))) for p in perms.tolist()):
+        raise ValueError("integral vertex violates the constraint system")
     best = math.inf
-    for k in int_idx:
-        xs = imgs[k]
-        diff = imgs - xs
-        norms = np.linalg.norm(diff, axis=1)
-        bvals = xs @ xs - imgs @ xs
-        for t in range(len(vs)):
-            if t == k:
-                continue
-            if norms[t] < 1e-12:
-                raise ValueError("two vertices share an image; pseudo distance undefined")
-            best = min(best, bvals[t] / norms[t])
-    return float(best)
+    for b, d, own in pairwise_terms(vs.images(s), np.flatnonzero(vs.integral_mask)):
+        if (d[~own] < 1e-12).any():
+            raise ValueError("two vertices share an image; pseudo distance undefined")
+        best = min(best, float((b[~own] / d[~own]).min()))
+    return best

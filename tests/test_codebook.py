@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from permlp.codebook import (
     weight_distribution,
 )
 from permlp.constraints import (
+    ConstraintSystem,
     block,
     cyclic,
     derangement,
@@ -64,16 +66,42 @@ def test_codewords_sorted_with_matrices():
         assert np.array_equal(m.apply(np.arange(4.0)), w)
 
 
-def test_min_hamming_distance_brute_force():
-    for cs, n in [(derangement(4), 4), (cyclic(5), 5), (pure_involution(4), 4)]:
-        code = build_code(_spec(n, cs))
+def test_min_hamming_distance_brute_force(monkeypatch):
+    cases = [
+        (derangement(4), 4, None),
+        (cyclic(5), 5, None),
+        (pure_involution(4), 4, None),
+        (pure_involution(8), 8, None),  # minimum 4: every pair is compared
+        (derangement(7), 7, None),  # 1,854 words, minimum 2
+        (cyclic(4), 4, (0.0, 0.0, 1.0, 2.0)),  # repeated entries, still nonsingular
+    ]
+    codes = [build_code(_spec(n, cs, s)) for cs, n, s in cases]
+    # The cyclic group of degree 4 plus one word at distance 2 from its last
+    # word only, so the minimum sits in the last pair of rows.
+    perms = [(1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3), (4, 1, 3, 2)]
+    codes.append(Code(_spec(4, ConstraintSystem(4, ())), np.array(perms)))
+    for code in codes:
+        n, s = code.n, code.spec.s
         words = code.codewords
         want = min(
-            int(np.sum(words[i] != words[j]))
-            for i in range(len(words))
-            for j in range(i + 1, len(words))
+            int((words[i + 1 :] != words[i]).sum(axis=1).min()) for i in range(len(words) - 1)
         )
-        assert min_hamming_distance(code) == want
+        assert not code.singular
+        # 7 compares one row per chunk; 5000 several rows, with a short last chunk.
+        for chunk in (codebook._HAMMING_CHUNK, 7, 5000):
+            monkeypatch.setattr(codebook, "_HAMMING_CHUNK", chunk)
+            assert min_hamming_distance(code) == want, (n, s, chunk)
+        monkeypatch.undo()
+
+
+def test_min_hamming_distance_stops_at_two():
+    # The pair-by-pair loop compared all 1.7M pairs here (8 s); distance 2
+    # is the least two distinct rearrangements of one vector can have.
+    code = build_code(_spec(7, derangement(7)))
+    code.codewords  # built before the clock starts
+    t0 = time.perf_counter()
+    assert min_hamming_distance(code) == 2
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_singular_code_flag_and_guards():
@@ -119,6 +147,7 @@ def test_weight_distribution_counts_displacements():
     code = build_code(_spec(4, cyclic(4)))
     origin = code.codewords[0]
     dist = weight_distribution(code, origin)
+    assert isinstance(dist, tuple) and all(type(c) is int for c in dist)
     assert len(dist) == 5
     assert sum(dist) == len(code)
     for w, count in enumerate(dist):

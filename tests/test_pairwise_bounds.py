@@ -1,0 +1,305 @@
+"""Union bounds and pseudo distances against the pair-by-pair loops they replace.
+
+The oracles below are the loop implementations of lp_union_bound,
+ml_union_bound, lp_bound_report, ml_bound_report and min_pseudo_distance:
+one norm, one dot product and one erfc call per pair.  The chunked kernel
+must agree with them to a relative 1e-12, pick the same max_pair, and raise
+the same errors, for every chunk size.
+"""
+
+import csv
+import functools
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from permlp import cli, polytope
+from permlp.bounds import (
+    BoundReport,
+    lp_bound_report,
+    lp_union_bound,
+    ml_bound_report,
+    ml_union_bound,
+    q_function,
+)
+from permlp.channel import sigma_from_snr_db
+from permlp.codebook import CodeSpec, build_code
+from permlp.constraints import (
+    ConstraintRow,
+    ConstraintSystem,
+    Relation,
+    block,
+    cyclic,
+    derangement,
+    involution,
+    satisfies,
+    transposition,
+)
+from permlp.perm import var_index
+from permlp.polytope import RationalMatrix, enumerate_vertices, min_pseudo_distance
+
+# ---------------------------------------------------------------------------
+# Loop oracles
+# ---------------------------------------------------------------------------
+
+
+def oracle_lp_union_bound(x, vs, s, sigma):
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    xr = x if isinstance(x, RationalMatrix) else RationalMatrix.from_permutation(x)
+    if not xr.is_integral or xr not in vs.vertices:
+        raise ValueError("transmitted matrix is not an integral vertex of the polytope")
+    xs = xr.image(s)
+    total = 0.0
+    for v in vs.vertices:
+        if v == xr:
+            continue
+        vi = v.image(s)
+        denom = float(np.linalg.norm(vi - xs))
+        if denom < 1e-12:
+            raise ValueError("vertex shares the transmitted image; bound undefined")
+        total += q_function(float(xs @ xs - vi @ xs) / (sigma * denom))
+    return total
+
+
+def oracle_ml_union_bound(x, code, sigma):
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    k = code.find(x)
+    if k is None:
+        raise ValueError("transmitted matrix is not in the code")
+    words = code.codewords
+    total = 0.0
+    for t in range(len(words)):
+        if t == k:
+            continue
+        d = float(np.linalg.norm(words[t] - words[k]))
+        total += q_function(d / (2.0 * sigma))
+    return total
+
+
+def oracle_lp_bound_report(vs, s, sigma):
+    integral = [(k, v) for k, v in enumerate(vs.vertices) if v.is_integral]
+    if not integral:
+        raise ValueError("polytope has no integral vertices")
+    imgs = np.array([v.image(s) for v in vs.vertices])
+    values = []
+    worst = (0.0, (1, 1))
+    for pos, (k, _) in enumerate(integral):
+        xs = imgs[k]
+        total = 0.0
+        for t in range(len(vs)):
+            if t == k:
+                continue
+            denom = float(np.linalg.norm(imgs[t] - xs))
+            if denom < 1e-12:
+                raise ValueError("vertices share an image; bound undefined")
+            term = q_function(float(xs @ xs - imgs[t] @ xs) / (sigma * denom))
+            if term > worst[0]:
+                worst = (term, (pos + 1, t + 1))
+            total += term
+        values.append(total)
+    return BoundReport("lp", tuple(values), worst[1])
+
+
+def oracle_ml_bound_report(code, sigma):
+    if len(code) < 2:
+        raise ValueError("need at least two codewords")
+    words = code.codewords
+    values = []
+    worst = (0.0, (1, 1))
+    for k in range(len(words)):
+        total = 0.0
+        for t in range(len(words)):
+            if t == k:
+                continue
+            term = q_function(float(np.linalg.norm(words[t] - words[k])) / (2 * sigma))
+            if term > worst[0]:
+                worst = (term, (k + 1, t + 1))
+            total += term
+        values.append(total)
+    return BoundReport("ml", tuple(values), worst[1])
+
+
+def oracle_min_pseudo_distance(vs, cs, s):
+    integral = vs.integral
+    if not integral:
+        raise ValueError("polytope has no integral vertices")
+    if len(vs) < 2:
+        raise ValueError("need at least two vertices")
+    for v in integral:
+        if not satisfies(cs, v.to_permutation()):
+            raise ValueError("integral vertex violates the constraint system")
+    imgs = np.array([v.image(s) for v in vs.vertices])
+    int_idx = [k for k, v in enumerate(vs.vertices) if v.is_integral]
+    best = math.inf
+    for k in int_idx:
+        xs = imgs[k]
+        diff = imgs - xs
+        norms = np.linalg.norm(diff, axis=1)
+        bvals = xs @ xs - imgs @ xs
+        for t in range(len(vs)):
+            if t == k:
+                continue
+            if norms[t] < 1e-12:
+                raise ValueError("two vertices share an image; pseudo distance undefined")
+            best = min(best, bvals[t] / norms[t])
+    return float(best)
+
+
+# ---------------------------------------------------------------------------
+# Instances: the acceptance 3/4/5 vertex sets and a singular code
+# ---------------------------------------------------------------------------
+
+
+def _diagonal_row(n, positions, rhs):
+    coeffs = {var_index(i, i, n): 1 for i in positions}
+    return ConstraintSystem(n, (ConstraintRow.make(coeffs, Relation.EQ, rhs),))
+
+
+INSTANCES = {
+    "cyclic4": lambda: cyclic(4),
+    "derangement4": lambda: derangement(4),
+    "involution4": lambda: involution(4),
+    "transposition4": lambda: transposition(4),
+    "transposition4_sym": lambda: transposition(4, with_symmetry=True),
+    "block4": lambda: block(4, 2),
+    "block4_redundant": lambda: block(4, 2, redundant=True),
+    "trace1_n3": lambda: _diagonal_row(3, (1, 2, 3), 1),
+    "derangement5": lambda: derangement(5),
+    "fixpair5": lambda: _diagonal_row(5, (1, 5), 1),
+}
+SINGULAR_S = (0.0, 0.0, 1.0, 1.0)
+SIGMAS = (1e-3, 0.3, 0.8, 3.0)  # at 1e-3 every term of a distinct-image pair underflows
+
+
+@functools.lru_cache(maxsize=None)
+def _instance(name):
+    cs = INSTANCES[name]()
+    return cs, enumerate_vertices(cs, cs.n)
+
+
+def _outcome(fn, *args):
+    """The call's result, or ("raises", message) for the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("raises", str(exc))
+
+
+def _raised(outcome):
+    return isinstance(outcome, tuple)
+
+
+def _assert_same(got, want, where):
+    if _raised(want):
+        assert got == want, where
+    elif isinstance(want, BoundReport):
+        assert isinstance(got, BoundReport), (where, got)
+        assert got.kind == want.kind and got.max_pair == want.max_pair, (where, got, want)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0, err_msg=where)
+    else:
+        assert isinstance(got, float), (where, got)
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0), (where, got, want)
+
+
+def _calls(cs, vs, code, s):
+    """(label, function, args, oracle) for every bound and pseudo distance."""
+    calls = [("min_pseudo_distance", min_pseudo_distance, (vs, cs, s), oracle_min_pseudo_distance)]
+    for sigma in SIGMAS:
+        calls.append((f"lp_bound_report@{sigma}", lp_bound_report, (vs, s, sigma),
+                      oracle_lp_bound_report))
+        calls.append((f"ml_bound_report@{sigma}", ml_bound_report, (code, sigma),
+                      oracle_ml_bound_report))
+    for sigma in SIGMAS[1:3]:
+        for k, x in enumerate(vs.integral):
+            calls.append((f"lp_union_bound[{k}]@{sigma}", lp_union_bound, (x, vs, s, sigma),
+                          oracle_lp_union_bound))
+        for k in range(len(code)):
+            calls.append((f"ml_union_bound[{k}]@{sigma}", ml_union_bound,
+                          (code.matrix(k), code, sigma), oracle_ml_union_bound))
+    return calls
+
+
+def _check_against_oracles(cs, vs, s, monkeypatch):
+    code = build_code(CodeSpec(cs.n, cs, s))
+    calls = _calls(cs, vs, code, s)
+    want = [_outcome(oracle, *args) for _, _, args, oracle in calls]
+    # 7 gives one start per chunk; 150 gives several, with a short last chunk.
+    for chunk in (polytope._PAIR_CHUNK, 7, 150):
+        monkeypatch.setattr(polytope, "_PAIR_CHUNK", chunk)
+        for (label, fn, args, _), w in zip(calls, want):
+            _assert_same(_outcome(fn, *args), w, f"{label}, chunk {chunk}")
+    return dict(zip((label for label, *_ in calls), want))
+
+
+# fixpair5's vertex enumeration alone takes about 10 s.
+@pytest.mark.parametrize(
+    "name", [pytest.param(k, marks=pytest.mark.slow) if k == "fixpair5" else k for k in INSTANCES]
+)
+def test_bounds_match_loop_oracles(name, monkeypatch):
+    cs, vs = _instance(name)
+    s = tuple(float(v) for v in range(cs.n))
+    want = _check_against_oracles(cs, vs, s, monkeypatch)
+    # Every term underflows at the smallest sigma: no pair is strictly
+    # largest, so max_pair stays at (1, 1).
+    for kind in ("lp", "ml"):
+        rep = want[f"{kind}_bound_report@{SIGMAS[0]}"]
+        if isinstance(rep, BoundReport):
+            assert rep.max_pair == (1, 1) and not any(rep.values), (kind, rep)
+
+
+def test_singular_code_keeps_q0_terms_and_lp_errors(monkeypatch):
+    cs, vs = _instance("derangement4")
+    assert build_code(CodeSpec(4, cs, SINGULAR_S)).singular
+    want = _check_against_oracles(cs, vs, SINGULAR_S, monkeypatch)
+    # Vertices share images, so the LP report and the pseudo distance are
+    # undefined (and so is the LP bound of each vertex with a twin) ...
+    for label, outcome in want.items():
+        if label.startswith(("lp_bound_report", "min_pseudo")):
+            assert _raised(outcome), label
+    assert any(_raised(want[f"lp_union_bound[{k}]@{SIGMAS[1]}"]) for k in range(9))
+    # ... while each ML pair of identical words adds Q(0) = 0.5, even when
+    # every other term underflows.
+    rep = want[f"ml_bound_report@{SIGMAS[0]}"]
+    assert all(v % 0.5 == 0 for v in rep.values) and max(rep.values) >= 0.5, rep
+    assert rep.max_pair != (1, 1)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.5])
+def test_every_bound_rejects_nonpositive_sigma(sigma):
+    cs, vs = _instance("derangement4")
+    s = (0.0, 1.0, 2.0, 3.0)
+    code = build_code(CodeSpec(4, cs, s))
+    for fn, args in [
+        (lp_union_bound, (vs.integral[0], vs, s, sigma)),
+        (ml_union_bound, (code.matrix(0), code, sigma)),
+        (lp_bound_report, (vs, s, sigma)),
+        (ml_bound_report, (code, sigma)),
+    ]:
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            fn(*args)
+
+
+def test_bounds_cli_csv_matches_oracles(tmp_path, capsys):
+    spec = tmp_path / "der5.json"
+    spec.write_text(json.dumps(
+        {"n": 5, "s": [0, 1, 2, 3, 4], "constraints": {"family": "derangement"}}))
+    assert cli.main(["bounds", str(spec), "--snr", "0:8:2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    cs, vs = _instance("derangement5")
+    s = (0.0, 1.0, 2.0, 3.0, 4.0)
+    code = build_code(CodeSpec(5, cs, s))
+    x = code.matrix(0)  # the CLI transmits the first codeword by default
+    assert [r["snr_db"] for r in rows] == ["0", "2", "4", "6", "8"]
+    for row in rows:
+        sigma = sigma_from_snr_db(float(row["snr_db"]))
+        assert row["sigma"] == f"{sigma:.9g}"
+        for kind, want in (("lp", oracle_lp_union_bound(x, vs, s, sigma)),
+                           ("ml", oracle_ml_union_bound(x, code, sigma))):
+            # The CSV prints nine significant digits.
+            assert float(row[f"{kind}_bound"]) == pytest.approx(want, rel=1e-8, abs=0)
+            assert float(row[f"{kind}_bound_clamped"]) == pytest.approx(min(want, 1.0), rel=1e-8)

@@ -248,6 +248,21 @@ def test_min_pseudo_distance_brute_force_small():
     assert min_pseudo_distance(vs, cs, s) == pytest.approx(want, abs=1e-12)
 
 
+def test_vertex_set_float_stack_and_images():
+    vs = enumerate_vertices(_trace_cs(3, 1), 3)
+    s = (0.0, 1.0, 2.0)
+    assert vs.float_stack.shape == (5, 3, 3)
+    for v, m, integral, img in zip(vs.vertices, vs.float_stack, vs.integral_mask, vs.images(s)):
+        assert np.array_equal(m, v.to_float())
+        assert integral == v.is_integral
+        assert np.array_equal(img, v.image(s))
+    assert vs.float_stack is vs.float_stack  # built once
+    with pytest.raises(ValueError, match="vector length"):
+        vs.images((0.0, 1.0))
+    empty = polytope.VertexSet(3, ())
+    assert empty.float_stack.shape == (0, 3, 3) and empty.integral_mask.shape == (0,)
+
+
 def test_pure_involution_polytope_n4_is_integral():
     vs = enumerate_vertices(pure_involution(4), 4)
     assert len(vs) == 3 and len(vs.fractional) == 0
