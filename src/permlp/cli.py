@@ -40,6 +40,15 @@ def _open_out(path: Optional[str]):
             yield fh
 
 
+@contextmanager
+def _input_errors():
+    """Report the library's ValueError on bad input as an invalid input (exit 3)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from exc
+
+
 def _parse_snr_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) == 1:
@@ -68,7 +77,7 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
 
 
 def _matrix_for_word(code: codebook.Code, word: np.ndarray) -> PermutationMatrix:
-    hits = np.flatnonzero(np.isclose(code.codewords, word, atol=1e-12).all(axis=1))
+    hits = np.flatnonzero((code.codewords == word).all(axis=1))
     if hits.size == 0:
         raise SpecFileError("the given word is not a codeword of this spec")
     return code.matrix(int(hits[0]))
@@ -101,10 +110,8 @@ def _cmd_build(args) -> int:
 def _cmd_encode(args) -> int:
     sf = load_spec(args.specfile)
     message = args.message + 1 if args.zero_indexed else args.message
-    try:
+    with _input_errors():
         x = encoder.enc_map(message, sf.n)
-    except ValueError as exc:
-        raise SpecFileError(str(exc))
     cs = sf.constraint_system()
     if cs.rows and not satisfies(cs, x):
         raise SpecFileError("encoded matrix violates the spec file's constraints")
@@ -119,14 +126,12 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode_message(args) -> int:
     sf = load_spec(args.specfile)
-    try:
+    with _input_errors():
         perm = tuple(int(v) for v in args.perm.split(","))
         x = PermutationMatrix(perm)
         if x.n != sf.n:
             raise ValueError(f"permutation degree {x.n} does not match spec degree {sf.n}")
         message = encoder.dec_map(x)
-    except ValueError as exc:
-        raise SpecFileError(str(exc))
     if args.zero_indexed:
         message -= 1
     with _open_out(args.out) as fh:
@@ -226,16 +231,17 @@ def _cmd_simulate(args) -> int:
     transmitted = (
         None if args.word is None else _parse_vector(args.word, sf.n, "transmitted word")
     )
-    records = channel.simulate_bler(
-        spec,
-        _parse_snr_grid(args.snr),
-        args.trials,
-        seed=args.seed,
-        decoders=decoders,
-        transmitted=transmitted,
-        threads=args.threads,
-        limit=args.brute_force_cap,
-    )
+    with _input_errors():
+        records = channel.simulate_bler(
+            spec,
+            _parse_snr_grid(args.snr),
+            args.trials,
+            seed=args.seed,
+            decoders=decoders,
+            transmitted=transmitted,
+            threads=args.threads,
+            limit=args.brute_force_cap,
+        )
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -257,14 +263,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    result = channel.ensemble_experiment(
-        args.n,
-        args.m,
-        args.samples,
-        seed=args.seed,
-        threads=args.threads,
-        limit=args.brute_force_cap,
-    )
+    with _input_errors():
+        result = channel.ensemble_experiment(
+            args.n,
+            args.m,
+            args.samples,
+            seed=args.seed,
+            threads=args.threads,
+            limit=args.brute_force_cap,
+        )
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "cardinality"])

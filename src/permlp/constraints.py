@@ -117,6 +117,8 @@ _BLOCK_ROWS = 1 << 15
 def satisfies_mask(cs: ConstraintSystem, table: np.ndarray) -> np.ndarray:
     """Vectorized :func:`satisfies` over a permutation table (see perm module)."""
     n = cs.n
+    if table.ndim != 2 or table.shape[1] != n:
+        raise ValueError("degree mismatch between constraint system and table")
     # Entry-equality rows compare two binary entries directly; every other
     # row sums its coefficients over the entries that are one, in an
     # accumulator wide enough for the row's largest possible |sum|.

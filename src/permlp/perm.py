@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,16 +111,6 @@ def var_entry(p: int, n: int) -> tuple[int, int]:
     if not (1 <= p <= n * n):
         raise ValueError(f"position {p} outside [1, {n * n}]")
     return (p - 1) // n + 1, (p - 1) % n + 1
-
-
-def enumerate_all(n: int, limit: int = BRUTE_FORCE_LIMIT) -> Iterator[PermutationMatrix]:
-    """Yield all n! permutation matrices in lexicographic order of ``perm``."""
-    if n > limit:
-        raise BruteForceLimitError(
-            f"refusing to enumerate {n}! permutation matrices (cap {limit})"
-        )
-    for p in itertools.permutations(range(1, n + 1)):
-        yield PermutationMatrix(p)
 
 
 _TABLE_CACHE: dict[int, np.ndarray] = {}

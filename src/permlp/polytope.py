@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSystem, Relation, satisfies
+from .constraints import ConstraintSystem, Relation, satisfies_mask
 from .perm import PermutationMatrix
 
 # Prefilter tolerances.  Basis determinants are integers, so |det| >= 0.5
@@ -430,7 +430,7 @@ def min_pseudo_distance(vs: VertexSet, cs: ConstraintSystem, s: Sequence[float])
         raise ValueError("need at least two vertices")
     # Column j of an integral vertex holds its one in row perm[j].
     perms = vs.float_stack[vs.integral_mask].argmax(axis=1) + 1
-    if not all(satisfies(cs, PermutationMatrix(tuple(p))) for p in perms.tolist()):
+    if not satisfies_mask(cs, perms.astype(np.int8)).all():
         raise ValueError("integral vertex violates the constraint system")
     best = math.inf
     for b, d, own in pairwise_terms(vs.images(s), np.flatnonzero(vs.integral_mask)):

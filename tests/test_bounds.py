@@ -33,7 +33,7 @@ from permlp.constraints import (
     theta,
     transposition,
 )
-from permlp.perm import PermutationMatrix, enumerate_all, var_index
+from permlp.perm import PermutationMatrix, var_index
 from permlp.polytope import enumerate_vertices, pseudo_distance
 
 
@@ -119,7 +119,7 @@ def _all_pairs(n):
 def _exhaustive_mean_cardinality(n, m):
     """Average |code| over every way of drawing m ordered constraint pairs."""
     pairs = _all_pairs(n)
-    perms = list(enumerate_all(n))
+    perms = [PermutationMatrix(p) for p in itertools.permutations(range(1, n + 1))]
     total = Fraction(0)
     for combo in itertools.product(pairs, repeat=m):
         cs = theta(SparseBinaryMatrix(n * n, tuple(combo)), n)
@@ -136,7 +136,7 @@ def test_expected_cardinality_exhaustive(n, m):
 
 def _exhaustive_mean_weight(n, m, w):
     pairs = _all_pairs(n)
-    perms = list(enumerate_all(n))
+    perms = [PermutationMatrix(p) for p in itertools.permutations(range(1, n + 1))]
     total = Fraction(0)
     for combo in itertools.product(pairs, repeat=m):
         cs = theta(SparseBinaryMatrix(n * n, tuple(combo)), n)

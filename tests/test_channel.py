@@ -1,11 +1,13 @@
 """AWGN simulation harness: determinism, parallel equivalence, statistics."""
 
+import itertools
 import pickle
 
 import numpy as np
 import pytest
 
 from permlp import channel
+from permlp.bounds import expected_cardinality, expected_weight
 from permlp.channel import (
     SnrPoint,
     awgn,
@@ -24,8 +26,11 @@ from permlp.constraints import (
     derangement,
     involution,
     pure_involution,
+    sample_ensemble,
+    satisfies,
+    theta,
 )
-from permlp.perm import var_index
+from permlp.perm import PermutationMatrix, var_index
 
 
 def test_sigma_from_snr_db_anchors():
@@ -237,3 +242,105 @@ def test_ensemble_weight_experiment_consistency():
     # Per-sample weights must add up to the cardinality samples.
     card = ensemble_experiment(4, 3, 300, seed=29)
     assert sum(res.sample_means) == pytest.approx(card.sample_mean)
+
+
+# Seeded ensemble outputs, pinned bit for bit.  Keys are (n, m, num_samples,
+# seed); cardinality pins are (sum of the samples, the first ten samples,
+# sample mean, standard error), weight pins are (sample means, standard
+# errors) indexed by weight.
+NAN = float("nan")
+_CARDINALITY_PINS = {
+    (4, 3, 400, 17): (1986, (6, 4, 4, 6, 6, 5, 7, 5, 3, 3), 4.965, 0.09161288009608008),
+    (5, 6, 300, 3): (3096, (9, 17, 8, 8, 1, 0, 9, 9, 12, 9), 10.32, 0.24089391310078342),
+    (7, 12, 20, 9): (
+        3651, (109, 206, 114, 190, 184, 123, 186, 230, 114, 194), 182.55, 10.930997691259282
+    ),
+    (6, 10, 2000, 2026): (
+        49553, (42, 28, 28, 9, 32, 30, 21, 24, 21, 9), 24.7765, 0.2637879184268187
+    ),
+    (4, 5, 120, 23): (211, (2, 1, 1, 2, 1, 3, 2, 2, 1, 2), 1.7583333333333333, 0.129097184709453),
+    (6, 8, 1, 5): (27, (27,), 27.0, NAN),
+}
+_WEIGHT_PINS = {
+    (4, 3, 400, 17): (
+        (0.1875, 0.0, 1.2325, 1.665, 1.88),
+        (0.0195400591036577, 0.0, 0.04529058918441749, 0.04743482535692116,
+         0.06293968151152293),
+    ),
+    (5, 6, 300, 3): (
+        (0.08333333333333333, 0.0, 0.8766666666666667, 1.6933333333333334,
+         3.8566666666666665, 3.81),
+        (0.015983780333266032, 0.0, 0.05611310709461051, 0.07685184364361901,
+         0.11007429672252966, 0.1573955387864515),
+    ),
+    (7, 12, 20, 9): (
+        (0.0, 0.0, 0.45, 2.25, 10.95, 34.55, 68.3, 66.05),
+        (0.0, 0.0, 0.15346866644024562, 0.46382278830105833, 1.4463656813581156,
+         2.5219823030390405, 4.799725869365107, 6.7960805267680415),
+    ),
+    (6, 10, 2000, 2026): (
+        (0.0365, 0.0, 0.4925, 1.3575, 4.666, 9.1315, 9.0925),
+        (0.004194361850826379, 0.0, 0.020607867844795576, 0.03512070054545333,
+         0.07462242459962386, 0.10905985008448435, 0.13884383558638902),
+    ),
+    (6, 8, 1, 5): ((0.0, 0.0, 0.0, 0.0, 1.0, 8.0, 18.0), (NAN,) * 7),
+}
+
+
+@pytest.mark.parametrize("key", list(_CARDINALITY_PINS), ids=str)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_experiment_pinned(key, threads):
+    n, m, num_samples, seed = key
+    total, head, mean, se = _CARDINALITY_PINS[key]
+    res = ensemble_experiment(n, m, num_samples, seed=seed, threads=threads)
+    assert (res.n, res.m) == (n, m)
+    assert len(res.samples) == num_samples and all(type(v) is int for v in res.samples)
+    assert sum(res.samples) == total and res.samples[:10] == head
+    assert np.array_equal([res.sample_mean, res.standard_error], [mean, se], equal_nan=True)
+    assert res.formula_value == expected_cardinality(n, m)
+
+
+@pytest.mark.parametrize("key", list(_WEIGHT_PINS), ids=str)
+def test_ensemble_weight_experiment_pinned(key):
+    n, m, num_samples, seed = key
+    means, ses = _WEIGHT_PINS[key]
+    res = ensemble_weight_experiment(n, m, num_samples, seed=seed)
+    assert res.num_samples == num_samples
+    assert res.sample_means == means
+    assert np.array_equal(res.standard_errors, ses, equal_nan=True)
+    assert res.formula_values == tuple(expected_weight(n, m, w) for w in range(n + 1))
+
+
+@pytest.mark.parametrize("n,m", [(4, 3), (5, 6), (6, 10)])
+def test_ensemble_cardinality_is_weight_histogram_total(n, m):
+    # A one-sample run reports that sample's histogram as its means, so each
+    # seed's cardinality must be the total of its weight histogram.
+    for seed in range(12):
+        card = ensemble_experiment(n, m, 1, seed=seed)
+        weights = ensemble_weight_experiment(n, m, 1, seed=seed)
+        assert card.samples == (sum(weights.sample_means),)
+        assert all(v.is_integer() for v in weights.sample_means)
+
+
+def test_ensemble_chunk_matches_brute_force():
+    # Each sample's histogram against the scalar check over all of S_n, for
+    # sample indices given out of order.
+    n, m, seed = 4, 3, 17
+    indices = [5, 0, 11, 3]
+    hist = channel._ensemble_chunk((n, m, seed, indices, n))
+    assert hist.shape == (len(indices), n + 1) and hist.dtype == np.int64
+    for row, k in zip(hist, indices):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        cs = theta(sample_ensemble(n, m, rng), n)
+        want = [0] * (n + 1)
+        for p in itertools.permutations(range(1, n + 1)):
+            if satisfies(cs, PermutationMatrix(p)):
+                want[sum(1 for j, i in enumerate(p, start=1) if i != j)] += 1
+        assert row.tolist() == want
+
+
+def test_ensemble_experiments_reject_no_samples():
+    with pytest.raises(ValueError, match="at least one sample"):
+        ensemble_experiment(4, 3, 0, seed=1)
+    with pytest.raises(ValueError, match="at least one sample"):
+        ensemble_weight_experiment(4, 3, 0, seed=1)

@@ -207,3 +207,38 @@ def test_out_file_option(specs, tmp_path, capsys):
     code, out, _ = _run(capsys, "build", specs["der4"], "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["cardinality"] == 9
+
+
+@pytest.mark.parametrize(
+    "word,accepted",
+    [("1,0,3,2", True), ("1,0,3,2.00002", False), ("1,0,3,2.0000000000001", False),
+     ("0,1,2,3", False)],
+)
+def test_bounds_and_simulate_match_words_alike(specs, capsys, word, accepted):
+    # Both subcommands take --word only when it equals a codeword exactly.
+    bounds = _run(capsys, "bounds", specs["der4"], "--snr", "4", "--word", word)
+    simulate = _run(
+        capsys, "simulate", specs["der4"], "--snr", "4", "--trials", "5", "--word", word
+    )
+    for code, _, err in (bounds, simulate):
+        if accepted:
+            assert code == 0
+        else:
+            assert code == 3 and "not a codeword" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "der4", "--snr", "4", "--trials", "0"),
+        ("simulate", "der4", "--snr", "4", "--trials", "5", "--word", "0,1,2,3"),
+        ("ensemble", "--n", "4", "--m", "3", "--samples", "0"),
+        ("ensemble", "--n", "4", "--m", "-1", "--samples", "3"),
+    ],
+    ids=["trials0", "non_codeword", "samples0", "negative_m"],
+)
+def test_invalid_run_inputs_exit_three(specs, capsys, argv):
+    # "der4" stands for the path of that spec file.
+    code, _, err = _run(capsys, *(specs.get(a, a) for a in argv))
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -33,11 +33,16 @@ from permlp.constraints import (
     theta,
     transposition,
 )
-from permlp.perm import PermutationMatrix, enumerate_all, permutation_table, var_entry, var_index
+from permlp.perm import PermutationMatrix, permutation_table, var_entry, var_index
+
+
+def _matrices(n):
+    """Every permutation matrix of degree n, in lexicographic order."""
+    return [PermutationMatrix(p) for p in itertools.permutations(range(1, n + 1))]
 
 
 def _family_members(cs, n):
-    return {x.perm for x in enumerate_all(n) if satisfies(cs, x)}
+    return {x.perm for x in _matrices(n) if satisfies(cs, x)}
 
 
 def _fixed_points(p):
@@ -51,13 +56,13 @@ def _fixed_points(p):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_derangement_oracle(n):
-    want = {x.perm for x in enumerate_all(n) if _fixed_points(x.perm) == 0}
+    want = {x.perm for x in _matrices(n) if _fixed_points(x.perm) == 0}
     assert _family_members(derangement(n), n) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_involution_oracle(n):
-    want = {x.perm for x in enumerate_all(n) if (x @ x).perm == PermutationMatrix.identity(n).perm}
+    want = {x.perm for x in _matrices(n) if (x @ x).perm == PermutationMatrix.identity(n).perm}
     assert _family_members(involution(n), n) == want
 
 
@@ -65,7 +70,7 @@ def test_involution_oracle(n):
 def test_pure_involution_oracle(n):
     want = {
         x.perm
-        for x in enumerate_all(n)
+        for x in _matrices(n)
         if (x @ x).perm == PermutationMatrix.identity(n).perm and _fixed_points(x.perm) == 0
     }
     assert _family_members(pure_involution(n), n) == want
@@ -80,7 +85,7 @@ def test_transposition_oracle(n, with_symmetry):
     # redundant on integral points.
     want = {
         x.perm
-        for x in enumerate_all(n)
+        for x in _matrices(n)
         if _fixed_points(x.perm) == n - 2
         and (x @ x).perm == PermutationMatrix.identity(n).perm
     }
@@ -129,7 +134,7 @@ def _block_oracle(perm, nu):
 @pytest.mark.parametrize("n,nu", [(4, 2), (6, 2), (6, 3)])
 @pytest.mark.parametrize("redundant", [False, True])
 def test_block_oracle(n, nu, redundant):
-    want = {x.perm for x in enumerate_all(n) if _block_oracle(x.perm, nu)}
+    want = {x.perm for x in _matrices(n) if _block_oracle(x.perm, nu)}
     assert _family_members(block(n, nu, redundant=redundant), n) == want
     gamma = n // nu
     assert len(want) == math.factorial(gamma) * math.factorial(nu) ** gamma
@@ -137,7 +142,7 @@ def test_block_oracle(n, nu, redundant):
 
 @pytest.mark.parametrize("n,nu", [(4, 2), (6, 2), (6, 3)])
 def test_is_block_permutation_matches_oracle(n, nu):
-    for x in enumerate_all(n):
+    for x in _matrices(n):
         assert is_block_permutation(x, nu) == _block_oracle(x.perm, nu)
 
 
@@ -226,7 +231,7 @@ def test_satisfies_mask_matches_scalar(n, rnd):
         rows.append(ConstraintRow.make(coeffs, rel, rnd.choice([-1, 0, 1, 2])))
     cs = ConstraintSystem(n, tuple(rows))
     table = permutation_table(n)
-    scalar = np.array([satisfies(cs, x) for x in enumerate_all(n)])
+    scalar = np.array([satisfies(cs, x) for x in _matrices(n)])
     assert np.array_equal(satisfies_mask(cs, table), scalar)
     # A small odd block size makes every table above n = 3 cross blocks.
     with pytest.MonkeyPatch.context() as mp:
@@ -251,7 +256,7 @@ def test_satisfies_mask_across_blocks_n8():
     table = permutation_table(n)
     assert table.shape[0] > constraints._BLOCK_ROWS
     mask = satisfies_mask(cs, table)
-    scalar = np.array([satisfies(cs, x) for x in enumerate_all(n)])
+    scalar = np.array([satisfies(cs, x) for x in _matrices(n)])
     assert np.array_equal(mask, scalar)
     assert 0 < mask.sum() < table.shape[0]
 
@@ -262,9 +267,21 @@ def test_satisfies_mask_boolean_fast_path():
     cs = cyclic(5)
     table = permutation_table(5)
     mask = satisfies_mask(cs, table)
-    scalar = np.array([satisfies(cs, x) for x in enumerate_all(5)])
+    scalar = np.array([satisfies(cs, x) for x in _matrices(5)])
     assert np.array_equal(mask, scalar)
     assert int(mask.sum()) == 5
+
+
+def test_satisfies_mask_rejects_table_of_other_degree():
+    # A smaller system would otherwise match rows of a larger table by their
+    # first columns, and a larger one index past a smaller table's columns.
+    for cs, table in (
+        (derangement(4), permutation_table(5)),
+        (derangement(5), permutation_table(4)),
+        (derangement(4), permutation_table(4)[0]),
+    ):
+        with pytest.raises(ValueError, match="degree mismatch between constraint system and table"):
+            satisfies_mask(cs, table)
 
 
 def test_constraint_row_validation():

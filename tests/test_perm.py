@@ -12,7 +12,6 @@ from permlp.perm import (
     BRUTE_FORCE_LIMIT,
     BruteForceLimitError,
     PermutationMatrix,
-    enumerate_all,
     hamming_distance,
     permutation_table,
     sq_euclidean_distance,
@@ -93,27 +92,17 @@ def test_transpose_is_inverse(p):
     assert np.array_equal(x.transpose().dense(), x.dense().T)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_enumerate_all_lex_complete(n):
-    got = [x.perm for x in enumerate_all(n)]
-    want = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    assert got == want
-    assert len(got) == math.factorial(n)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_permutation_table_matches_enumeration(n):
     table = permutation_table(n)
     assert table.shape == (math.factorial(n), n)
-    assert [tuple(int(v) for v in row) for row in table] == [
-        x.perm for x in enumerate_all(n)
-    ]
+    assert [tuple(int(v) for v in row) for row in table] == list(
+        itertools.permutations(range(1, n + 1))
+    )
     assert not table.flags.writeable
 
 
 def test_brute_force_limit_guard():
-    with pytest.raises(BruteForceLimitError):
-        list(enumerate_all(BRUTE_FORCE_LIMIT + 1))
     with pytest.raises(BruteForceLimitError):
         permutation_table(BRUTE_FORCE_LIMIT + 1)
     # An explicit limit overrides the default cap.

@@ -248,6 +248,20 @@ def test_min_pseudo_distance_brute_force_small():
     assert min_pseudo_distance(vs, cs, s) == pytest.approx(want, abs=1e-12)
 
 
+def test_min_pseudo_distance_rejects_vertices_of_another_system():
+    vs = enumerate_vertices(_trace_cs(3, 1), 3)
+    s = (0.0, 1.0, 2.0)
+    # Of the integral vertices (1,3,2), (3,2,1) and (2,1,3), only the first
+    # has X11 = 1, so one violating vertex among valid ones must be caught.
+    x11_zero = ConstraintSystem(3, (ConstraintRow.make({var_index(1, 1, 3): 1}, Relation.EQ, 0),))
+    for other in (derangement(3), x11_zero):
+        with pytest.raises(ValueError, match="integral vertex violates the constraint system"):
+            min_pseudo_distance(vs, other, s)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        min_pseudo_distance(vs, derangement(4), s)
+    assert min_pseudo_distance(vs, _trace_cs(3, 1), s) > 0
+
+
 def test_vertex_set_float_stack_and_images():
     vs = enumerate_vertices(_trace_cs(3, 1), 3)
     s = (0.0, 1.0, 2.0)
