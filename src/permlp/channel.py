@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds
 from .codebook import CodeSpec, build_code
 from .constraints import sample_ensemble, satisfies_mask, theta
-from .lp import lp_decode, ml_decode_detail
+from .lp import _code_polytope, _sort_certificate, lp_decode, ml_decode_detail
 from .perm import BRUTE_FORCE_LIMIT, permutation_table
 
 
@@ -54,6 +54,8 @@ class TrialRecord:
     lp_failures: int
     ml_errors: Optional[int]
     seed: int
+    lp_certified: int = 0  # LP trials answered by the sort certificate
+    solver_errors: int = 0  # LP trials whose simplex raised; counted as failures
 
 
 def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
@@ -65,7 +67,8 @@ def _simulate_point(args) -> TrialRecord:
     sigma = sigma_from_snr_db(snr_db)
     s = np.asarray(spec.s, dtype=float)
     fixed = None if transmitted is None else np.asarray(transmitted, dtype=float)
-    lp_errors = lp_failures = ml_errors = 0
+    polytope = _code_polytope(spec.cs) if "ml" in decoders else None
+    lp_errors = lp_failures = ml_errors = lp_certified = solver_errors = 0
     for t in range(trials):
         rng = _trial_rng(seed, point_idx, t)
         if fixed is None:
@@ -74,14 +77,28 @@ def _simulate_point(args) -> TrialRecord:
             sent = fixed
         y = awgn(sent, sigma, rng)
         if "lp" in decoders:
-            res = lp_decode(spec.cs, s, y)
-            if not res.is_codeword:
+            try:
+                res = lp_decode(spec.cs, s, y)
+            except RuntimeError:  # the simplex hit its iteration cap or drifted
+                solver_errors += 1
                 lp_failures += 1
                 lp_errors += 1
-            elif not np.array_equal(res.word, sent):
-                lp_errors += 1
+            else:
+                lp_certified += res.certified
+                if not res.is_codeword:
+                    lp_failures += 1
+                    lp_errors += 1
+                elif not np.array_equal(res.word, sent):
+                    lp_errors += 1
         if "ml" in decoders:
-            _, word, _ = ml_decode_detail(code, y)
+            # A certified X* is the unique argmax of codewords @ y, so the
+            # scan is needed only when the certificate does not hold.
+            perm = _sort_certificate(polytope, s, y)
+            if perm is None:
+                _, word, _ = ml_decode_detail(code, y)
+            else:
+                word = np.empty(spec.n)
+                word[perm] = s
             if not np.array_equal(word, sent):
                 ml_errors += 1
     return TrialRecord(
@@ -92,6 +109,8 @@ def _simulate_point(args) -> TrialRecord:
         lp_failures=lp_failures,
         ml_errors=ml_errors if "ml" in decoders else None,
         seed=seed,
+        lp_certified=lp_certified,
+        solver_errors=solver_errors,
     )
 
 

@@ -10,10 +10,18 @@ solver switches permanently to Bland's rule, which guarantees termination.
 LP decoding maximizes trace(C^T X) with C = y s^T over the code polytope
 (Birkhoff rows plus the constraint system).  An integral optimum is the
 maximum-likelihood codeword; a fractional optimum is a decoding failure.
-The polytope depends on the constraint system alone, so phase one runs once
-per system and is cached; every decode starts phase two from a copy of that
-feasible tableau.  Phase one never reads the objective, so a decode makes the
-same pivots, and returns the same result, as a cold two-phase solve.
+
+A decode first tries a certificate.  When s and y have well-separated
+distinct entries, the rearrangement inequality makes the sort-matching
+permutation X* (the i-th smallest entry of s goes to the row of the i-th
+smallest entry of y) the unique maximizer over the whole Birkhoff polytope
+(Slepian, "Permutation modulation", 1965).  If X* satisfies the code's rows,
+it is the unique LP optimum and the ML codeword, so no simplex runs.
+Otherwise the decode falls through to the simplex.  The polytope depends on
+the constraint system alone, so phase one runs once per system and is
+cached; the decode starts phase two from a copy of that feasible tableau.
+Phase one never reads the objective, so a fall-through makes the same
+pivots, and returns the same result, as a cold two-phase solve.
 """
 
 from __future__ import annotations
@@ -300,6 +308,7 @@ class DecodeResult:
     word: Optional[np.ndarray]
     fractional: Optional[np.ndarray]
     objective_value: float
+    certified: bool = False  # answered by the sort certificate, no simplex
 
     @property
     def is_codeword(self) -> bool:
@@ -310,20 +319,32 @@ class DecodeResult:
 # distance of 0 or 1; the rounded matrix is then validated exactly.
 INTEGRALITY_TOL = 1e-6
 
+# The sort certificate answers only when min gap(sorted y) * min gap(sorted s)
+# exceeds this.  That product bounds from below how much worse than X* every
+# other permutation is, and it sits well above what the simplex's 1e-9
+# reduced-cost tolerance, summed over the n^2 entries, could let it miss, so
+# the simplex would stop at X* too.
+_CERT_MARGIN = 1e-6
+
 
 @dataclass(frozen=True)
 class _CodePolytope:
     """What LP decoding needs of a constraint system, whatever s and y are.
 
     ``feasible`` is phase one of the decoding LP (None when the polytope is
-    empty); ``rows``, ``rhs`` and ``eq`` are the system's rows as int64
-    arrays over vec(X), for the exact codeword check.
+    empty).  ``cube`` and ``bound`` hold the system's rows as exact int64
+    ``<=`` rows, each equality written as two of them: ``cube[i, j]`` is the
+    column of coefficients of entry (i, j), so checking a permutation matrix
+    is a gather of n entries and one comparison.
     """
 
     feasible: Optional[_FeasibleTableau]
-    rows: np.ndarray
-    rhs: np.ndarray
-    eq: np.ndarray
+    cube: np.ndarray
+    bound: np.ndarray
+
+    def admits(self, rows: np.ndarray, cols: np.ndarray) -> bool:
+        """Whether the permutation matrix with ones at (rows[k], cols[k]) satisfies cs."""
+        return bool((self.cube[rows, cols].sum(axis=0) <= self.bound).all())
 
 
 @functools.lru_cache(maxsize=64)
@@ -337,9 +358,32 @@ def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
             rows[r, p - 1] = c
     rhs = np.array([row.rhs for row in cs.rows], dtype=np.int64)
     eq = np.array([row.relation is Relation.EQ for row in cs.rows], dtype=bool)
-    for a in (rows, rhs, eq):
+    bound = np.concatenate([rhs, -rhs[eq]])
+    cube = np.ascontiguousarray(np.vstack([rows, -rows[eq]]).T.reshape(n, n, bound.size))
+    for a in (cube, bound):
         a.setflags(write=False)
-    return _CodePolytope(feasible, rows, rhs, eq)
+    return _CodePolytope(feasible, cube, bound)
+
+
+def _sort_certificate(polytope: _CodePolytope, s: np.ndarray, y: np.ndarray):
+    """Column-to-row map (0-based) of the sort-matching X*, or None.
+
+    X* puts the column of the i-th smallest entry of s in the row of the i-th
+    smallest entry of y.  It is returned only when it beats every other
+    permutation by the margin and satisfies every row of the code exactly;
+    repeated entries, near-ties and non-finite inputs return None.
+    """
+    order_s, order_y = s.argsort(), y.argsort()
+    ss, ys = s[order_s], y[order_y]
+    # NaN sorts last, so finite ends mean finite entries.
+    if not np.isfinite((ys[0], ys[-1], ss[0], ss[-1])).all():
+        return None
+    gap = (ys[1:] - ys[:-1]).min(initial=np.inf) * (ss[1:] - ss[:-1]).min(initial=np.inf)
+    if not gap > _CERT_MARGIN or not polytope.admits(order_y, order_s):
+        return None
+    perm = np.empty_like(order_s)
+    perm[order_s] = order_y
+    return perm
 
 
 def lp_decode(
@@ -350,9 +394,12 @@ def lp_decode(
 ) -> DecodeResult:
     """LP decoding of y against the code (cs, s).
 
-    Phase one of the decoding LP is solved once per constraint system and
-    cached; each call runs phase two only, which gives the same result as
-    ``solve(build_decoding_lp(cs, s, y))``.
+    The sort certificate is tried first: when it holds, X* is returned with
+    ``certified`` set and objective y . (X* s), without a simplex.  Otherwise
+    phase two runs from the phase-one basis cached per constraint system,
+    which gives the same result as ``solve(build_decoding_lp(cs, s, y))``.
+    The two agree on every certified input too, up to the last bits of the
+    objective.
     """
     n = cs.n
     s = np.asarray(s, dtype=float)
@@ -362,6 +409,13 @@ def lp_decode(
     polytope = _code_polytope(cs)
     if polytope.feasible is None:
         raise InfeasibleCodeError("empty code polytope")
+    perm = _sort_certificate(polytope, s, y)
+    if perm is not None:
+        x = PermutationMatrix(tuple((perm + 1).tolist()))
+        word = x.apply(s)
+        return DecodeResult(
+            matrix=x, word=word, fractional=None, objective_value=float(y @ word), certified=True
+        )
     sol = _phase_two(polytope.feasible, np.outer(y, s).reshape(n * n))
     if sol.status is not LPStatus.OPTIMAL:  # pragma: no cover - polytope is bounded
         raise RuntimeError(f"unexpected LP status {sol.status}")
@@ -372,15 +426,13 @@ def lp_decode(
             x = PermutationMatrix.from_dense(rounded.astype(np.int8))
         except ValueError:
             x = None
-        if x is not None:
-            lhs = polytope.rows @ rounded.astype(np.int64).reshape(n * n)
-            if np.all(np.where(polytope.eq, lhs == polytope.rhs, lhs <= polytope.rhs)):
-                return DecodeResult(
-                    matrix=x,
-                    word=x.apply(s),
-                    fractional=None,
-                    objective_value=sol.objective_value,
-                )
+        if x is not None and polytope.admits(np.array(x.perm) - 1, np.arange(n)):
+            return DecodeResult(
+                matrix=x,
+                word=x.apply(s),
+                fractional=None,
+                objective_value=sol.objective_value,
+            )
     return DecodeResult(
         matrix=None, word=None, fractional=frac, objective_value=sol.objective_value
     )

@@ -1,12 +1,13 @@
 """AWGN simulation harness: determinism, parallel equivalence, statistics."""
 
+import dataclasses
 import itertools
 import pickle
 
 import numpy as np
 import pytest
 
-from permlp import channel
+from permlp import channel, lp
 from permlp.bounds import expected_cardinality, expected_weight
 from permlp.channel import (
     SnrPoint,
@@ -155,6 +156,55 @@ def test_simulate_bler_ml_counts_pinned(name, threads):
     recs = simulate_bler(CodeSpec(cs.n, cs, s), [0, 3, 6], 150, seed=21, decoders=("ml",),
                          threads=threads)
     assert [r.ml_errors for r in recs] == want
+
+
+def test_simulate_bler_counts_certificate_hits(monkeypatch):
+    spec = CodeSpec(5, derangement(5), tuple(float(v) for v in range(5)))
+    certified = []
+
+    def spy(*args):
+        res = lp.lp_decode(*args)
+        certified.append(res.certified)
+        return res
+
+    monkeypatch.setattr(channel, "lp_decode", spy)
+    low, high = simulate_bler(spec, [0.0, 6.0], 150, seed=11, decoders=("lp",))
+    assert (low.lp_certified, high.lp_certified) == (sum(certified[:150]), sum(certified[150:]))
+    assert 0 < low.lp_certified < high.lp_certified < 150
+    assert low.solver_errors == high.solver_errors == 0
+
+
+def test_simulate_bler_counts_solver_errors(monkeypatch):
+    # Repeated entries in s send every trial past the certificate to phase two.
+    spec = CodeSpec(5, derangement(5), (0.0, 0.0, 1.0, 2.0, 3.0))
+    base = simulate_bler(spec, [0.0, 20.0], 40, seed=4, decoders=("lp",))
+    assert (base[1].lp_errors, base[1].lp_certified, base[1].solver_errors) == (0, 0, 0)
+    real = lp._phase_two
+    calls = []
+
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) == 40 + 7:  # trial 7 of the second point
+            raise RuntimeError("simplex failed to terminate within the iteration cap")
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_phase_two", flaky)
+    got = simulate_bler(spec, [0.0, 20.0], 40, seed=4, decoders=("lp",))
+    assert len(calls) == 80
+    assert got[0] == base[0]
+    assert got[1] == dataclasses.replace(base[1], lp_errors=1, lp_failures=1, solver_errors=1)
+
+
+@pytest.mark.parametrize(
+    "cs", [derangement(6), block(6, 3), involution(6)],
+    ids=["derangement6", "block6_3", "involution6"],
+)
+def test_simulate_bler_ml_certificate_matches_full_scan(cs, monkeypatch):
+    spec = CodeSpec(cs.n, cs, _RANGE6)
+    fast = simulate_bler(spec, [0.0, 3.0, 6.0], 100, seed=9, decoders=("ml",))
+    monkeypatch.setattr(channel, "_sort_certificate", lambda *args: None)
+    slow = simulate_bler(spec, [0.0, 3.0, 6.0], 100, seed=9, decoders=("ml",))
+    assert fast == slow
 
 
 class _PicklingPool:

@@ -319,3 +319,19 @@ def test_library_paths_never_build_matrices(monkeypatch, tmp_path, capsys):
     assert "ml_bound" in capsys.readouterr().out
     assert len(built) == 3
     assert all("matrices" not in c.__dict__ for c in built)
+
+
+def test_code_filter_cached_per_system_and_limit():
+    codebook._satisfying.cache_clear()
+    a = build_code(_spec(6, block(6, 3)))
+    b = build_code(_spec(6, block(6, 3), (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)))
+    info = codebook._satisfying.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert a.perms is b.perms and not a.perms.flags.writeable
+    # The float codewords stay per code: the two initial vectors differ.
+    assert not np.array_equal(a.codewords, b.codewords)
+    c = build_code(_spec(6, block(6, 3)), limit=7)
+    assert codebook._satisfying.cache_info().currsize == 2
+    assert np.array_equal(c.perms, a.perms) and c.perms is not a.perms
+    with pytest.raises(BruteForceLimitError):
+        build_code(_spec(6, block(6, 3)), limit=5)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from permlp import lp
@@ -11,6 +13,7 @@ from permlp.constraints import (
     Relation,
     block,
     derangement,
+    involution,
     pure_involution,
     satisfies,
 )
@@ -324,13 +327,18 @@ def test_lp_decode_matches_cold_solve():
         res = lp_decode(cs, s, y)
         sol = solve(build_decoding_lp(cs, s, y))
         assert sol.status is LPStatus.OPTIMAL
-        assert res.objective_value == sol.objective_value
         if res.is_codeword:
             integral += 1
+            # A certified answer sums y . (X* s) in another order than the
+            # simplex, so only the last bits of the objective may differ.
+            assert res.objective_value == pytest.approx(sol.objective_value, rel=1e-12, abs=0)
             assert satisfies(cs, res.matrix)
             assert np.array_equal(res.matrix.vec(), np.rint(sol.x))
             assert np.array_equal(res.word, res.matrix.apply(s))
+            if res.certified:
+                assert res.objective_value == float(y @ res.word)
         else:
+            assert res.objective_value == sol.objective_value
             assert np.array_equal(res.fractional, sol.x.reshape(6, 6))
     assert 0 < integral < 60
 
@@ -345,3 +353,109 @@ def test_constraint_system_hash_cached_and_shared():
     lp_decode(b, s, s)
     info = lp._code_polytope.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Sort certificate
+# ---------------------------------------------------------------------------
+
+
+def _fixpair5():
+    row = ConstraintRow.make({var_index(1, 1, 5): 1, var_index(5, 5, 5): 1}, Relation.EQ, 1)
+    return ConstraintSystem(5, (row,))
+
+
+ACCEPTANCE_SYSTEMS = {
+    "derangement4": lambda: derangement(4),
+    "derangement5": lambda: derangement(5),
+    "fixpair5": _fixpair5,
+    "involution4": lambda: involution(4),
+    "block4": lambda: block(4, 2),
+    "block4_2r": lambda: block(4, 2, redundant=True),
+    "pure_involution6": lambda: pure_involution(6),
+    "block6_3": lambda: block(6, 3),
+    "pure_involution8": lambda: pure_involution(8),
+    "block8_2r": lambda: block(8, 2, redundant=True),
+}
+
+
+def _assert_cold_equal(res, sol, n):
+    """A decode that fell through to the simplex equals the cold solve bit for bit."""
+    assert not res.certified
+    assert res.objective_value == sol.objective_value
+    if res.is_codeword:
+        assert np.array_equal(res.matrix.vec(), np.rint(sol.x))
+    else:
+        assert np.array_equal(res.fractional, sol.x.reshape(n, n))
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_SYSTEMS))
+def test_sort_certificate_matches_cold_solve_and_argmax(name):
+    cs = ACCEPTANCE_SYSTEMS[name]()
+    n = cs.n
+    s = np.arange(float(n))
+    code = build_code(CodeSpec(n, cs, tuple(s)))
+    rng = np.random.default_rng(31)
+    certified = 0
+    for t in range(60):
+        sent = code.codewords[rng.integers(len(code))]
+        y = sent + rng.normal(scale=(0.4, 0.7, 1.0)[t % 3], size=n)
+        res = lp_decode(cs, s, y)
+        sol = solve(build_decoding_lp(cs, s, y))
+        if not res.certified:
+            _assert_cold_equal(res, sol, n)
+            continue
+        certified += 1
+        assert np.array_equal(res.matrix.vec(), np.rint(sol.x))
+        assert np.array_equal(res.word, res.matrix.apply(s))
+        assert res.objective_value == float(y @ res.word)
+        assert res.objective_value == pytest.approx(sol.objective_value, rel=1e-12, abs=0)
+        k, word, tie = ml_decode_detail(code, y)
+        assert np.array_equal(word, res.word) and not tie
+        assert code.find(res.matrix) == k - 1
+    assert certified > 0
+
+
+_TIE_SYSTEMS = [derangement(4), block(4, 2), pure_involution(4), derangement(5), _fixpair5()]
+
+
+@given(
+    st.sampled_from(_TIE_SYSTEMS),
+    st.lists(st.floats(-4, 4, allow_nan=False), min_size=5, max_size=5),
+    st.sampled_from(["y_tie", "s_tie", "y_near_tie"]),
+    st.data(),
+)
+def test_sort_certificate_ties_fall_through(cs, values, kind, data):
+    n = cs.n
+    s = np.arange(float(n))
+    y = np.array(values[:n])
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if kind == "y_tie":
+        y[j] = y[i]
+    elif kind == "s_tie":
+        s[j] = s[i]
+    else:
+        # Shift every other entry well away, so the only near-tie is i, j.
+        y = np.arange(float(n)) * 0.5 + 0.01 * y
+        y[j] = y[i] + 1e-12
+    res = lp_decode(cs, s, y)
+    _assert_cold_equal(res, solve(build_decoding_lp(cs, s, y)), n)
+
+
+def test_sort_certificate_rejects_non_finite():
+    polytope = lp._code_polytope(derangement(4))
+    s = np.arange(4.0)
+    assert lp._sort_certificate(polytope, s, np.array([3.0, 2.0, 1.0, 0.0])) is not None
+    for bad in (np.nan, np.inf, -np.inf):
+        assert lp._sort_certificate(polytope, s, np.array([3.0, 2.0, 1.0, bad])) is None
+
+
+def test_sort_certificate_fails_outside_the_code():
+    # y close to s itself sorts to the identity, which no derangement is.
+    cs = derangement(5)
+    s = np.arange(5.0)
+    res = lp_decode(cs, s, s + 0.01)
+    assert not res.certified
+    _assert_cold_equal(res, solve(build_decoding_lp(cs, s, s + 0.01)), 5)
+    # Away from the identity the same system certifies.
+    assert lp_decode(cs, s, s[[1, 2, 3, 4, 0]]).certified
