@@ -16,9 +16,14 @@ import numpy as np
 
 from . import bounds
 from .codebook import CodeSpec, build_code
-from .constraints import sample_ensemble, satisfies_mask, theta
+from .constraints import _pair_weight_histogram, sample_ensemble
 from .lp import _code_polytope, _sort_certificate, lp_decode, ml_decode_detail
-from .perm import BRUTE_FORCE_LIMIT, permutation_table
+from .perm import BRUTE_FORCE_LIMIT, check_degree
+
+# The ensemble path no longer calls these; they stay importable here because
+# perfbench/tracing.py patches this module's lookups by name.
+from .constraints import satisfies_mask, theta  # noqa: F401
+from .perm import permutation_table  # noqa: F401
 
 
 def sigma_from_snr_db(snr_db: float) -> float:
@@ -173,17 +178,13 @@ class EnsembleResult:
 
 
 def _ensemble_chunk(args) -> np.ndarray:
-    """Histogram of each sampled system's rows by displaced positions (weight)."""
+    """Histogram of each sampled system's solutions by displaced positions (weight)."""
     n, m, seed, indices, limit = args
-    table = permutation_table(n, limit)
-    identity = np.arange(1, n + 1, dtype=table.dtype)
+    check_degree(n, limit)
     out = np.zeros((len(indices), n + 1), dtype=np.int64)
     for row, k in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        mask = satisfies_mask(theta(sample_ensemble(n, m, rng), n), table)
-        # On the 10! table, compress picks the rows ten times faster than table[mask].
-        rows = table.compress(mask, axis=0)
-        out[row] = np.bincount((rows != identity).sum(axis=1), minlength=n + 1)
+        out[row] = _pair_weight_histogram(sample_ensemble(n, m, rng).rows, n)
     return out
 
 
@@ -191,10 +192,10 @@ def _ensemble_histograms(n, m, num_samples, seed, threads, limit) -> np.ndarray:
     """``_ensemble_chunk`` over samples 0..num_samples-1, fanned out to workers."""
     if num_samples < 1:
         raise ValueError("need at least one sample")
+    check_degree(n, limit)
     indices = list(range(num_samples))
     if threads <= 1:
         return _ensemble_chunk((n, m, seed, indices, limit))
-    permutation_table(n, limit)  # build once before forking
     chunks = [indices[k::threads] for k in range(threads)]
     hist = np.empty((num_samples, n + 1), dtype=np.int64)
     with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import traceback
 from contextlib import contextmanager
@@ -73,6 +74,8 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
         raise SpecFileError(f"{what} must be comma-separated numbers")
     if len(vals) != n:
         raise SpecFileError(f"{what} must have length {n}")
+    if not all(math.isfinite(v) for v in vals):
+        raise SpecFileError(f"{what} must be finite numbers")
     return np.asarray(vals, dtype=float)
 
 

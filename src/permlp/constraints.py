@@ -10,6 +10,8 @@ permutation matrices — plus the random sparse two-ones-per-row ensemble.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -361,11 +363,11 @@ def sample_ensemble(n: int, m: int, rng: np.random.Generator) -> SparseBinaryMat
         raise ValueError("need at least two positions to draw a pair")
     draws = rng.integers(1, width + 1, size=(m, 2))
     bad = draws[:, 0] == draws[:, 1]
-    while np.any(bad):
+    while bad.any():
         draws[bad, 1] = rng.integers(1, width + 1, size=int(bad.sum()))
         bad = draws[:, 0] == draws[:, 1]
     draws.sort(axis=1)
-    return SparseBinaryMatrix(width, tuple((int(a), int(b)) for a, b in draws))
+    return SparseBinaryMatrix(width, tuple(map(tuple, draws.tolist())))
 
 
 def theta(a: SparseBinaryMatrix, n: int) -> ConstraintSystem:
@@ -380,3 +382,84 @@ def theta(a: SparseBinaryMatrix, n: int) -> ConstraintSystem:
         ConstraintRow.make({p1: -1, p2: 1}, Relation.EQ, 0) for p1, p2 in a.rows
     )
     return ConstraintSystem(n, rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _entry_choices(n: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Field width of n! and, per 0-based entry i*n + j, the (state bits,
+    entries set, weight shift) of setting that one entry, as
+    :func:`_pair_weight_histogram` encodes them."""
+    width = math.factorial(n).bit_length()
+    return width, tuple(
+        ((1 << (e // n)) | (1 << (n + e % n)), 1, width * (e // n != e % n))
+        for e in range(n * n)
+    )
+
+
+def _pair_weight_histogram(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """Weight histogram of the permutations that satisfy every pair tie.
+
+    ``pairs`` holds 1-based position pairs (the rows of a
+    :class:`SparseBinaryMatrix`), each asserting vec(X)[p1] == vec(X)[p2].
+    Entry w counts the satisfying permutations that displace w positions:
+    the bincount of ``satisfies_mask(theta(a, n), permutation_table(n))`` by
+    weight, without the table.
+
+    Tied entries form union-find groups, and a permutation matrix holds each
+    group all ones or all zeros.  A group with two entries in one row or one
+    column can only be zero, so none of its entries is ever chosen; every
+    other group is chosen whole.  A dynamic program over states (rows used,
+    columns assigned) fills the lowest unassigned column with a free entry
+    or a whole group.  Each state carries its partial permutations counted by
+    weight, packed into one integer with one field of n!'s bit length per
+    weight, so a shift adds weight and a sum adds counts.
+    """
+    parent = list(range(n * n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    touched = set()
+    for p1, p2 in pairs:
+        touched.update((p1 - 1, p2 - 1))
+        parent[find(p1 - 1)] = find(p2 - 1)
+    groups: dict[int, list[int]] = {}
+    for e in touched:
+        groups.setdefault(find(e), []).append(e)
+
+    # A state is one integer: bit i for row i used, bit n + j for column j
+    # assigned.  options[bit of column j] lists the (state bits, entries set,
+    # weight shift) of every way to fill column j: an untied entry, or a
+    # whole group whose first column is j (once that column is filled, the
+    # group can no longer be placed).
+    width, free = _entry_choices(n)
+    top = 1 << n
+    options = {
+        top << j: [free[e] for e in range(j, n * n, n) if e not in touched] for j in range(n)
+    }
+    for members in groups.values():
+        bits = shift = 0
+        for e in members:
+            bits |= free[e][0]
+            shift += free[e][2]
+        # Distinct rows and columns leave two state bits per entry.
+        if bits.bit_count() == 2 * len(members):
+            cols = bits >> n
+            options[(cols & -cols) << n].append((bits, len(members), shift))
+
+    levels: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    levels[0][0] = 1
+    for k in range(n):
+        for key, val in levels[k].items():
+            # (key + top) & ~key is the bit of the lowest unassigned column.
+            for bits, placed, shift in options[(key + top) & ~key]:
+                if not key & bits:
+                    nxt = levels[k + placed]
+                    new = key | bits
+                    nxt[new] = nxt.get(new, 0) + (val << shift)
+    packed = levels[n].get((top << n) - 1, 0)
+    field = (1 << width) - 1
+    return [(packed >> (w * width)) & field for w in range(n + 1)]

@@ -399,7 +399,7 @@ def lp_decode(
     phase two runs from the phase-one basis cached per constraint system,
     which gives the same result as ``solve(build_decoding_lp(cs, s, y))``.
     The two agree on every certified input too, up to the last bits of the
-    objective.
+    objective.  Non-finite entries in s or y raise ``ValueError``.
     """
     n = cs.n
     s = np.asarray(s, dtype=float)
@@ -416,6 +416,9 @@ def lp_decode(
         return DecodeResult(
             matrix=x, word=word, fractional=None, objective_value=float(y @ word), certified=True
         )
+    # The certificate refuses non-finite entries, so only a miss pays this check.
+    if not (np.isfinite(s).all() and np.isfinite(y).all()):
+        raise ValueError("initial vector and received vector must be finite")
     sol = _phase_two(polytope.feasible, np.outer(y, s).reshape(n * n))
     if sol.status is not LPStatus.OPTIMAL:  # pragma: no cover - polytope is bounded
         raise RuntimeError(f"unexpected LP status {sol.status}")
@@ -444,13 +447,17 @@ def ml_decode_detail(code: Code, y: Sequence[float]) -> tuple[int, np.ndarray, b
     Every codeword c is a permutation of s, so |c - y|^2 = |s|^2 + |y|^2 - 2 c.y
     and the nearest codeword is the one with the largest inner product with y.
     Ties resolve to the lowest codeword index; the flag is set when another
-    codeword is within 1e-12 in squared distance.
+    codeword is within 1e-12 in squared distance.  Non-finite entries in y or
+    s raise ``ValueError``.
     """
     if len(code) == 0:
         raise ValueError("empty code")
     y = np.asarray(y, dtype=float)
     if y.shape != (code.n,):
         raise ValueError("received vector length does not match the code degree")
+    # Every codeword is a rearrangement of s, so the first one stands for s.
+    if not (np.isfinite(y).all() and np.isfinite(code.codewords[0]).all()):
+        raise ValueError("received vector and initial vector must be finite")
     g = code.codewords @ y
     k = int(np.argmax(g))
     tie = bool(np.count_nonzero(g >= g[k] - 0.5e-12) > 1)

@@ -8,8 +8,6 @@ every constraint row in the package.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,28 +111,37 @@ def var_entry(p: int, n: int) -> tuple[int, int]:
     return (p - 1) // n + 1, (p - 1) % n + 1
 
 
+def check_degree(n: int, limit: int = BRUTE_FORCE_LIMIT) -> None:
+    """Refuse work over all of S_n above the cap (BruteForceLimitError)."""
+    if n > limit:
+        raise BruteForceLimitError(f"refusing to enumerate {n}! permutations (cap {limit})")
+
+
 _TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
 def permutation_table(n: int, limit: int = BRUTE_FORCE_LIMIT) -> np.ndarray:
     """All n! column-to-row maps as an (n!, n) int8 array, lexicographic order.
 
-    Shared by the vectorized codebook filter and the ensemble experiments;
-    cached per degree because building the degree-10 table takes seconds.
+    Used by the vectorized codebook filter; cached per degree, and only for
+    the degree asked for, because the degree-10 table holds 36 MB.
     """
-    if n > limit:
-        raise BruteForceLimitError(
-            f"refusing to tabulate {n}! permutations (cap {limit})"
-        )
+    check_degree(n, limit)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     tab = _TABLE_CACHE.get(n)
     if tab is None:
-        count = math.factorial(n)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
-            dtype=np.int8,
-            count=count * n,
-        )
-        tab = flat.reshape(count, n)
+        # Degree d from degree d - 1: block k is k followed by the previous
+        # table with every entry >= k shifted up by one, which maps it in
+        # order onto the permutations of {1..d} minus k.
+        tab = np.zeros((1, 0), dtype=np.int8)
+        for d in range(1, n + 1):
+            prev, rows = tab, len(tab)
+            tab = np.empty((rows * d, d), dtype=np.int8)
+            for k in range(1, d + 1):
+                part = tab[(k - 1) * rows : k * rows]
+                part[:, 0] = k
+                np.add(prev, prev >= k, out=part[:, 1:])
         tab.setflags(write=False)
         _TABLE_CACHE[n] = tab
     return tab

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from permlp import channel, lp
+from permlp import channel, lp, perm
 from permlp.bounds import expected_cardinality, expected_weight
 from permlp.channel import (
     SnrPoint,
@@ -31,7 +31,7 @@ from permlp.constraints import (
     satisfies,
     theta,
 )
-from permlp.perm import PermutationMatrix, var_index
+from permlp.perm import BRUTE_FORCE_LIMIT, BruteForceLimitError, PermutationMatrix, var_index
 
 
 def test_sigma_from_snr_db_anchors():
@@ -387,6 +387,22 @@ def test_ensemble_chunk_matches_brute_force():
             if satisfies(cs, PermutationMatrix(p)):
                 want[sum(1 for j, i in enumerate(p, start=1) if i != j)] += 1
         assert row.tolist() == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensembles_refuse_degree_above_cap_before_any_work(monkeypatch, threads):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called above the degree cap")
+
+    for name in ("_pair_weight_histogram", "sample_ensemble", "ProcessPoolExecutor"):
+        monkeypatch.setattr(channel, name, forbidden)
+    monkeypatch.setattr(perm, "_TABLE_CACHE", {})
+    n = BRUTE_FORCE_LIMIT + 1
+    with pytest.raises(BruteForceLimitError):
+        ensemble_experiment(n, 3, 2, seed=1, threads=threads)
+    with pytest.raises(BruteForceLimitError):
+        ensemble_weight_experiment(n, 3, 2, seed=1)
+    assert perm._TABLE_CACHE == {}
 
 
 def test_ensemble_experiments_reject_no_samples():

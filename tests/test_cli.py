@@ -234,8 +234,12 @@ def test_bounds_and_simulate_match_words_alike(specs, capsys, word, accepted):
         ("simulate", "der4", "--snr", "4", "--trials", "5", "--word", "0,1,2,3"),
         ("ensemble", "--n", "4", "--m", "3", "--samples", "0"),
         ("ensemble", "--n", "4", "--m", "-1", "--samples", "3"),
+        ("decode", "der4", "-y", "nan,0,1,2", "--decoder", "both"),
+        ("decode", "der4", "-y", "1,0,inf,2"),
+        ("decode", "der4", "-y", "1,0,3,-inf", "--decoder", "ml"),
     ],
-    ids=["trials0", "non_codeword", "samples0", "negative_m"],
+    ids=["trials0", "non_codeword", "samples0", "negative_m", "decode_nan", "decode_inf",
+         "decode_minus_inf"],
 )
 def test_invalid_run_inputs_exit_three(specs, capsys, argv):
     # "der4" stands for the path of that spec file.

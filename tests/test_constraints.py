@@ -319,3 +319,62 @@ def test_sample_ensemble_deterministic_and_in_range():
     assert a.m == 12
     for p1, p2 in a.rows:
         assert 1 <= p1 < p2 <= 25
+
+
+# ---------------------------------------------------------------------------
+# Pair-ensemble counter against the table filter
+# ---------------------------------------------------------------------------
+
+
+def _table_weight_histogram(pairs, n):
+    """Oracle: filter the n! table with theta's rows, bincount by weight."""
+    table = permutation_table(n)
+    mask = satisfies_mask(theta(SparseBinaryMatrix(n * n, tuple(pairs)), n), table)
+    weights = (table[mask] != np.arange(1, n + 1)).sum(axis=1)
+    return np.bincount(weights, minlength=n + 1).tolist()
+
+
+@st.composite
+def _pair_sets(draw):
+    n = draw(st.integers(2, 7))
+    pair = st.lists(st.integers(1, n * n), min_size=2, max_size=2, unique=True).map(sorted)
+    pairs = draw(st.lists(pair.map(tuple), min_size=0, max_size=3 * n))
+    return n, pairs
+
+
+@given(_pair_sets())
+def test_pair_counter_matches_table_filter(case):
+    n, pairs = case
+    assert constraints._pair_weight_histogram(pairs, n) == _table_weight_histogram(pairs, n)
+
+
+def _entries(n, *cells):
+    return [var_index(i, j, n) for i, j in cells]
+
+
+def _chain(n, *cells):
+    ps = _entries(n, *cells)
+    return [tuple(sorted(p)) for p in zip(ps, ps[1:])]
+
+
+@pytest.mark.parametrize(
+    "n,pairs",
+    [
+        *[(n, []) for n in range(1, 8)],
+        (4, _chain(4, (1, 1), (1, 2))),  # one row: both entries zero
+        (4, _chain(4, (1, 3), (4, 3))),  # one column
+        (5, _chain(5, (1, 2), (2, 3), (3, 4))),  # a chain placed whole
+        (5, _chain(5, (1, 2), (2, 3), (3, 2))),  # a chain closing on a used column
+        (4, _chain(4, (1, 2), (2, 3), (3, 4), (4, 1))),  # one group across every column
+        (4, _chain(4, (1, 1), (2, 2), (3, 3), (4, 4))),  # the identity or a derangement
+        # A cycle in the union-find: the third pair joins one group again.
+        (5, _chain(5, (2, 1), (3, 4), (5, 2)) + [tuple(_entries(5, (2, 1), (5, 2)))]),
+        (5, [tuple(_entries(5, (1, 2), (2, 1)))] * 3),  # a repeated pair
+        # A group whose first column comes from its later pair, beside a blocked one.
+        (6, _chain(6, (1, 5), (2, 6), (3, 1)) + _chain(6, (4, 4), (4, 5))),
+        (7, _chain(7, (1, 7), (7, 1)) + _chain(7, (2, 6), (6, 2)) + _chain(7, (3, 3), (5, 5))),
+    ],
+    ids=str,
+)
+def test_pair_counter_hand_cases(n, pairs):
+    assert constraints._pair_weight_histogram(pairs, n) == _table_weight_histogram(pairs, n)

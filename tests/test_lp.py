@@ -197,6 +197,26 @@ def test_lp_decode_rejects_bad_lengths():
         lp_decode(derangement(3), np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["s", "y"])
+def test_decoders_reject_non_finite_input(bad, where):
+    # derangement(5) with y[2] = NaN used to return codeword 1 from ML and a
+    # "codeword" with a NaN objective from LP.
+    s = np.arange(5.0)
+    y = np.array([1.1, 0.2, 3.0, 4.1, 2.2])
+    if where == "s":
+        s[2] = bad
+    else:
+        y[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        lp_decode(derangement(5), s, y)
+    code = build_code(CodeSpec(5, derangement(5), tuple(s)))
+    with pytest.raises(ValueError, match="finite"):
+        ml_decode_detail(code, y)
+    with pytest.raises(ValueError, match="finite"):
+        ml_decode(code, y)
+
+
 def test_ml_decode_matches_argmin():
     code = build_code(CodeSpec(4, derangement(4), (0.0, 1.0, 2.0, 3.0)))
     rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permlp import perm
 from permlp.perm import (
     BRUTE_FORCE_LIMIT,
     BruteForceLimitError,
@@ -92,14 +93,32 @@ def test_transpose_is_inverse(p):
     assert np.array_equal(x.transpose().dense(), x.dense().T)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_permutation_table_matches_enumeration(n):
     table = permutation_table(n)
     assert table.shape == (math.factorial(n), n)
-    assert [tuple(int(v) for v in row) for row in table] == list(
-        itertools.permutations(range(1, n + 1))
-    )
+    assert list(map(tuple, table.tolist())) == list(itertools.permutations(range(1, n + 1)))
     assert not table.flags.writeable
+
+
+def test_permutation_table_degree_nine_is_lexicographic():
+    table = permutation_table(9)
+    assert table.shape == (math.factorial(9), 9) and table.dtype == np.int8
+    # Every row is a permutation, and the rows read as base-10 numbers are
+    # strictly increasing: all 9! permutations once each, in lexicographic order.
+    assert (np.sort(table, axis=1) == np.arange(1, 10)).all()
+    keys = table.astype(np.int64) @ 10 ** np.arange(8, -1, -1)
+    assert (np.diff(keys) > 0).all()
+
+
+def test_permutation_table_cached_read_only(monkeypatch):
+    monkeypatch.setattr(perm, "_TABLE_CACHE", {})
+    table = permutation_table(7)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2
+    assert permutation_table(7) is table
+    assert list(perm._TABLE_CACHE) == [7]  # the lower degrees it was built from are not kept
 
 
 def test_brute_force_limit_guard():
