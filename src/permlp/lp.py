@@ -7,6 +7,15 @@ optimizes the real objective.  Entering columns follow the largest-reduced-
 cost rule until the iteration stalls on degenerate pivots, after which the
 solver switches permanently to Bland's rule, which guarantees termination.
 
+Phase one runs on the presolved problem (Andersen & Andersen, "Presolving in
+linear programming", 1995).  The presolve fixes the variables that same-sign
+rows with zero rhs force to zero, merges the pairs that (c x_a - c x_b = 0)
+rows tie and drops rows that every x >= 0 satisfies, shrinking e.g. the
+degree-8 fixed-point-free involution LP from a 38x65 tableau to 9x29.  Phase
+two folds the objective onto the merged columns and expands the optimum back
+to every variable.  Vertex enumeration (``permlp.polytope``) starts from the
+same presolved rows.
+
 LP decoding maximizes trace(C^T X) with C = y s^T over the code polytope
 (Birkhoff rows plus the constraint system).  An integral optimum is the
 maximum-likelihood codeword; a fractional optimum is a decoding failure.
@@ -106,6 +115,8 @@ def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int, m: int):
 
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, m: int) -> LPStatus:
     """Optimize the tableau in place.  Returns OPTIMAL or UNBOUNDED."""
+    if ncols == 0:  # the presolve fixed every variable
+        return LPStatus.OPTIMAL
     stall_budget = 5 * (m + ncols)
     stalled = 0
     blands = False
@@ -134,49 +145,129 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, m: int) -> 
     raise RuntimeError("simplex failed to terminate within the iteration cap")
 
 
+def _pack(problem: LPProblem):
+    """The problem's rows as dense arrays: coefficients, rhs, and which rows are equalities."""
+    dense = np.zeros((len(problem.rows), problem.num_vars), dtype=float)
+    for r, (coeffs, _, _) in enumerate(problem.rows):
+        for p, c in coeffs:
+            dense[r, p - 1] = c
+    rhs = np.array([b for _, _, b in problem.rows], dtype=float)
+    eq = np.array([rel is Relation.EQ for _, rel, _ in problem.rows], dtype=bool)
+    return dense, rhs, eq
+
+
+def _pack_system(cs: ConstraintSystem):
+    """Dense rows of the code polytope: the Birkhoff rows, then cs.rows.
+
+    The order is ``build_decoding_lp``'s, so phase one pivots alike on both.
+    """
+    zeros = np.zeros(cs.n)
+    return _pack(build_decoding_lp(cs, zeros, zeros))
+
+
+def _presolve(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray):
+    """Fix entries forced to zero, merge tied entries and drop redundant rows.
+
+    The rules run until nothing changes, and each drops the row it reads:
+
+    * zero rhs and all coefficients positive (``le`` or ``eq``), or all
+      negative (``eq``): every entry of the row is zero;
+    * zero rhs, ``eq``, two entries with coefficients c and -c: the entries
+      are equal, and the higher one's column is added to the lower one's;
+    * ``le``, all coefficients negative and rhs >= 0: every x >= 0 holds it;
+    * no entry left: the row holds, or the system is inconsistent.
+
+    Returns ``(columns, rows, rhs, eq)``: ``columns[v]`` is the reduced column
+    of entry v (-1 when it is fixed at zero), reduced columns follow the order
+    of their lowest entries, and the rest are the surviving rows over them.
+    Returns None when a row is inconsistent.
+    """
+    a = np.array(rows)
+    nv = a.shape[1]
+    parent = list(range(nv))  # a merged entry points to a lower one; -1 marks fixed
+    alive = np.ones(len(a), dtype=bool)
+    changed = True
+    while changed:
+        changed = False
+        for r in np.flatnonzero(alive).tolist():
+            live = np.flatnonzero(a[r])
+            coeffs = a[r, live]
+            if live.size == 0:
+                if (rhs[r] != 0) if eq[r] else (rhs[r] < 0):
+                    return None
+                alive[r] = False
+            elif not eq[r] and rhs[r] >= 0 and (coeffs < 0).all():
+                alive[r] = False
+            elif rhs[r] != 0:
+                continue
+            elif (coeffs > 0).all() or (eq[r] and (coeffs < 0).all()):
+                a[:, live] = 0
+                for v in live.tolist():
+                    parent[v] = -1
+                alive[r] = False
+                changed = True
+            elif eq[r] and live.size == 2 and coeffs[0] == -coeffs[1]:
+                lo, hi = live.tolist()
+                a[:, lo] += a[:, hi]
+                a[:, hi] = 0
+                parent[hi] = lo
+                alive[r] = False
+                changed = True
+
+    roots = [v for v in range(nv) if parent[v] == v]
+    columns = np.full(nv, -1, dtype=np.intp)
+    columns[roots] = np.arange(len(roots))
+    for v in range(nv):
+        # parent[v] < v, so its column is already final.
+        if 0 <= parent[v] < v:
+            columns[v] = columns[parent[v]]
+    return columns, a[alive][:, roots], rhs[alive], eq[alive]
+
+
 @dataclass(frozen=True)
 class _FeasibleTableau:
-    """A problem's rows after phase one, ready for any objective.
+    """A problem's rows after presolve and phase one, ready for any objective.
 
-    ``tableau`` holds the real and slack columns plus the rhs, with redundant
-    rows dropped, the artificial columns removed (phase two keeps them at zero,
-    so they never influence another entry) and a zero objective row.  ``rows``,
-    ``rhs`` and ``eq`` are the problem's rows as given, for the final
-    feasibility re-check.  The arrays are read-only; phase two works on copies.
+    ``tableau`` holds the reduced and slack columns plus the rhs, with
+    redundant rows dropped, the artificial columns removed (phase two keeps
+    them at zero, so they never influence another entry) and a zero objective
+    row.  ``columns`` maps each variable to its reduced column (-1 when the
+    presolve fixed it at zero) and ``width`` counts the reduced columns.
+    ``rows``, ``rhs`` and ``eq`` are the problem's rows as given, for the
+    final feasibility re-check.  The arrays are read-only; phase two works on
+    copies.
     """
 
     tableau: np.ndarray
     basis: np.ndarray
-    num_vars: int
+    columns: np.ndarray
+    width: int
     rows: np.ndarray
     rhs: np.ndarray
     eq: np.ndarray
 
 
-def _phase_one(problem: LPProblem) -> Optional[_FeasibleTableau]:
-    """A feasible basis of the problem's rows, or None when they are infeasible.
+def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_FeasibleTableau]:
+    """A feasible basis of the presolved rows, or None when they are infeasible.
 
     Phase one never reads the objective.
     """
-    m = len(problem.rows)
-    nv = problem.num_vars
+    pre = _presolve(rows, rhs, eq)
+    if pre is None:
+        return None
+    columns, dense, b, is_eq = pre
+    m, nv = dense.shape
 
-    # Assemble dense rows with rhs >= 0; flipped <= rows become >= rows.
-    dense = np.zeros((m, nv), dtype=float)
-    rhs = np.array([b for _, _, b in problem.rows], dtype=float)
-    eq = np.array([rel is Relation.EQ for _, rel, _ in problem.rows], dtype=bool)
-    for r, (coeffs, _, _) in enumerate(problem.rows):
-        for p, c in coeffs:
-            dense[r, p - 1] = c
-    flip = rhs < 0
-    kinds = ["eq" if e else ("ge" if f else "le") for e, f in zip(eq.tolist(), flip.tolist())]
+    # Rows with rhs >= 0; flipped <= rows become >= rows.
+    flip = b < 0
+    kinds = ["eq" if e else ("ge" if f else "le") for e, f in zip(is_eq.tolist(), flip.tolist())]
 
     n_slack = sum(k != "eq" for k in kinds)
     n_art = sum(k != "le" for k in kinds)
     ncols = nv + n_slack + n_art
     tableau = np.zeros((m + 1, ncols + 1), dtype=float)
     tableau[:m, :nv] = np.where(flip[:, None], -dense, dense)
-    tableau[:m, -1] = np.where(flip, -rhs, rhs)
+    tableau[:m, -1] = np.where(flip, -b, b)
     basis = np.full(m, -1, dtype=int)
     slack_at = nv
     art_at = nv + n_slack
@@ -225,9 +316,9 @@ def _phase_one(problem: LPProblem) -> Optional[_FeasibleTableau]:
     tableau = np.delete(tableau[np.append(keep, True)], np.s_[nv + n_slack : -1], axis=1)
     tableau[-1] = 0.0
     basis = basis[keep]
-    for a in (tableau, basis, dense, rhs, eq):
+    for a in (tableau, basis, columns, rows, rhs, eq):
         a.setflags(write=False)
-    return _FeasibleTableau(tableau, basis, nv, dense, rhs, eq)
+    return _FeasibleTableau(tableau, basis, columns, nv, rows, rhs, eq)
 
 
 def _phase_two(feasible: _FeasibleTableau, objective: np.ndarray) -> LPSolution:
@@ -235,8 +326,12 @@ def _phase_two(feasible: _FeasibleTableau, objective: np.ndarray) -> LPSolution:
     tableau = feasible.tableau.copy()
     basis = feasible.basis.copy()
     m = basis.size
-    nv = feasible.num_vars
-    tableau[-1, :nv] = objective
+    nv = feasible.width
+    # A merged column carries the summed objective of its entries.
+    fixed = feasible.columns < 0
+    tableau[-1, :nv] = np.bincount(
+        feasible.columns[~fixed], weights=objective[~fixed], minlength=nv
+    )
     # Basis columns are exact unit vectors, so subtracting row r changes no
     # other basic cost: the costs read up front are the ones a sequential
     # elimination would read, and the subtractions keep their order.
@@ -247,12 +342,13 @@ def _phase_two(feasible: _FeasibleTableau, objective: np.ndarray) -> LPSolution:
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, float("nan"))
 
-    x = np.zeros(nv, dtype=float)
+    reduced = np.zeros(nv + 1, dtype=float)  # the last slot reads 0 for fixed entries
     real = basis < nv
-    x[basis[real]] = tableau[:m, -1][real]
+    reduced[basis[real]] = tableau[:m, -1][real]
+    x = reduced[feasible.columns]
     value = float(objective @ x)
 
-    # Cheap internal revalidation against drift.
+    # Cheap internal revalidation against drift, on the rows as given.
     dev = feasible.rows @ x - feasible.rhs
     if np.any(np.where(feasible.eq, np.abs(dev), dev) > 1e-6):  # pragma: no cover - defensive
         raise RuntimeError("simplex returned an infeasible point")
@@ -261,7 +357,7 @@ def _phase_two(feasible: _FeasibleTableau, objective: np.ndarray) -> LPSolution:
 
 def solve(problem: LPProblem) -> LPSolution:
     """Two-phase simplex.  The optimal x is a vertex of the feasible region."""
-    feasible = _phase_one(problem)
+    feasible = _phase_one(*_pack(problem))
     if feasible is None:
         return LPSolution(LPStatus.INFEASIBLE, None, float("nan"))
     return _phase_two(feasible, problem.objective)
@@ -350,14 +446,11 @@ class _CodePolytope:
 @functools.lru_cache(maxsize=64)
 def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
     n = cs.n
-    # Phase one never reads the objective, so any s and y give the same basis.
-    feasible = _phase_one(build_decoding_lp(cs, np.zeros(n), np.zeros(n)))
-    rows = np.zeros((cs.num_rows, n * n), dtype=np.int64)
-    for r, row in enumerate(cs.rows):
-        for p, c in row.coeffs:
-            rows[r, p - 1] = c
-    rhs = np.array([row.rhs for row in cs.rows], dtype=np.int64)
-    eq = np.array([row.relation is Relation.EQ for row in cs.rows], dtype=bool)
+    rows, rhs, eq = _pack_system(cs)
+    # Phase one never reads the objective, so one basis serves every s and y.
+    feasible = _phase_one(rows, rhs, eq)
+    # The system's own rows follow the 2n Birkhoff rows; their entries are integers.
+    rows, rhs, eq = rows[2 * n :].astype(np.int64), rhs[2 * n :].astype(np.int64), eq[2 * n :]
     bound = np.concatenate([rhs, -rhs[eq]])
     cube = np.ascontiguousarray(np.vstack([rows, -rows[eq]]).T.reshape(n, n, bound.size))
     for a in (cube, bound):
@@ -386,12 +479,7 @@ def _sort_certificate(polytope: _CodePolytope, s: np.ndarray, y: np.ndarray):
     return perm
 
 
-def lp_decode(
-    cs: ConstraintSystem,
-    s: Sequence[float],
-    y: Sequence[float],
-    tol: float = INTEGRALITY_TOL,
-) -> DecodeResult:
+def lp_decode(cs: ConstraintSystem, s: Sequence[float], y: Sequence[float]) -> DecodeResult:
     """LP decoding of y against the code (cs, s).
 
     The sort certificate is tried first: when it holds, X* is returned with
@@ -424,7 +512,7 @@ def lp_decode(
         raise RuntimeError(f"unexpected LP status {sol.status}")
     frac = sol.x.reshape(n, n)
     rounded = np.rint(frac)
-    if np.max(np.abs(frac - rounded)) <= tol:
+    if np.max(np.abs(frac - rounded)) <= INTEGRALITY_TOL:
         try:
             x = PermutationMatrix.from_dense(rounded.astype(np.int8))
         except ValueError:

@@ -1,22 +1,19 @@
 """Exact vertex enumeration of code polytopes.
 
 The code polytope is the set of doubly stochastic matrices satisfying the
-constraint rows.  In standard form (one slack per <= row) its vertices are
-the basic feasible solutions, so the enumerator walks every column basis of
-the row-reduced system.  All reported vertices are solved, feasibility-checked
-and deduplicated in exact rational arithmetic.
+constraint rows.  The enumerator starts from the rows the LP layer presolves
+(``permlp.lp``: entries forced to zero are fixed, tied entries merged), adds
+one slack per surviving <= row, and walks every column basis of the
+row-reduced standard form, whose basic feasible solutions are the vertices.
+All reported vertices are solved, feasibility-checked and deduplicated in
+exact rational arithmetic.
 
-Two devices keep the walk tractable at desk scale:
-
-* an integer presolve that fixes variables forced to zero by same-sign
-  homogeneous rows and merges variable pairs tied by (x_a - x_b = 0) rows,
-  shrinking e.g. the degree-6 fixed-point-free involution system from 36
-  variables to 15;
-* a batched floating-point prefilter over candidate bases.  The selected
-  rows stay integral, so a basis determinant is an integer: the float
-  determinant cleanly separates singular bases, and generously-tolerant
-  feasibility screening only discards bases whose exact solution would be
-  clearly negative.  Every surviving candidate is re-solved exactly.
+A batched floating-point prefilter over candidate bases keeps the walk
+tractable at desk scale.  The selected rows stay integral, so a basis
+determinant is an integer: the float determinant cleanly separates singular
+bases, and generously-tolerant feasibility screening only discards bases
+whose exact solution would be clearly negative.  Every surviving candidate is
+re-solved exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +27,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSystem, Relation, satisfies_mask
+from .constraints import ConstraintSystem, satisfies_mask
+from .lp import _pack_system, _presolve
 from .perm import PermutationMatrix
 
 # Prefilter tolerances.  Basis determinants are integers, so |det| >= 0.5
@@ -143,93 +141,16 @@ class BasisBudgetError(ValueError):
     """The basis walk would exceed the configured budget."""
 
 
-def _presolve(
-    columns: list[list[tuple[int, int]]],
-    rows_rhs: list[int],
-    num_rows: int,
-) -> Optional[tuple[list[int], list[dict[int, int]], list[int]]]:
-    """Zero-force and merge until fixpoint.
+def _independent_rows(rows: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
+    """Indices of a maximal independent subset of rows, by exact elimination.
 
-    ``columns`` maps each variable to its sparse column as (row, coeff) pairs.
-    Returns (var_state, reduced_rows, reduced_rhs) where var_state[v] is -1
-    for variables fixed at zero, otherwise the representative variable id, or
-    None when a row became inconsistent (empty polytope).
+    Returns None when some dependent row is inconsistent with the rest (empty
+    polytope).
     """
-    nv = len(columns)
-    # Dense row-major copy for the small systems at hand.
-    rows: list[dict[int, int]] = [dict() for _ in range(num_rows)]
-    for v, col in enumerate(columns):
-        for r, c in col:
-            rows[r][v] = c
-    rhs = list(rows_rhs)
-    alive_rows = [True] * num_rows
-    state = list(range(nv))  # representative id, or -1 when fixed to zero
-
-    def rep(v: int) -> int:
-        while state[v] != v and state[v] != -1:
-            v = state[v]
-        return v if state[v] != -1 else -1
-
-    changed = True
-    while changed:
-        changed = False
-        for r in range(num_rows):
-            if not alive_rows[r]:
-                continue
-            row = rows[r]
-            if not row:
-                if rhs[r] != 0:
-                    return None
-                alive_rows[r] = False
-                continue
-            coeffs = list(row.values())
-            if rhs[r] == 0 and (all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs)):
-                for v in list(row.keys()):
-                    state[v] = -1
-                    for rr in range(num_rows):
-                        rows[rr].pop(v, None)
-                alive_rows[r] = False
-                changed = True
-                continue
-            if rhs[r] == 0 and len(row) == 2:
-                (va, ca), (vb, cb) = sorted(row.items())
-                if ca == -cb:
-                    # x_va == x_vb: fold vb's column into va's.
-                    state[vb] = va
-                    for rr in range(num_rows):
-                        c = rows[rr].pop(vb, None)
-                        if c is not None:
-                            merged = rows[rr].get(va, 0) + c
-                            if merged:
-                                rows[rr][va] = merged
-                            else:
-                                rows[rr].pop(va, None)
-                    alive_rows[r] = False
-                    changed = True
-                    continue
-
-    reduced_rows = [rows[r] for r in range(num_rows) if alive_rows[r]]
-    reduced_rhs = [rhs[r] for r in range(num_rows) if alive_rows[r]]
-    final = [rep(v) if state[v] != -1 else -1 for v in range(nv)]
-    return final, reduced_rows, reduced_rhs
-
-
-def _independent_rows(
-    rows: list[dict[int, int]], rhs: list[int], var_ids: list[int]
-) -> Optional[tuple[list[int], bool]]:
-    """Select a maximal independent subset of rows by exact elimination.
-
-    Returns (kept row indices, True) or None when some dependent row is
-    inconsistent with the rest (empty polytope).
-    """
-    col_of = {v: k for k, v in enumerate(var_ids)}
-    width = len(var_ids)
     echelon: list[tuple[list[Fraction], Fraction]] = []
     kept: list[int] = []
     for idx, row in enumerate(rows):
-        vec = [Fraction(0)] * width
-        for v, c in row.items():
-            vec[col_of[v]] = Fraction(c)
+        vec = [Fraction(c) for c in row]
         b = Fraction(rhs[idx])
         for evec, eb in echelon:
             pivot = next((k for k, x in enumerate(evec) if x != 0), None)
@@ -242,7 +163,7 @@ def _independent_rows(
             kept.append(idx)
         elif b != 0:
             return None
-    return kept, True
+    return kept
 
 
 def _exact_solve(mat: list[list[int]], rhs: list[int]) -> Optional[list[Fraction]]:
@@ -269,56 +190,28 @@ def enumerate_vertices(
     """Enumerate every vertex of the code polytope of (cs, n) exactly."""
     if cs.n != n:
         raise ValueError("constraint system degree does not match n")
-    nsq = n * n
-    le_rows = [r for r in cs.rows if r.relation is Relation.LE]
-    num_rows = 2 * n + len(cs.rows)
-    nv = nsq + len(le_rows)
-
-    # Standard form: Birkhoff equalities, then constraint rows with slacks.
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    rhs = [0] * num_rows
-    for i in range(n):
-        for j in range(n):
-            columns[i * n + j].append((i, 1))
-            columns[i * n + j].append((n + j, 1))
-        rhs[i] = 1
-        rhs[n + i] = 1
-    slack = nsq
-    for k, row in enumerate(cs.rows):
-        r = 2 * n + k
-        for p, c in row.coeffs:
-            columns[p - 1].append((r, c))
-        if row.relation is Relation.LE:
-            columns[slack].append((r, 1))
-            slack += 1
-        rhs[r] = row.rhs
-
-    pre = _presolve(columns, rhs, num_rows)
+    pre = _presolve(*_pack_system(cs))
     if pre is None:
         return VertexSet(n, ())
-    state, red_rows, red_rhs = pre
-
-    var_ids = sorted({v for row in red_rows for v in row.keys()})
-    if not var_ids:
-        # Everything was forced; the polytope is empty or a single point of zeros,
-        # which cannot be doubly stochastic, so the remaining rows decide.
+    columns, red_rows, red_rhs, red_eq = pre
+    # Standard form: one slack column per surviving <= row.  The Birkhoff rows
+    # always survive, so the system keeps at least one row and one column.
+    slacks = np.eye(len(red_rows))[:, ~red_eq]
+    rows = np.hstack([red_rows, slacks]).astype(np.int64).tolist()
+    rhs = red_rhs.astype(np.int64).tolist()
+    kept = _independent_rows(rows, rhs)
+    if kept is None:
         return VertexSet(n, ())
-    sel = _independent_rows(red_rows, red_rhs, var_ids)
-    if sel is None:
-        return VertexSet(n, ())
-    kept, _ = sel
     rank = len(kept)
-    width = len(var_ids)
-    if rank == 0 or rank > width:
-        return VertexSet(n, ())
+    width = len(rows[0])
     total = math.comb(width, rank)
     if total > max_bases:
         raise BasisBudgetError(
             f"{total} bases exceed the budget of {max_bases}; raise max_bases"
         )
 
-    a_exact = [[red_rows[r].get(v, 0) for v in var_ids] for r in kept]
-    b_exact = [red_rhs[r] for r in kept]
+    a_exact = [rows[r] for r in kept]
+    b_exact = [rhs[r] for r in kept]
     a_float = np.array(a_exact, dtype=float)
     b_float = np.array(b_exact, dtype=float)
     at_float = np.ascontiguousarray(a_float.T)  # (width, rank)
@@ -360,15 +253,13 @@ def enumerate_vertices(
         sol = _exact_solve(mat, b_exact)
         if sol is None or any(v < 0 for v in sol):
             continue
-        reduced_vals = {var_ids[c]: sol[k] for k, c in enumerate(cols)}
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                r = state[i * n + j]
-                row.append(Fraction(0) if r == -1 else reduced_vals.get(r, Fraction(0)))
-            entries.append(tuple(row))
-        vertex = RationalMatrix(tuple(entries))
+        values = [Fraction(0)] * (width + 1)  # the last slot reads 0 for fixed entries
+        for k, c in enumerate(cols):
+            values[c] = sol[k]
+        entries = tuple(
+            tuple(values[columns[i * n + j]] for j in range(n)) for i in range(n)
+        )
+        vertex = RationalMatrix(entries)
         verts.setdefault(tuple(itertools.chain.from_iterable(vertex.entries)), vertex)
 
     ordered = tuple(verts[k] for k in sorted(verts.keys()))

@@ -14,6 +14,7 @@ and serialization round-trip losslessly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,6 +104,13 @@ def parse_spec(doc: dict) -> CodeSpecFile:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in s
     ):
         raise SpecFileError("s must be a list of n numbers")
+    try:
+        s = tuple(float(v) for v in s)
+    except OverflowError:  # an integer beyond the float range
+        s = (math.inf,)
+    # json reads NaN and Infinity as floats.
+    if not all(map(math.isfinite, s)):
+        raise SpecFileError("s must be finite numbers")
     cons = doc["constraints"]
     if not isinstance(cons, dict):
         raise SpecFileError("constraints must be an object")
@@ -120,12 +128,12 @@ def parse_spec(doc: dict) -> CodeSpecFile:
         extra = set(cons) - {"family", "params"}
         if extra:
             raise SpecFileError(f"unexpected constraint keys: {sorted(extra)}")
-        spec_file = CodeSpecFile(n=n, s=tuple(float(v) for v in s), family=fam, params=dict(params))
+        spec_file = CodeSpecFile(n=n, s=s, family=fam, params=dict(params))
     elif "rows" in cons:
         if set(cons) != {"rows"} or not isinstance(cons["rows"], list):
             raise SpecFileError("raw constraints must be {'rows': [...]}")
         rows = tuple(_parse_row(r) for r in cons["rows"])
-        spec_file = CodeSpecFile(n=n, s=tuple(float(v) for v in s), rows=rows)
+        spec_file = CodeSpecFile(n=n, s=s, rows=rows)
     else:
         raise SpecFileError("constraints need either 'family' or 'rows'")
     # Validate positions against the degree and family parameters eagerly.

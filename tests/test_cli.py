@@ -237,12 +237,20 @@ def test_bounds_and_simulate_match_words_alike(specs, capsys, word, accepted):
         ("decode", "der4", "-y", "nan,0,1,2", "--decoder", "both"),
         ("decode", "der4", "-y", "1,0,inf,2"),
         ("decode", "der4", "-y", "1,0,3,-inf", "--decoder", "ml"),
+        ("decode", "nan_s", "-y", "1,0,3,2"),
+        ("bounds", "infinity_s", "--snr", "4"),
+        ("build", "nan_s"),
     ],
     ids=["trials0", "non_codeword", "samples0", "negative_m", "decode_nan", "decode_inf",
-         "decode_minus_inf"],
+         "decode_minus_inf", "spec_nan_decode", "spec_infinity_bounds", "spec_nan_build"],
 )
-def test_invalid_run_inputs_exit_three(specs, capsys, argv):
-    # "der4" stands for the path of that spec file.
-    code, _, err = _run(capsys, *(specs.get(a, a) for a in argv))
+def test_invalid_run_inputs_exit_three(specs, capsys, tmp_path, argv):
+    # "der4" stands for the path of that spec file.  The "*_s" specs hold NaN
+    # or Infinity in s, which json.dumps writes and json reads.
+    paths = dict(specs)
+    for name, bad in (("nan_s", float("nan")), ("infinity_s", float("inf"))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps({**DER4, "s": [0, bad, 2, 3]}))
+    code, _, err = _run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err

@@ -12,9 +12,11 @@ from permlp.constraints import (
     ConstraintSystem,
     Relation,
     block,
+    cyclic,
     derangement,
     involution,
     pure_involution,
+    repetition,
     satisfies,
 )
 from permlp.codebook import CodeSpec, build_code
@@ -136,6 +138,97 @@ def test_simplex_matches_scipy_random(trial):
         assert ref.status == 0
         assert mine.status is LPStatus.OPTIMAL
         assert mine.objective_value == pytest.approx(-ref.fun, abs=1e-6)
+
+
+def _presolve_lp(rng):
+    """A small bounded LP whose rows exercise every presolve rule.
+
+    Row kinds: tie rows x_a = x_b, some scaled (2, -2), and skewed two-entry
+    rows (1, -2), which tie nothing; same-sign rows with zero rhs, eq and le,
+    whose all-negative le case must fix nothing; rows that a tie's merge
+    cancels to nothing, consistent or not; a positive row over every
+    variable, which fixes them all; and general rows.
+    """
+    nv = int(rng.integers(2, 6))
+    rows, last_tie = [], None
+    kinds = ["tie", "same_sign", "cancel", "fix_all", "general"]
+    for kind in rng.choice(kinds, p=[0.3, 0.2, 0.15, 0.05, 0.3], size=rng.integers(1, 6)):
+        rel = Relation.EQ if rng.random() < 0.5 else Relation.LE
+        if kind == "tie" or (kind == "cancel" and last_tie is None):
+            a, b = (int(v) for v in rng.choice(nv, size=2, replace=False) + 1)
+            last_tie = (a, b)
+            c, d = (float(v) for v in rng.choice([1.0, 2.0, 0.5], size=2))
+            rows.append(({a: c, b: -c if rng.random() < 0.7 else -d}, Relation.EQ, 0.0))
+        elif kind == "cancel":
+            a, b = last_tie
+            c = float(rng.choice([1.0, -2.0]))
+            rows.append(({a: c, b: -c}, rel, float(rng.choice([0.0, 0.0, 1.0, -1.0]))))
+        elif kind == "same_sign":
+            k = int(rng.integers(1, nv + 1))
+            pos = rng.choice(nv, size=k, replace=False) + 1
+            sign = float(rng.choice([1.0, -1.0]))
+            coeffs = {int(p): sign * float(rng.choice([1.0, 1.5, 2.0])) for p in pos}
+            rows.append((coeffs, rel, 0.0))
+        elif kind == "fix_all":
+            rows.append(({p: 1.0 for p in range(1, nv + 1)}, rel, 0.0))
+        else:
+            coeffs = rng.normal(size=nv).round(2)
+            rhs = round(float(rng.normal()), 2)
+            rows.append(({p + 1: coeffs[p] for p in range(nv) if coeffs[p]}, rel, rhs))
+    # Keep the region bounded so both solvers agree on status.
+    rows.append(({p: 1.0 for p in range(1, nv + 1)}, Relation.LE, 10.0))
+    return LPProblem.make(nv, rng.normal(size=nv).round(3), [r for r in rows if r[0]])
+
+
+def _linprog(problem):
+    dense = np.zeros((len(problem.rows), problem.num_vars))
+    for r, (coeffs, _, _) in enumerate(problem.rows):
+        for p, c in coeffs:
+            dense[r, p - 1] = c
+    rhs = np.array([b for _, _, b in problem.rows])
+    eq = np.array([rel is Relation.EQ for _, rel, _ in problem.rows])
+    return linprog(
+        -problem.objective,
+        A_ub=dense[~eq] if (~eq).any() else None,
+        b_ub=rhs[~eq] if (~eq).any() else None,
+        A_eq=dense[eq] if eq.any() else None,
+        b_eq=rhs[eq] if eq.any() else None,
+        bounds=(0, None),
+        method="highs",
+    )
+
+
+def test_presolved_solve_matches_scipy():
+    rng = np.random.default_rng(2024)
+    fixed_all = merged = infeasible = 0
+    for _ in range(400):
+        problem = _presolve_lp(rng)
+        mine, ref = solve(problem), _linprog(problem)
+        if ref.status == 2:
+            assert mine.status is LPStatus.INFEASIBLE
+            infeasible += 1
+        else:
+            assert ref.status == 0
+            assert mine.status is LPStatus.OPTIMAL
+            assert mine.objective_value == pytest.approx(-ref.fun, abs=1e-6)
+        pre = lp._presolve(*lp._pack(problem))
+        if pre is not None:
+            fixed_all += bool((pre[0] < 0).all())
+            merged += len(set(pre[0][pre[0] >= 0].tolist())) < (pre[0] >= 0).sum()
+    assert fixed_all >= 20 and merged >= 20 and infeasible >= 20
+
+
+def test_presolve_negative_le_rows_fix_nothing():
+    # -x1 - 2 x2 <= 0 holds for every x >= 0: it is dropped and fixes nothing.
+    rows, rhs, eq = np.array([[-1.0, -2.0], [1.0, 1.0]]), np.array([0.0, 1.0]), np.zeros(2, bool)
+    columns, red_rows, _, _ = lp._presolve(rows, rhs, eq)
+    assert columns.tolist() == [0, 1] and red_rows.tolist() == [[1.0, 1.0]]
+    # Below a negative rhs the row stays.
+    columns, red_rows, _, _ = lp._presolve(rows, np.array([-1.0, 1.0]), eq)
+    assert columns.tolist() == [0, 1] and red_rows.tolist() == rows.tolist()
+    # As an equality with zero rhs it forces both entries to zero.
+    columns, red_rows, _, _ = lp._presolve(rows, rhs, np.array([True, False]))
+    assert columns.tolist() == [-1, -1] and red_rows.shape == (0, 0)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -361,6 +454,26 @@ def test_lp_decode_matches_cold_solve():
             assert res.objective_value == sol.objective_value
             assert np.array_equal(res.fractional, sol.x.reshape(6, 6))
     assert 0 < integral < 60
+
+
+@pytest.mark.parametrize(
+    "cs,shape",
+    [
+        (pure_involution(8), (9, 29)),
+        (pure_involution(12), (13, 67)),
+        (cyclic(8), (2, 9)),
+        (repetition(8, 2), (8, 17)),
+        (derangement(5), (10, 21)),
+        (block(8, 2, redundant=True), (40, 65)),
+        (block(6, 3), (16, 37)),
+    ],
+    ids=["pure_involution8", "pure_involution12", "cyclic8", "repetition8_2", "derangement5",
+         "block8_2r", "block6_3"],
+)
+def test_presolve_shrinks_the_phase_one_tableau(cs, shape):
+    # Rows after phase one plus the objective row, by reduced and slack
+    # columns plus the rhs.  Without the presolve pure_involution(8) is 38x65.
+    assert lp._code_polytope(cs).feasible.tableau.shape == shape
 
 
 def test_constraint_system_hash_cached_and_shared():

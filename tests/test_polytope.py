@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from permlp.codebook import CodeSpec, build_code
 from permlp.constraints import (
@@ -103,22 +106,62 @@ CASES = [
 ]
 
 
+def _assert_satisfies_exactly(cs, v):
+    n = v.n
+    flat = [v.entries[i][j] for i in range(n) for j in range(n)]
+    for row in cs.rows:
+        lhs = sum(Fraction(c) * flat[p - 1] for p, c in row.coeffs)
+        if row.relation is Relation.EQ:
+            assert lhs == row.rhs
+        else:
+            assert lhs <= row.rhs
+    for i in range(n):  # exact double stochasticity
+        assert sum(v.entries[i]) == 1
+        assert sum(r[i] for r in v.entries) == 1
+        assert all(e >= 0 for e in v.entries[i])
+
+
 @pytest.mark.parametrize("cs,n", CASES)
 def test_vertices_satisfy_all_rows_exactly(cs, n):
     vs = enumerate_vertices(cs, n)
     assert len(vs) > 0
     for v in vs.vertices:
-        flat = [v.entries[i][j] for i in range(n) for j in range(n)]
-        for row in cs.rows:
-            lhs = sum(Fraction(c) * flat[p - 1] for p, c in row.coeffs)
-            if row.relation is Relation.EQ:
-                assert lhs == row.rhs
-            else:
-                assert lhs <= row.rhs
-        for i in range(n):  # exact double stochasticity
-            assert sum(v.entries[i]) == 1
-            assert sum(r[i] for r in v.entries) == 1
-            assert all(e >= 0 for e in v.entries[i])
+        _assert_satisfies_exactly(cs, v)
+
+
+@st.composite
+def _small_systems(draw):
+    """Raw systems at n <= 4, many with zero-rhs rows the presolve acts on."""
+    n = draw(st.integers(2, 4))
+    positions = st.integers(1, n * n)
+    rows = []
+    for _ in range(draw(st.integers(1, 3 if n < 4 else 2))):
+        kind = draw(st.sampled_from(["tie", "same_sign", "general"]))
+        if kind == "tie":
+            a, b = draw(st.lists(positions, min_size=2, max_size=2, unique=True))
+            c, d = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+            coeffs, rhs = {a: c, b: -d}, 0  # c != d ties nothing
+        else:
+            pos = draw(st.lists(positions, min_size=1, max_size=4, unique=True))
+            sign = draw(st.sampled_from([1, -1]))
+            signs = st.just(sign) if kind == "same_sign" else st.sampled_from([1, -1])
+            coeffs = {p: draw(signs) * draw(st.integers(1, 2)) for p in pos}
+            rhs = 0 if kind == "same_sign" else draw(st.integers(-1, 2))
+        rows.append(ConstraintRow.make(coeffs, draw(st.sampled_from(list(Relation))), rhs))
+    return ConstraintSystem(n, tuple(rows))
+
+
+@settings(max_examples=40)
+@given(_small_systems())
+def test_random_system_vertices_are_exact_extreme_points(cs):
+    n = cs.n
+    vs = enumerate_vertices(cs, n)
+    for v in vs.vertices:
+        _assert_satisfies_exactly(cs, v)
+        assert _is_extreme(cs, v)
+    got = {v.to_permutation().perm for v in vs.integral}
+    want = {m.perm for m in build_code(CodeSpec(n, cs, tuple(map(float, range(n))))).matrices}
+    assert got == want
 
 
 @pytest.mark.parametrize("cs,n", CASES)
@@ -145,14 +188,25 @@ def test_random_lp_optima_land_on_enumerated_vertices(cs, n):
     rows = birkhoff_rows(n) + [
         (dict(r.coeffs), r.relation, float(r.rhs)) for r in cs.rows
     ]
+    dense = np.zeros((len(rows), n * n))
+    for r, (coeffs, _, _) in enumerate(rows):
+        dense[r, [p - 1 for p in coeffs]] = list(coeffs.values())
+    rhs = np.array([b for _, _, b in rows])
+    eq = np.array([rel is Relation.EQ for _, rel, _ in rows])
+    a_eq, b_eq = dense[eq], rhs[eq]
+    a_ub, b_ub = (dense[~eq], rhs[~eq]) if (~eq).any() else (None, None)
     rng = np.random.default_rng(3)
     for _ in range(30):
         c = rng.normal(size=n * n)
         sol = solve(LPProblem.make(n * n, c, rows))
         assert sol.status is LPStatus.OPTIMAL
-        x = sol.x.reshape(n, n)
-        errs = np.abs(as_float - x).reshape(len(as_float), -1).max(axis=1)
-        assert errs.min() < 1e-7
+        # scipy's dual simplex, an oracle that shares no presolve with solve,
+        # must stop on an enumerated vertex too.
+        ref = linprog(-c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub, method="highs-ds")
+        assert ref.status == 0
+        for x in (sol.x, ref.x):
+            errs = np.abs(as_float - x.reshape(n, n)).reshape(len(as_float), -1).max(axis=1)
+            assert errs.min() < 1e-7
 
 
 def test_enumeration_deterministic():

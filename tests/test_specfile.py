@@ -69,6 +69,8 @@ def test_parse_family_params():
         lambda d: d["constraints"].update(params={"bogus": 1}),
         lambda d: d["constraints"].pop("family"),
         lambda d: d["constraints"].update(rows=[]),  # family and rows together
+        lambda d: d.update(s=[0, float("nan"), 2, float("inf")]),  # json reads NaN, Infinity
+        lambda d: d.update(s=[0, 1, 2, 10**400]),  # beyond the float range
     ],
 )
 def test_parse_rejects_malformed(mutate):
