@@ -208,7 +208,11 @@ def _presolve(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray):
                 changed = True
             elif eq[r] and live.size == 2 and coeffs[0] == -coeffs[1]:
                 lo, hi = live.tolist()
-                a[:, lo] += a[:, hi]
+                # Coefficients that cancel to float noise are zero: a residue
+                # read as signed would fix or drop a row that no longer binds.
+                merged = a[:, lo] + a[:, hi]
+                merged[np.abs(merged) <= _EPS * (np.abs(a[:, lo]) + np.abs(a[:, hi]))] = 0
+                a[:, lo] = merged
                 a[:, hi] = 0
                 parent[hi] = lo
                 alive[r] = False

@@ -107,7 +107,7 @@ def parse_spec(doc: dict) -> CodeSpecFile:
     try:
         s = tuple(float(v) for v in s)
     except OverflowError:  # an integer beyond the float range
-        s = (math.inf,)
+        raise SpecFileError("s must be finite numbers") from None
     # json reads NaN and Infinity as floats.
     if not all(map(math.isfinite, s)):
         raise SpecFileError("s must be finite numbers")

@@ -231,6 +231,27 @@ def test_presolve_negative_le_rows_fix_nothing():
     assert columns.tolist() == [-1, -1] and red_rows.shape == (0, 0)
 
 
+def test_presolve_zeroes_float_cancellation():
+    # x1 = x2 = x3 merges the third row's 0.1, 0.2 and -0.3 into a float
+    # residue of 5.6e-17; read as positive it would fix all three entries.
+    problem = LPProblem.make(
+        3,
+        [1.0, 0.0, 0.0],
+        [
+            ({1: 1.0, 2: -1.0}, Relation.EQ, 0.0),
+            ({1: 1.0, 3: -1.0}, Relation.EQ, 0.0),
+            ({1: 0.1, 2: 0.2, 3: -0.3}, Relation.LE, 0.0),
+            ({1: 1.0, 2: 1.0, 3: 1.0}, Relation.LE, 10.0),
+        ],
+    )
+    mine, ref = solve(problem), _linprog(problem)
+    assert ref.status == 0 and mine.status is LPStatus.OPTIMAL
+    assert mine.objective_value == pytest.approx(-ref.fun, abs=1e-6)
+    assert mine.objective_value == pytest.approx(10 / 3)
+    columns, red_rows, _, _ = lp._presolve(*lp._pack(problem))
+    assert columns.tolist() == [0, 0, 0] and red_rows.tolist() == [[3.0]]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_birkhoff_optimum_is_permutation(n):
     # The Birkhoff polytope's vertices are permutation matrices, so every LP
