@@ -18,22 +18,12 @@ import numpy as np
 
 from .codebook import Code
 from .perm import PermutationMatrix
-from .polytope import RationalMatrix, VertexSet, pairwise_terms
+from .polytope import RationalMatrix, VertexSet, _lp_args, pairwise_terms
 
 
 def q_function(x: float) -> float:
     """Upper tail of the standard normal, via the complementary error function."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def _lp_args(vs: VertexSet, s: Sequence[float], sigma: float, starts: np.ndarray, message: str):
-    """LP term arguments b / (sigma d) per pairwise_terms chunk, inf on own pairs."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    for b, d, own in pairwise_terms(vs.images(s), starts):
-        if (d[~own] < 1e-12).any():
-            raise ValueError(message)
-        yield np.divide(b, sigma * d, out=np.full_like(d, np.inf), where=~own)
 
 
 def _ml_args(code: Code, sigma: float, starts: np.ndarray):

@@ -63,6 +63,19 @@ class TrialRecord:
     solver_errors: int = 0  # LP trials whose simplex raised; counted as failures
 
 
+def _fan_out(fn, jobs: list, threads: int) -> list:
+    """[fn(job) for job in jobs] on min(threads, len(jobs)) worker processes.
+
+    One worker or fewer runs the jobs in this process.  Never more workers
+    than jobs: the fork start method launches every worker at the first submit.
+    """
+    workers = min(threads, len(jobs))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, point, trial)))
 
@@ -154,10 +167,7 @@ def simulate_bler(
          None if transmitted is None else tuple(transmitted))
         for k, db in enumerate(snr_db_list)
     ]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_simulate_point, jobs))
-    return [_simulate_point(j) for j in jobs]
+    return _fan_out(_simulate_point, jobs, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +189,7 @@ class EnsembleResult:
 
 def _ensemble_chunk(args) -> np.ndarray:
     """Histogram of each sampled system's solutions by displaced positions (weight)."""
-    n, m, seed, indices, limit = args
-    check_degree(n, limit)
+    n, m, seed, indices = args
     out = np.zeros((len(indices), n + 1), dtype=np.int64)
     for row, k in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
@@ -193,15 +202,12 @@ def _ensemble_histograms(n, m, num_samples, seed, threads, limit) -> np.ndarray:
     if num_samples < 1:
         raise ValueError("need at least one sample")
     check_degree(n, limit)
-    indices = list(range(num_samples))
-    if threads <= 1:
-        return _ensemble_chunk((n, m, seed, indices, limit))
-    chunks = [indices[k::threads] for k in range(threads)]
+    parts = max(1, min(threads, num_samples))
+    chunks = [list(range(k, num_samples, parts)) for k in range(parts)]
     hist = np.empty((num_samples, n + 1), dtype=np.int64)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(_ensemble_chunk, [(n, m, seed, c, limit) for c in chunks])
-        for chunk, part in zip(chunks, parts):
-            hist[chunk] = part
+    jobs = [(n, m, seed, chunk) for chunk in chunks]
+    for chunk, part in zip(chunks, _fan_out(_ensemble_chunk, jobs, threads)):
+        hist[chunk] = part
     return hist
 
 

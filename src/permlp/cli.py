@@ -50,18 +50,32 @@ def _input_errors():
         raise SpecFileError(str(exc)) from exc
 
 
+# Longest SNR grid accepted; the simulate and bounds runs do work per point.
+_MAX_SNR_POINTS = 10_000
+
+
 def _parse_snr_grid(text: str) -> list[float]:
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise SpecFileError("SNR grid must be START:STOP:STEP or a single value")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise SpecFileError("SNR grid values must be numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise SpecFileError("SNR grid values must be finite")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0 or stop < start:
         raise SpecFileError("SNR grid needs step > 0 and stop >= start")
+    end = stop + 1e-9
+    # The loop below makes floor((end - start) / step) + 1 points.
+    if not (end - start) / step < _MAX_SNR_POINTS:
+        raise SpecFileError(f"SNR grid has more than {_MAX_SNR_POINTS} points")
     grid = []
     v = start
-    while v <= stop + 1e-9:
+    while v <= end:
         grid.append(round(v, 12))
         v += step
     return grid
@@ -192,6 +206,7 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    grid = _parse_snr_grid(args.snr)
     sf = load_spec(args.specfile)
     spec = sf.code_spec()
     code = codebook.build_code(spec, limit=args.brute_force_cap)
@@ -204,7 +219,6 @@ def _cmd_bounds(args) -> int:
     )
     x = _matrix_for_word(code, word)
     vs = enumerate_vertices(spec.cs, sf.n, max_bases=args.max_bases)
-    grid = _parse_snr_grid(args.snr)
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(

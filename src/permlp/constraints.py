@@ -50,9 +50,6 @@ class ConstraintRow:
     def make(cls, coeffs: Mapping[int, int], relation: Relation, rhs: int) -> "ConstraintRow":
         return cls(tuple(sorted((int(p), int(c)) for p, c in coeffs.items())), relation, int(rhs))
 
-    def coeff_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
 
 @dataclass(frozen=True)
 class ConstraintSystem:
@@ -69,10 +66,6 @@ class ConstraintSystem:
             for p, _ in row.coeffs:
                 if p > top:
                     raise ValueError(f"position {p} outside [1, {top}] for degree {self.n}")
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
 
     def __hash__(self) -> int:
         # Same value as the dataclass hash, computed once: lp_decode looks its

@@ -58,18 +58,11 @@ def enc_map(m: int, n: int) -> PermutationMatrix:
     """Encode message m as a fixed-point-free involution of degree n."""
     digits = message_digits(m, n)
     x = np.zeros((n, n), dtype=np.int8)
-    undecided = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(undecided, False)
+    unpaired = list(range(n))  # ascending
     for p in range(n // 2 - 1, -1, -1):
-        col_counts = undecided.sum(axis=0)
-        j = int(np.argmax(col_counts > 0))
-        assert col_counts[j] == 2 * p + 1, "pairing invariant broken"
-        a = digits[p]
-        rows = np.flatnonzero(undecided[:, j])
-        i = int(rows[a - 1])
+        j = unpaired.pop(0)
+        i = unpaired.pop(digits[p] - 1)  # 2p + 1 indices remain
         x[i, j] = x[j, i] = 1
-        undecided[[i, j], :] = False
-        undecided[:, [i, j]] = False
     return PermutationMatrix.from_dense(x)
 
 
@@ -86,15 +79,12 @@ def dec_map(x: PermutationMatrix) -> int:
         if perm[i - 1] != j:
             raise ValueError("matrix is not an involution")
     digits = [0] * (n // 2)
-    undecided = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(undecided, False)
+    unpaired = list(range(n))  # ascending
     for p in range(n // 2 - 1, -1, -1):
-        col_counts = undecided.sum(axis=0)
-        j = int(np.argmax(col_counts > 0))
+        j = unpaired.pop(0)
         i = perm[j] - 1
-        digits[p] = int(undecided[: i + 1, j].sum())
-        undecided[[i, j], :] = False
-        undecided[:, [i, j]] = False
+        digits[p] = unpaired.index(i) + 1
+        unpaired.remove(i)
     return digits_to_message(tuple(digits), n)
 
 

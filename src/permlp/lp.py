@@ -14,7 +14,7 @@ rows tie and drops rows that every x >= 0 satisfies, shrinking e.g. the
 degree-8 fixed-point-free involution LP from a 38x65 tableau to 9x29.  Phase
 two folds the objective onto the merged columns and expands the optimum back
 to every variable.  Vertex enumeration (``permlp.polytope``) starts from the
-same presolved rows.
+same standard form: the presolved rows plus one slack per ``le`` row.
 
 LP decoding maximizes trace(C^T X) with C = y s^T over the code polytope
 (Birkhoff rows plus the constraint system).  An integral optimum is the
@@ -228,6 +228,18 @@ def _presolve(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray):
     return columns, a[alive][:, roots], rhs[alive], eq[alive]
 
 
+def _standard_form(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray):
+    """The presolved rows plus one slack column per ``le`` row, in row order.
+
+    Returns ``_presolve``'s tuple with the rows so extended, or None.
+    """
+    pre = _presolve(rows, rhs, eq)
+    if pre is None:
+        return None
+    columns, a, b, is_eq = pre
+    return columns, np.hstack([a, np.eye(len(a))[:, ~is_eq]]), b, is_eq
+
+
 @dataclass(frozen=True)
 class _FeasibleTableau:
     """A problem's rows after presolve and phase one, ready for any objective.
@@ -256,72 +268,50 @@ def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_F
 
     Phase one never reads the objective.
     """
-    pre = _presolve(rows, rhs, eq)
-    if pre is None:
+    std = _standard_form(rows, rhs, eq)
+    if std is None:
         return None
-    columns, dense, b, is_eq = pre
-    m, nv = dense.shape
+    columns, a, b, is_eq = std
+    m, width = a.shape
+    nv = width - int(np.count_nonzero(~is_eq))
 
-    # Rows with rhs >= 0; flipped <= rows become >= rows.
+    # Rows with negative rhs are negated, so their slack enters with -1.  They
+    # and the equalities start from an artificial column, the rest from their
+    # slack.
     flip = b < 0
-    kinds = ["eq" if e else ("ge" if f else "le") for e, f in zip(is_eq.tolist(), flip.tolist())]
-
-    n_slack = sum(k != "eq" for k in kinds)
-    n_art = sum(k != "le" for k in kinds)
-    ncols = nv + n_slack + n_art
-    tableau = np.zeros((m + 1, ncols + 1), dtype=float)
-    tableau[:m, :nv] = np.where(flip[:, None], -dense, dense)
+    art = is_eq | flip
+    n_art = int(np.count_nonzero(art))
+    tableau = np.zeros((m + 1, width + n_art + 1), dtype=float)
+    tableau[:m, :width] = np.where(flip[:, None], -a, a)
     tableau[:m, -1] = np.where(flip, -b, b)
-    basis = np.full(m, -1, dtype=int)
-    slack_at = nv
-    art_at = nv + n_slack
-    art_cols = []
-    for r, kind in enumerate(kinds):
-        if kind == "le":
-            tableau[r, slack_at] = 1.0
-            basis[r] = slack_at
-            slack_at += 1
-        elif kind == "ge":
-            tableau[r, slack_at] = -1.0
-            slack_at += 1
-            tableau[r, art_at] = 1.0
-            basis[r] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            tableau[r, art_at] = 1.0
-            basis[r] = art_at
-            art_cols.append(art_at)
-            art_at += 1
+    tableau[art.nonzero()[0], width + np.arange(n_art)] = 1.0
+    basis = np.where(art, width + np.cumsum(art) - 1, nv + np.cumsum(~is_eq) - 1)
 
+    # Maximize -(sum of artificials); with none, the zero objective is optimal.
+    tableau[-1, width:-1] = -1.0
+    for r in art.nonzero()[0].tolist():
+        tableau[-1] += tableau[r]
+    status = _run_simplex(tableau, basis, tableau.shape[1] - 1, m)
+    if status is not LPStatus.OPTIMAL:  # pragma: no cover - bounded by construction
+        raise RuntimeError("phase one cannot be unbounded")
+    if tableau[-1, -1] > 1e-7:
+        return None
+    # Pivot lingering artificials out; a row with no real coefficient is
+    # redundant and dropped.
     keep = np.ones(m, dtype=bool)
-    if art_cols:
-        # Maximize -(sum of artificials).
-        for c in art_cols:
-            tableau[-1, c] = -1.0
-        for r in range(m):
-            if basis[r] >= nv + n_slack:
-                tableau[-1] += tableau[r]
-        status = _run_simplex(tableau, basis, ncols, m)
-        if status is not LPStatus.OPTIMAL:  # pragma: no cover - bounded by construction
-            raise RuntimeError("phase one cannot be unbounded")
-        if tableau[-1, -1] > 1e-7:
-            return None
-        # Pivot lingering artificials out; a row with no real coefficient is
-        # redundant and dropped.
-        for r in range(m):
-            if basis[r] >= nv + n_slack:
-                real = np.flatnonzero(np.abs(tableau[r, : nv + n_slack]) > 1e-7)
-                if real.size:
-                    _pivot(tableau, basis, r, int(real[0]))
-                else:
-                    keep[r] = False
+    for r in range(m):
+        if basis[r] >= width:
+            real = np.flatnonzero(np.abs(tableau[r, :width]) > 1e-7)
+            if real.size:
+                _pivot(tableau, basis, r, int(real[0]))
+            else:
+                keep[r] = False
 
-    tableau = np.delete(tableau[np.append(keep, True)], np.s_[nv + n_slack : -1], axis=1)
+    tableau = np.delete(tableau[np.append(keep, True)], np.s_[width:-1], axis=1)
     tableau[-1] = 0.0
     basis = basis[keep]
-    for a in (tableau, basis, columns, rows, rhs, eq):
-        a.setflags(write=False)
+    for arr in (tableau, basis, columns, rows, rhs, eq):
+        arr.setflags(write=False)
     return _FeasibleTableau(tableau, basis, columns, nv, rows, rhs, eq)
 
 

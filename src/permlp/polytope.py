@@ -23,12 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .constraints import ConstraintSystem, satisfies_mask
-from .lp import _pack_system, _presolve
+from .lp import _pack_system, _standard_form
 from .perm import PermutationMatrix
 
 # Prefilter tolerances.  Basis determinants are integers, so |det| >= 0.5
@@ -141,47 +141,33 @@ class BasisBudgetError(ValueError):
     """The basis walk would exceed the configured budget."""
 
 
-def _independent_rows(rows: list[list[int]], rhs: list[int]) -> Optional[list[int]]:
-    """Indices of a maximal independent subset of rows, by exact elimination.
+def _gauss_jordan(mat: list[list[int]], rhs: list[int]):
+    """Exact Gauss-Jordan elimination of mat @ x = rhs, column by column.
 
-    Returns None when some dependent row is inconsistent with the rest (empty
-    polytope).
+    Each column pivots on the first row of ``mat`` not yet used that is
+    nonzero there, if any.  Returns ``(pivots, rows)``: the (row, column)
+    pivot pairs in column order, and the reduced rows as Fractions with the
+    rhs last.  Returns None when a row left without a pivot has a nonzero rhs.
     """
-    echelon: list[tuple[list[Fraction], Fraction]] = []
-    kept: list[int] = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(c) for c in row]
-        b = Fraction(rhs[idx])
-        for evec, eb in echelon:
-            pivot = next((k for k, x in enumerate(evec) if x != 0), None)
-            if pivot is not None and vec[pivot] != 0:
-                f = vec[pivot] / evec[pivot]
-                vec = [x - f * y for x, y in zip(vec, evec)]
-                b -= f * eb
-        if any(x != 0 for x in vec):
-            echelon.append((vec, b))
-            kept.append(idx)
-        elif b != 0:
-            return None
-    return kept
-
-
-def _exact_solve(mat: list[list[int]], rhs: list[int]) -> Optional[list[Fraction]]:
-    """Solve an integer square system exactly; None when singular."""
-    r = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(r)] + [Fraction(rhs[i])] for i in range(r)]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if a[i][col] != 0), None)
+    a = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    free = list(range(len(a)))
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in free if a[i][col] != 0), None)
         if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(r):
-            if i != col and a[i][col] != 0:
+            continue
+        free.remove(piv)
+        pv = a[piv][col]
+        a[piv] = [x / pv for x in a[piv]]
+        for i in range(len(a)):
+            if i != piv and a[i][col] != 0:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][r] for i in range(r)]
+                a[i] = [x - f * y for x, y in zip(a[i], a[piv])]
+        pivots.append((piv, col))
+    # Every row without a pivot is now zero but for its rhs.
+    if any(a[i][-1] != 0 for i in free):
+        return None
+    return pivots, a
 
 
 def enumerate_vertices(
@@ -190,31 +176,27 @@ def enumerate_vertices(
     """Enumerate every vertex of the code polytope of (cs, n) exactly."""
     if cs.n != n:
         raise ValueError("constraint system degree does not match n")
-    pre = _presolve(*_pack_system(cs))
-    if pre is None:
+    std = _standard_form(*_pack_system(cs))
+    if std is None:
         return VertexSet(n, ())
-    columns, red_rows, red_rhs, red_eq = pre
-    # Standard form: one slack column per surviving <= row.  The Birkhoff rows
-    # always survive, so the system keeps at least one row and one column.
-    slacks = np.eye(len(red_rows))[:, ~red_eq]
-    rows = np.hstack([red_rows, slacks]).astype(np.int64).tolist()
-    rhs = red_rhs.astype(np.int64).tolist()
-    kept = _independent_rows(rows, rhs)
-    if kept is None:
+    # The Birkhoff rows always survive the presolve, so the system keeps at
+    # least one row and one column.  Its entries are integers.
+    columns, rows, rhs, _ = std
+    reduced = _gauss_jordan(rows.astype(np.int64).tolist(), rhs.astype(np.int64).tolist())
+    if reduced is None:
         return VertexSet(n, ())
-    rank = len(kept)
-    width = len(rows[0])
+    kept = sorted(r for r, _ in reduced[0])
+    rank, width = len(kept), rows.shape[1]
     total = math.comb(width, rank)
     if total > max_bases:
         raise BasisBudgetError(
             f"{total} bases exceed the budget of {max_bases}; raise max_bases"
         )
 
-    a_exact = [rows[r] for r in kept]
-    b_exact = [rhs[r] for r in kept]
-    a_float = np.array(a_exact, dtype=float)
-    b_float = np.array(b_exact, dtype=float)
-    at_float = np.ascontiguousarray(a_float.T)  # (width, rank)
+    a_exact = rows[kept].astype(np.int64)
+    b_exact = rhs[kept].astype(np.int64).tolist()
+    at_float = np.ascontiguousarray(rows[kept].T)  # (width, rank)
+    b_float = rhs[kept]
 
     candidates: dict[bytes, tuple[int, ...]] = {}
     comb_iter = itertools.combinations(range(width), rank)
@@ -249,13 +231,14 @@ def enumerate_vertices(
 
     verts: dict[tuple, RationalMatrix] = {}
     for cols in candidates.values():
-        mat = [[a_exact[i][c] for c in cols] for i in range(rank)]
-        sol = _exact_solve(mat, b_exact)
-        if sol is None or any(v < 0 for v in sol):
+        solved = _gauss_jordan(a_exact[:, cols].tolist(), b_exact)
+        if solved is None or len(solved[0]) < rank:  # singular
             continue
         values = [Fraction(0)] * (width + 1)  # the last slot reads 0 for fixed entries
-        for k, c in enumerate(cols):
-            values[c] = sol[k]
+        for r, k in solved[0]:
+            values[cols[k]] = solved[1][r][-1]
+        if any(v < 0 for v in values):
+            continue
         entries = tuple(
             tuple(values[columns[i * n + j]] for j in range(n)) for i in range(n)
         )
@@ -313,6 +296,16 @@ def pairwise_terms(images: np.ndarray, starts: np.ndarray) -> Iterator[tuple[np.
         yield b, np.sqrt(np.einsum("rtj,rtj->rt", diff, diff)), np.arange(m) == idx[:, None]
 
 
+def _lp_args(vs: VertexSet, s: Sequence[float], sigma: float, starts: np.ndarray, message: str):
+    """LP term arguments b / (sigma d) per pairwise_terms chunk, inf on own pairs."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    for b, d, own in pairwise_terms(vs.images(s), starts):
+        if (d[~own] < 1e-12).any():
+            raise ValueError(message)
+        yield np.divide(b, sigma * d, out=np.full_like(d, np.inf), where=~own)
+
+
 def min_pseudo_distance(vs: VertexSet, cs: ConstraintSystem, s: Sequence[float]) -> float:
     """Minimum pseudo distance from any code matrix to any other vertex."""
     if not vs.integral_mask.any():
@@ -323,9 +316,6 @@ def min_pseudo_distance(vs: VertexSet, cs: ConstraintSystem, s: Sequence[float])
     perms = vs.float_stack[vs.integral_mask].argmax(axis=1) + 1
     if not satisfies_mask(cs, perms.astype(np.int8)).all():
         raise ValueError("integral vertex violates the constraint system")
-    best = math.inf
-    for b, d, own in pairwise_terms(vs.images(s), np.flatnonzero(vs.integral_mask)):
-        if (d[~own] < 1e-12).any():
-            raise ValueError("two vertices share an image; pseudo distance undefined")
-        best = min(best, float((b[~own] / d[~own]).min()))
-    return best
+    message = "two vertices share an image; pseudo distance undefined"
+    starts = np.flatnonzero(vs.integral_mask)
+    return min(float(args.min()) for args in _lp_args(vs, s, 1.0, starts, message))

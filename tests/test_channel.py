@@ -211,9 +211,10 @@ class _PicklingPool:
     """Stands in for ProcessPoolExecutor: runs each job from its pickle."""
 
     blobs: list = []
+    workers: list = []  # max_workers of each pool made
 
     def __init__(self, max_workers):
-        pass
+        _PicklingPool.workers.append(max_workers)
 
     def __enter__(self):
         return self
@@ -255,6 +256,19 @@ def test_simulate_bler_jobs_ship_permutations_only(monkeypatch):
     _PicklingPool.blobs = []
     simulate_bler(spec, [1.0, 3.0], 5, seed=5, decoders=("lp",), transmitted=words[0], threads=2)
     assert all(pickle.loads(blob)[1] is None for blob in _PicklingPool.blobs)
+
+
+def test_pools_start_no_more_workers_than_jobs(monkeypatch):
+    # Under fork, a pool starts all max_workers processes at the first submit.
+    monkeypatch.setattr(channel, "ProcessPoolExecutor", _PicklingPool)
+    spec = CodeSpec(4, derangement(4), (0.0, 1.0, 2.0, 3.0))
+    _PicklingPool.workers = []
+    simulate_bler(spec, [1.0, 3.0], 5, seed=5, threads=64)
+    assert _PicklingPool.workers == [2]
+    _PicklingPool.workers, _PicklingPool.blobs = [], []
+    res = ensemble_experiment(4, 3, 3, seed=17, threads=64)
+    assert _PicklingPool.workers == [3] and len(_PicklingPool.blobs) == 3
+    assert res == ensemble_experiment(4, 3, 3, seed=17)
 
 
 def test_simulate_rejects_empty_code():
@@ -377,7 +391,7 @@ def test_ensemble_chunk_matches_brute_force():
     # sample indices given out of order.
     n, m, seed = 4, 3, 17
     indices = [5, 0, 11, 3]
-    hist = channel._ensemble_chunk((n, m, seed, indices, n))
+    hist = channel._ensemble_chunk((n, m, seed, indices))
     assert hist.shape == (len(indices), n + 1) and hist.dtype == np.int64
     for row, k in zip(hist, indices):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from permlp.cli import main
+from permlp.cli import _MAX_SNR_POINTS, _parse_snr_grid, main
+from permlp.specfile import SpecFileError
 
 DER4 = {"n": 4, "s": [0, 1, 2, 3], "constraints": {"family": "derangement"}}
 PINV6 = {"n": 6, "s": [0, 1, 2, 3, 4, 5], "constraints": {"family": "pure_involution"}}
@@ -163,6 +164,12 @@ def test_bounds_csv(specs, capsys):
         assert float(r["lp_bound"]) >= float(r["ml_bound"]) - 1e-12
 
 
+def test_snr_grid_cap_counts_points():
+    assert len(_parse_snr_grid(f"0:{_MAX_SNR_POINTS - 1}:1")) == _MAX_SNR_POINTS
+    with pytest.raises(SpecFileError, match="more than"):
+        _parse_snr_grid(f"0:{_MAX_SNR_POINTS}:1")
+
+
 def test_simulate_csv_deterministic(specs, capsys):
     args = (
         "simulate",
@@ -240,9 +247,18 @@ def test_bounds_and_simulate_match_words_alike(specs, capsys, word, accepted):
         ("decode", "nan_s", "-y", "1,0,3,2"),
         ("bounds", "infinity_s", "--snr", "4"),
         ("build", "nan_s"),
+        ("simulate", "der4", "--snr", "0:inf:1", "--trials", "5"),
+        ("bounds", "der4", "--snr", "0:inf:1"),
+        ("simulate", "der4", "--snr", "0:nan:1", "--trials", "5"),
+        ("bounds", "der4", "--snr", "nan"),
+        ("simulate", "der4", "--snr", "0:1:1e-6", "--trials", "1"),
+        ("bounds", "der4", "--snr", "0:1:5e-324"),
+        ("bounds", "der4", "--snr", "four"),
     ],
     ids=["trials0", "non_codeword", "samples0", "negative_m", "decode_nan", "decode_inf",
-         "decode_minus_inf", "spec_nan_decode", "spec_infinity_bounds", "spec_nan_build"],
+         "decode_minus_inf", "spec_nan_decode", "spec_infinity_bounds", "spec_nan_build",
+         "snr_inf_stop_simulate", "snr_inf_stop_bounds", "snr_nan_stop", "snr_nan",
+         "snr_grid_too_long", "snr_step_underflow", "snr_not_a_number"],
 )
 def test_invalid_run_inputs_exit_three(specs, capsys, tmp_path, argv):
     # "der4" stands for the path of that spec file.  The "*_s" specs hold NaN

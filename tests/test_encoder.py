@@ -33,7 +33,7 @@ def test_message_count_rejects_odd():
         enc_map(1, 5)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
 def test_round_trip_every_message(n):
     images = set()
     for m in range(1, message_count(n) + 1):

@@ -353,3 +353,57 @@ def test_screen_chunk_size_does_not_change_vertices(monkeypatch):
     monkeypatch.setattr(polytope, "_SCREEN_CHUNK", 7)
     got = [enumerate_vertices(cs, n).vertices for cs, n in systems]
     assert got == want
+
+
+def _low_rank(rng, rows, cols, rank):
+    """Integer rows x cols matrix of rank at most `rank`, as nested lists."""
+    left = rng.integers(-2, 3, size=(rows, rank))
+    right = rng.integers(-2, 3, size=(rank, cols))
+    return (left @ right).tolist()
+
+
+def test_gauss_jordan_keeps_independent_rows():
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        mat = _low_rank(rng, rows, cols, int(rng.integers(1, min(rows, cols) + 1)))
+        rhs = (np.array(mat) @ rng.integers(0, 3, size=cols)).tolist()  # consistent
+        pivots, _ = polytope._gauss_jordan(mat, rhs)
+        kept = sorted(r for r, _ in pivots)
+        assert len(set(kept)) == len(kept) == np.linalg.matrix_rank(np.array(mat))
+        assert np.linalg.matrix_rank(np.array(mat)[kept]) == len(kept)
+        assert [c for _, c in pivots] == sorted({c for _, c in pivots})
+
+
+def test_gauss_jordan_rejects_an_inconsistent_dependent_row():
+    mat = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]  # row 2 = row 0 + row 1
+    assert polytope._gauss_jordan(mat, [1, 2, 3]) is not None
+    assert polytope._gauss_jordan(mat, [1, 2, 4]) is None
+
+
+def test_gauss_jordan_solves_square_systems_exactly():
+    rng = np.random.default_rng(5)
+    solved = 0
+    while solved < 40:
+        r = int(rng.integers(1, 6))
+        mat = rng.integers(-3, 4, size=(r, r)).tolist()
+        if round(np.linalg.det(np.array(mat, dtype=float))) == 0:
+            continue
+        rhs = rng.integers(-5, 6, size=r).tolist()
+        pivots, reduced = polytope._gauss_jordan(mat, rhs)
+        assert sorted(c for _, c in pivots) == list(range(r))
+        x = [Fraction(0)] * r
+        for row, col in pivots:
+            x[col] = reduced[row][-1]
+        assert [sum(a * v for a, v in zip(row, x)) for row in mat] == rhs
+        solved += 1
+
+
+def test_gauss_jordan_leaves_a_singular_column_without_pivot():
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        r = int(rng.integers(2, 6))
+        mat = _low_rank(rng, r, r, r - 1)
+        rhs = (np.array(mat) @ rng.integers(0, 3, size=r)).tolist()
+        pivots, _ = polytope._gauss_jordan(mat, rhs)
+        assert len(pivots) < r
