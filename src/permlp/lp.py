@@ -275,9 +275,8 @@ def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_F
     m, width = a.shape
     nv = width - int(np.count_nonzero(~is_eq))
 
-    # Rows with negative rhs are negated, so their slack enters with -1.  They
-    # and the equalities start from an artificial column, the rest from their
-    # slack.
+    # Rows with negative rhs are negated, so their slack enters with -1; they
+    # and the equalities start on an artificial column, the rest on their slack.
     flip = b < 0
     art = is_eq | flip
     n_art = int(np.count_nonzero(art))
@@ -299,13 +298,12 @@ def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_F
     # Pivot lingering artificials out; a row with no real coefficient is
     # redundant and dropped.
     keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= width:
-            real = np.flatnonzero(np.abs(tableau[r, :width]) > 1e-7)
-            if real.size:
-                _pivot(tableau, basis, r, int(real[0]))
-            else:
-                keep[r] = False
+    for r in np.flatnonzero(basis >= width).tolist():  # a pivot on r changes basis[r] only
+        real = np.flatnonzero(np.abs(tableau[r, :width]) > 1e-7)
+        if real.size:
+            _pivot(tableau, basis, r, int(real[0]))
+        else:
+            keep[r] = False
 
     tableau = np.delete(tableau[np.append(keep, True)], np.s_[width:-1], axis=1)
     tableau[-1] = 0.0

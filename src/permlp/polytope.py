@@ -1,12 +1,11 @@
 """Exact vertex enumeration of code polytopes.
 
 The code polytope is the set of doubly stochastic matrices satisfying the
-constraint rows.  The enumerator starts from the rows the LP layer presolves
-(``permlp.lp``: entries forced to zero are fixed, tied entries merged), adds
-one slack per surviving <= row, and walks every column basis of the
-row-reduced standard form, whose basic feasible solutions are the vertices.
-All reported vertices are solved, feasibility-checked and deduplicated in
-exact rational arithmetic.
+constraint rows.  The enumerator starts from the LP layer's standard form
+(``permlp.lp``: the presolved rows plus one slack per <= row), keeps its
+independent rows and walks every column basis, whose basic feasible
+solutions are the vertices.  All reported vertices are solved,
+feasibility-checked and deduplicated in exact rational arithmetic.
 
 A batched floating-point prefilter over candidate bases keeps the walk
 tractable at desk scale.  The selected rows stay integral, so a basis
@@ -144,28 +143,31 @@ class BasisBudgetError(ValueError):
 def _gauss_jordan(mat: list[list[int]], rhs: list[int]):
     """Exact Gauss-Jordan elimination of mat @ x = rhs, column by column.
 
-    Each column pivots on the first row of ``mat`` not yet used that is
-    nonzero there, if any.  Returns ``(pivots, rows)``: the (row, column)
-    pivot pairs in column order, and the reduced rows as Fractions with the
-    rhs last.  Returns None when a row left without a pivot has a nonzero rhs.
+    Each column pivots on the first row at or below the pivots so far that
+    is nonzero there, if any, swapped up into place.  Returns ``(pivots,
+    rows)``: the (row of ``mat``, column) pivot pairs in column order, and
+    the reduced rows as Fractions with the rhs last, row k holding pivot k.
+    Returns None when a row left without a pivot has a nonzero rhs.
     """
     a = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-    free = list(range(len(a)))
+    origin = list(range(len(a)))
     pivots = []
-    for col in range(len(mat[0]) if mat else 0):
-        piv = next((i for i in free if a[i][col] != 0), None)
+    for col in range(len(mat[0])):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(a)) if a[i][col] != 0), None)
         if piv is None:
             continue
-        free.remove(piv)
-        pv = a[piv][col]
-        a[piv] = [x / pv for x in a[piv]]
+        a[k], a[piv] = a[piv], a[k]
+        origin[k], origin[piv] = origin[piv], origin[k]
+        pv = a[k][col]
+        a[k] = [x / pv for x in a[k]]
         for i in range(len(a)):
-            if i != piv and a[i][col] != 0:
+            if i != k and a[i][col] != 0:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[piv])]
-        pivots.append((piv, col))
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        pivots.append((origin[k], col))
     # Every row without a pivot is now zero but for its rhs.
-    if any(a[i][-1] != 0 for i in free):
+    if any(row[-1] != 0 for row in a[len(pivots):]):
         return None
     return pivots, a
 
@@ -235,8 +237,8 @@ def enumerate_vertices(
         if solved is None or len(solved[0]) < rank:  # singular
             continue
         values = [Fraction(0)] * (width + 1)  # the last slot reads 0 for fixed entries
-        for r, k in solved[0]:
-            values[cols[k]] = solved[1][r][-1]
+        for (_, k), row in zip(*solved):
+            values[cols[k]] = row[-1]
         if any(v < 0 for v in values):
             continue
         entries = tuple(

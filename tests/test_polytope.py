@@ -393,8 +393,8 @@ def test_gauss_jordan_solves_square_systems_exactly():
         pivots, reduced = polytope._gauss_jordan(mat, rhs)
         assert sorted(c for _, c in pivots) == list(range(r))
         x = [Fraction(0)] * r
-        for row, col in pivots:
-            x[col] = reduced[row][-1]
+        for (_, col), row in zip(pivots, reduced):
+            x[col] = row[-1]
         assert [sum(a * v for a, v in zip(row, x)) for row in mat] == rhs
         solved += 1
 
