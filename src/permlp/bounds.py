@@ -12,26 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .codebook import Code
 from .perm import PermutationMatrix
-from .polytope import RationalMatrix, VertexSet, _lp_args, pairwise_terms
+from .polytope import RationalMatrix, VertexSet, _lp_spectra, _pair_spectra
 
 
 def q_function(x: float) -> float:
     """Upper tail of the standard normal, via the complementary error function."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def _ml_args(code: Code, sigma: float, starts: np.ndarray):
-    """ML term arguments d / (2 sigma), inf on own pairs (b / d is 0/0 for a singular code)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    for _, d, own in pairwise_terms(code.codewords, starts):
-        yield np.divide(d, 2.0 * sigma, out=np.full_like(d, np.inf), where=~own)
 
 
 def lp_union_bound(
@@ -42,11 +34,14 @@ def lp_union_bound(
 ) -> float:
     """Union bound on LP block error for transmitted matrix x over all vertices."""
     xr = x if isinstance(x, RationalMatrix) else RationalMatrix.from_permutation(x)
-    if not xr.is_integral or xr not in vs.vertices:
+    try:
+        k = vs.vertices.index(xr)
+    except ValueError:
+        k = None
+    if k is None or not xr.is_integral:
         raise ValueError("transmitted matrix is not an integral vertex of the polytope")
     message = "vertex shares the transmitted image; bound undefined"
-    start = np.array([vs.vertices.index(xr)])
-    return _report("lp", _lp_args(vs, s, sigma, start, message)).values[0]
+    return _lp_report(vs, s, sigma, np.array([k]), message).values[0]
 
 
 def ml_union_bound(x: PermutationMatrix, code: Code, sigma: float) -> float:
@@ -54,7 +49,7 @@ def ml_union_bound(x: PermutationMatrix, code: Code, sigma: float) -> float:
     k = code.find(x)
     if k is None:
         raise ValueError("transmitted matrix is not in the code")
-    return _report("ml", _ml_args(code, sigma, np.array([k]))).values[0]
+    return _ml_report(code, sigma, np.array([k])).values[0]
 
 
 @dataclass(frozen=True)
@@ -66,13 +61,19 @@ class BoundReport:
     max_pair: tuple[int, int]  # (transmitted index, competitor index), 1-based
 
 
-def _report(kind: str, chunks: Iterable[np.ndarray]) -> BoundReport:
-    """Row sums of Q(args), one erfc per distinct argument; max_pair is the first largest term."""
+def _report(kind: str, sigma: float, spectra: Iterable, arg: Callable) -> BoundReport:
+    """Row sums of Q(arg(*keys)) over each chunk spectrum, one erfc per distinct argument.
+
+    Own pairs index the slot past the keys, whose argument is inf (Q = 0).
+    max_pair is the first largest term.
+    """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
     values: list[float] = []
     worst = (0.0, (1, 1))
-    for args in chunks:
-        distinct, inverse = np.unique(args, return_inverse=True)
-        terms = np.array([q_function(a) for a in distinct.tolist()])[inverse].reshape(args.shape)
+    for keys, inverse in spectra:
+        distinct, index = np.unique(np.append(arg(*keys), np.inf), return_inverse=True)
+        terms = np.take(np.array([q_function(a) for a in distinct.tolist()])[index], inverse)
         r, t = divmod(int(terms.argmax()), terms.shape[1])
         if terms[r, t] > worst[0]:
             worst = (terms[r, t], (len(values) + r + 1, t + 1))
@@ -80,19 +81,32 @@ def _report(kind: str, chunks: Iterable[np.ndarray]) -> BoundReport:
     return BoundReport(kind, tuple(values), worst[1])
 
 
+def _lp_report(vs: VertexSet, s: Sequence[float], sigma: float, starts: np.ndarray,
+               message: str) -> BoundReport:
+    """LP terms Q(b / (sigma d)) from vs's integral vertices starts."""
+    spectra = _lp_spectra(vs, s, starts, message)
+    return _report("lp", sigma, spectra, lambda b, d: b / (sigma * d))
+
+
+def _ml_report(code: Code, sigma: float, starts: np.ndarray) -> BoundReport:
+    """ML terms Q(d / (2 sigma)) from codewords starts; a singular code's twins add Q(0)."""
+    spectra = _pair_spectra(code, None, code.codewords, starts, with_b=False)
+    return _report("ml", sigma, spectra, lambda d: d / (2.0 * sigma))
+
+
 def lp_bound_report(vs: VertexSet, s: Sequence[float], sigma: float) -> BoundReport:
     """Per-codeword LP union bounds across all integral vertices of vs."""
     starts = np.flatnonzero(vs.integral_mask)
     if not starts.size:
         raise ValueError("polytope has no integral vertices")
-    return _report("lp", _lp_args(vs, s, sigma, starts, "vertices share an image; bound undefined"))
+    return _lp_report(vs, s, sigma, starts, "vertices share an image; bound undefined")
 
 
 def ml_bound_report(code: Code, sigma: float) -> BoundReport:
     """Per-codeword ML union bounds."""
     if len(code) < 2:
         raise ValueError("need at least two codewords")
-    return _report("ml", _ml_args(code, sigma, np.arange(len(code))))
+    return _ml_report(code, sigma, np.arange(len(code)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ def _input_errors():
 
 # Longest SNR grid accepted; the simulate and bounds runs do work per point.
 _MAX_SNR_POINTS = 10_000
+# Finest SNR grid step accepted: points are rounded to 12 decimals.
+_MIN_SNR_STEP = 1e-12
 
 
 def _parse_snr_grid(text: str) -> list[float]:
@@ -69,13 +71,15 @@ def _parse_snr_grid(text: str) -> list[float]:
     start, stop, step = values
     if step <= 0 or stop < start:
         raise SpecFileError("SNR grid needs step > 0 and stop >= start")
-    end = stop + 1e-9
-    # The loop below makes floor((end - start) / step) + 1 points.
-    if not (end - start) / step < _MAX_SNR_POINTS:
+    if step < _MIN_SNR_STEP:
+        raise SpecFileError(f"SNR grid step must be at least {_MIN_SNR_STEP:g}")
+    # A stop within a billionth of a step past the last point still ends on it.
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_SNR_POINTS:
         raise SpecFileError(f"SNR grid has more than {_MAX_SNR_POINTS} points")
     grid = []
     v = start
-    while v <= end:
+    for _ in range(math.floor(steps) + 1):
         grid.append(round(v, 12))
         v += step
     return grid

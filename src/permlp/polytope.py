@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,11 @@ _SCREEN_CHUNK = 4096
 
 # Start rows times images per pairwise_terms chunk: about 2 MB of float arrays at n = 8.
 _PAIR_CHUNK = 16_384
+
+# Pairs whose spectra one code or vertex set keeps: an index of one byte each
+# while a chunk has under 256 distinct keys, as the acceptance codes do, plus
+# the keys.  A request past it streams through the kernel on every call.
+_MEMO_PAIRS = 1 << 22
 
 DEFAULT_BASIS_BUDGET = 6_000_000
 
@@ -103,10 +108,17 @@ class RationalMatrix:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """All vertices of one code polytope, deterministically ordered."""
+    """All vertices of one code polytope, deterministically ordered.
+
+    ``stats`` counts the work of :func:`enumerate_vertices`: column bases in
+    total, nonsingular and feasible in the float screen, and solved exactly,
+    plus the entries its presolve fixed at zero and merged into another.
+    It is None for a set built by hand.
+    """
 
     n: int
     vertices: tuple[RationalMatrix, ...]
+    stats: Optional[dict[str, int]] = field(default=None, compare=False)
 
     @cached_property
     def integral_mask(self) -> np.ndarray:
@@ -134,6 +146,10 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    def __reduce__(self):
+        # Pickle the fields only; cached arrays and pair spectra are rebuilt.
+        return (VertexSet, (self.n, self.vertices, self.stats))
 
 
 class BasisBudgetError(ValueError):
@@ -178,18 +194,21 @@ def enumerate_vertices(
     """Enumerate every vertex of the code polytope of (cs, n) exactly."""
     if cs.n != n:
         raise ValueError("constraint system degree does not match n")
+    stats = dict.fromkeys(("bases", "nonsingular", "feasible", "solved", "fixed", "merged"), 0)
     std = _standard_form(*_pack_system(cs))
     if std is None:
-        return VertexSet(n, ())
+        return VertexSet(n, (), stats)
     # The Birkhoff rows always survive the presolve, so the system keeps at
     # least one row and one column.  Its entries are integers.
     columns, rows, rhs, _ = std
+    stats["fixed"] = int((columns < 0).sum())
+    stats["merged"] = n * n - stats["fixed"] - (int(columns.max()) + 1)
     reduced = _gauss_jordan(rows.astype(np.int64).tolist(), rhs.astype(np.int64).tolist())
     if reduced is None:
-        return VertexSet(n, ())
+        return VertexSet(n, (), stats)
     kept = sorted(r for r, _ in reduced[0])
     rank, width = len(kept), rows.shape[1]
-    total = math.comb(width, rank)
+    total = stats["bases"] = math.comb(width, rank)
     if total > max_bases:
         raise BasisBudgetError(
             f"{total} bases exceed the budget of {max_bases}; raise max_bases"
@@ -210,14 +229,16 @@ def enumerate_vertices(
         mats = at_float[combos]  # (B, rank, rank); row k is column combos[:, k]
         dets = np.linalg.det(mats)
         nonsing = np.abs(dets) >= _DET_TOL
-        if not np.any(nonsing):
-            continue
         nb = int(nonsing.sum())
+        stats["nonsingular"] += nb
+        if not nb:
+            continue
         sols = np.linalg.solve(
             mats[nonsing].transpose(0, 2, 1),
             np.broadcast_to(b_float[:, None], (nb, rank, 1)).copy(),
         )[:, :, 0]
         feas = sols.min(axis=1) >= _FEAS_TOL
+        stats["feasible"] += int(feas.sum())
         if not np.any(feas):
             continue
         good_combos = combos[nonsing][feas]
@@ -231,6 +252,7 @@ def enumerate_vertices(
             if key not in candidates:
                 candidates[key] = tuple(int(c) for c in good_combos[k])
 
+    stats["solved"] = len(candidates)
     verts: dict[tuple, RationalMatrix] = {}
     for cols in candidates.values():
         solved = _gauss_jordan(a_exact[:, cols].tolist(), b_exact)
@@ -248,7 +270,7 @@ def enumerate_vertices(
         verts.setdefault(tuple(itertools.chain.from_iterable(vertex.entries)), vertex)
 
     ordered = tuple(verts[k] for k in sorted(verts.keys()))
-    return VertexSet(n, ordered)
+    return VertexSet(n, ordered, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +320,54 @@ def pairwise_terms(images: np.ndarray, starts: np.ndarray) -> Iterator[tuple[np.
         yield b, np.sqrt(np.einsum("rtj,rtj->rt", diff, diff)), np.arange(m) == idx[:, None]
 
 
-def _lp_args(vs: VertexSet, s: Sequence[float], sigma: float, starts: np.ndarray, message: str):
-    """LP term arguments b / (sigma d) per pairwise_terms chunk, inf on own pairs."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    for b, d, own in pairwise_terms(vs.images(s), starts):
-        if (d[~own] < 1e-12).any():
+def _chunk_spectrum(b: np.ndarray, d: np.ndarray, own: np.ndarray, with_b: bool):
+    """The sigma-free part of one pairwise_terms chunk: ``(keys, inverse)``.
+
+    ``keys`` holds the distinct d (or, with_b, the distinct (b, d) pairs) over
+    the pairs that are not own, as a tuple of arrays; ``inverse`` has the
+    chunk's shape and indexes a pair's key, or the slot past the last key on
+    own pairs, in the smallest unsigned type that fits.
+    """
+    other = ~own
+    if with_b:
+        # One complex per pair sorts in one pass; (b, d) pairs along axis=0 sort 8x slower.
+        values = np.empty(np.count_nonzero(other), dtype=complex)
+        values.real, values.imag = b[other], d[other]
+    else:
+        values = d[other]
+    keys, index = np.unique(values, return_inverse=True)
+    inverse = np.full(own.shape, len(keys), dtype=np.min_scalar_type(len(keys)))
+    inverse[other] = index.reshape(-1)
+    return ((keys.real, keys.imag) if with_b else (keys,)), inverse
+
+
+def _pair_spectra(owner, key, images: np.ndarray, starts: np.ndarray, with_b: bool):
+    """Chunk spectra of pairwise_terms(images, starts), memoized on owner.
+
+    The memo sits in owner's ``__dict__`` beside its cached properties, so it
+    is never pickled.  It is keyed by (key, chunk size, starts), where key
+    names what the images depend on besides owner, and holds at most
+    _MEMO_PAIRS pairs; a request that would pass that streams uncached.
+    """
+    memo = vars(owner).setdefault("_pair_spectra", {})
+    key = (key, _PAIR_CHUNK, starts.tobytes())
+    if key not in memo:
+        spectra = (_chunk_spectrum(*terms, with_b) for terms in pairwise_terms(images, starts))
+        held = sum(inverse.size for chunks in memo.values() for _, inverse in chunks)
+        if held + len(starts) * len(images) > _MEMO_PAIRS:
+            yield from spectra
+            return
+        memo[key] = tuple(spectra)
+    yield from memo[key]
+
+
+def _lp_spectra(vs: VertexSet, s: Sequence[float], starts: np.ndarray, message: str):
+    """(b, d) pair spectra of vs's images under s; raises message when two vertices share one."""
+    key = np.asarray(s, dtype=float).tobytes()
+    for (b, d), inverse in _pair_spectra(vs, key, vs.images(s), starts, with_b=True):
+        if (d < 1e-12).any():
             raise ValueError(message)
-        yield np.divide(b, sigma * d, out=np.full_like(d, np.inf), where=~own)
+        yield (b, d), inverse
 
 
 def min_pseudo_distance(vs: VertexSet, cs: ConstraintSystem, s: Sequence[float]) -> float:
@@ -320,4 +382,4 @@ def min_pseudo_distance(vs: VertexSet, cs: ConstraintSystem, s: Sequence[float])
         raise ValueError("integral vertex violates the constraint system")
     message = "two vertices share an image; pseudo distance undefined"
     starts = np.flatnonzero(vs.integral_mask)
-    return min(float(args.min()) for args in _lp_args(vs, s, 1.0, starts, message))
+    return min(float((b / d).min()) for (b, d), _ in _lp_spectra(vs, s, starts, message))

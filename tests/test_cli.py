@@ -170,6 +170,30 @@ def test_snr_grid_cap_counts_points():
         _parse_snr_grid(f"0:{_MAX_SNR_POINTS}:1")
 
 
+def _accumulated_grid(start, stop, step):
+    """The grid loop as it stood with an absolute stop tolerance, for steps near 1."""
+    grid, v = [], start
+    while v <= stop + 1e-9:
+        grid.append(round(v, 12))
+        v += step
+    return grid
+
+
+@pytest.mark.parametrize("text", ["0:8:2", "0:1:0.1", "-2:10:0.5", "0:8:0.25", "0:0.3:0.1"])
+def test_snr_grid_keeps_accumulated_points(text):
+    assert _parse_snr_grid(text) == _accumulated_grid(*map(float, text.split(":")))
+
+
+def test_snr_grid_tolerance_follows_the_step():
+    # One point is asked for; an absolute tolerance of 1e-9 made it 1,000.
+    assert _parse_snr_grid("0:0:1e-12") == [0.0]
+    fine = _parse_snr_grid("0:1e-9:1e-12")
+    assert len(fine) == len(set(fine)) == 1001
+    # Rounded to 12 decimals, a finer step would repeat points.
+    with pytest.raises(SpecFileError, match="step must be at least"):
+        _parse_snr_grid("0:1e-10:1e-13")
+
+
 def test_simulate_csv_deterministic(specs, capsys):
     args = (
         "simulate",
@@ -254,11 +278,14 @@ def test_bounds_and_simulate_match_words_alike(specs, capsys, word, accepted):
         ("simulate", "der4", "--snr", "0:1:1e-6", "--trials", "1"),
         ("bounds", "der4", "--snr", "0:1:5e-324"),
         ("bounds", "der4", "--snr", "four"),
+        ("bounds", "der4", "--snr", "0:1e-10:1e-13"),
+        ("simulate", "der4", "--snr", "0:0:5e-13", "--trials", "1"),
     ],
     ids=["trials0", "non_codeword", "samples0", "negative_m", "decode_nan", "decode_inf",
          "decode_minus_inf", "spec_nan_decode", "spec_infinity_bounds", "spec_nan_build",
          "snr_inf_stop_simulate", "snr_inf_stop_bounds", "snr_nan_stop", "snr_nan",
-         "snr_grid_too_long", "snr_step_underflow", "snr_not_a_number"],
+         "snr_grid_too_long", "snr_step_underflow", "snr_not_a_number",
+         "snr_step_below_rounding_bounds", "snr_step_below_rounding_simulate"],
 )
 def test_invalid_run_inputs_exit_three(specs, capsys, tmp_path, argv):
     # "der4" stands for the path of that spec file.  The "*_s" specs hold NaN

@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -303,3 +304,125 @@ def test_bounds_cli_csv_matches_oracles(tmp_path, capsys):
             # The CSV prints nine significant digits.
             assert float(row[f"{kind}_bound"]) == pytest.approx(want, rel=1e-8, abs=0)
             assert float(row[f"{kind}_bound_clamped"]) == pytest.approx(min(want, 1.0), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The pair spectrum memo: a later sigma gathers from the first one's spectrum
+# ---------------------------------------------------------------------------
+
+IRREGULAR_S = (0.0, 0.35, 1.9, 2.25, 4.1)
+
+
+def _bits(outcome):
+    """The outcome with every float in hex, so that equal means bit for bit."""
+    if isinstance(outcome, BoundReport):
+        return outcome.kind, tuple(v.hex() for v in outcome.values), outcome.max_pair
+    return outcome.hex() if isinstance(outcome, float) else outcome
+
+
+def _memo_results(cs, vs, code, s, sigmas):
+    out = []
+    for sigma in sigmas:
+        for fn, args in [
+            (min_pseudo_distance, (vs, cs, s)),
+            (lp_bound_report, (vs, s, sigma)),
+            (ml_bound_report, (code, sigma)),
+            (lp_union_bound, (vs.integral[-1], vs, s, sigma)),
+            (ml_union_bound, (code.matrix(len(code) - 1), code, sigma)),
+        ]:
+            out.append(_bits(_outcome(fn, *args)))
+    return out
+
+
+def _fresh(obj):
+    """A copy of a code or vertex set without its memo."""
+    return pickle.loads(pickle.dumps(obj))
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = polytope.pairwise_terms
+
+    def counted(images, starts):
+        calls.append((images.shape, tuple(starts.tolist())))
+        return kernel(images, starts)
+
+    monkeypatch.setattr(polytope, "pairwise_terms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("irregular", [False, True])
+@pytest.mark.parametrize("name", ["trace1_n3", "transposition4", "derangement5"])
+def test_later_sigma_gathers_bit_for_bit(name, irregular, monkeypatch):
+    cs, vs = _instance(name)
+    s = IRREGULAR_S[: cs.n] if irregular else tuple(float(v) for v in range(cs.n))
+    code = build_code(CodeSpec(cs.n, cs, s))
+    vs = _fresh(vs)
+    _memo_results(cs, vs, code, s, (0.3,))
+    calls = _count_kernel_calls(monkeypatch)
+    warm = _memo_results(cs, vs, code, s, (0.8, 1e-3))
+    assert not calls  # every spectrum came from the memo
+    assert warm == _memo_results(cs, _fresh(vs), _fresh(code), s, (0.8, 1e-3))
+
+
+def test_streaming_past_the_memo_cap_matches_the_memo(monkeypatch):
+    cs, vs = _instance("derangement5")
+    s = IRREGULAR_S
+    code = build_code(CodeSpec(5, cs, s))
+    cached = _memo_results(cs, _fresh(vs), _fresh(code), s, SIGMAS)
+    # derangement(5) has 44 codewords and 44 vertices, all integral.  A cap of
+    # 44^2 pairs holds each full report but none of the single starts after it.
+    for cap in (0, len(code) ** 2):
+        monkeypatch.setattr(polytope, "_MEMO_PAIRS", cap)
+        fresh_vs, fresh_code = _fresh(vs), _fresh(code)
+        assert _memo_results(cs, fresh_vs, fresh_code, s, SIGMAS) == cached
+        held = [vars(obj).get("_pair_spectra", {}) for obj in (fresh_vs, fresh_code)]
+        assert [len(memo) for memo in held] == ([0, 0] if cap == 0 else [1, 1])
+
+
+def test_a_second_s_gets_its_own_spectrum():
+    cs, vs = _instance("derangement5")
+    vs = _fresh(vs)
+    first = _bits(lp_bound_report(vs, (0.0, 1.0, 2.0, 3.0, 4.0), 0.5))
+    second = _bits(lp_bound_report(vs, IRREGULAR_S, 0.5))
+    assert second != first
+    assert second == _bits(lp_bound_report(_fresh(vs), IRREGULAR_S, 0.5))
+    assert min_pseudo_distance(vs, cs, IRREGULAR_S) == min_pseudo_distance(
+        _fresh(vs), cs, IRREGULAR_S)
+
+
+def test_pickled_objects_carry_no_memo():
+    cs, vs = _instance("trace1_n3")
+    vs = _fresh(vs)
+    code = build_code(CodeSpec(3, cs, (0.0, 1.0, 2.0)))
+    lp_bound_report(vs, (0.0, 1.0, 2.0), 0.5)
+    ml_bound_report(code, 0.5)
+    for obj in (vs, code):
+        assert vars(obj)["_pair_spectra"]
+        copy = _fresh(obj)
+        assert copy == obj and "_pair_spectra" not in vars(copy)
+    assert _fresh(vs).stats == vs.stats
+
+
+def test_memo_is_keyed_by_chunk_size(monkeypatch):
+    _, vs = _instance("derangement5")
+    vs = _fresh(vs)
+    s = (0.0, 1.0, 2.0, 3.0, 4.0)
+    calls = _count_kernel_calls(monkeypatch)
+    lp_bound_report(vs, s, 0.5)
+    monkeypatch.setattr(polytope, "_PAIR_CHUNK", 7)
+    lp_bound_report(vs, s, 0.5)
+    lp_bound_report(vs, s, 0.8)
+    assert len(calls) == 2
+
+
+def test_bounds_cli_runs_the_kernel_once_per_object(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "der5.json"
+    spec.write_text(json.dumps(
+        {"n": 5, "s": [0, 1, 2, 3, 4], "constraints": {"family": "derangement"}}))
+    calls = _count_kernel_calls(monkeypatch)
+    assert cli.main(["bounds", str(spec), "--snr", "0:49:1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 51
+    # One start, the first codeword, against the 44 vertex images and then
+    # against the 44 codewords.
+    assert [(shape, len(starts)) for shape, starts in calls] == [((44, 5), 1), ((44, 5), 1)]

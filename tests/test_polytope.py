@@ -22,7 +22,7 @@ from permlp.constraints import (
     transposition,
 )
 from permlp import polytope
-from permlp.lp import LPProblem, LPStatus, birkhoff_rows, solve
+from permlp.lp import LPProblem, LPStatus, _pack_system, _standard_form, birkhoff_rows, solve
 from permlp.perm import PermutationMatrix, var_index
 from permlp.polytope import (
     BasisBudgetError,
@@ -329,6 +329,49 @@ def test_vertex_set_float_stack_and_images():
         vs.images((0.0, 1.0))
     empty = polytope.VertexSet(3, ())
     assert empty.float_stack.shape == (0, 3, 3) and empty.integral_mask.shape == (0,)
+
+
+def _exact_basis_counts(cs):
+    """(bases, nonsingular, feasible) over every column basis, solved in Fractions."""
+    _, rows, rhs, _ = _standard_form(*_pack_system(cs))
+    a, b = rows.astype(np.int64), rhs.astype(np.int64).tolist()
+    kept = sorted(r for r, _ in polytope._gauss_jordan(a.tolist(), b)[0])
+    a, b = a[kept], [b[r] for r in kept]
+    counts = [0, 0, 0]
+    for cols in itertools.combinations(range(a.shape[1]), len(kept)):
+        counts[0] += 1
+        solved = polytope._gauss_jordan(a[:, cols].tolist(), b)
+        if solved is not None and len(solved[0]) == len(kept):
+            counts[1] += 1
+            counts[2] += all(row[-1] >= 0 for row in solved[1])
+    return tuple(counts)
+
+
+def test_vertex_set_stats_count_the_enumeration():
+    # Acceptance 4's trace-1 polytope: every count of the float screen agrees
+    # with an exact solve of each of its 84 bases.
+    cs = _trace_cs(3, 1)
+    vs = enumerate_vertices(cs, 3)
+    assert vs.stats == {"bases": 84, "nonsingular": 74, "feasible": 56, "solved": 5,
+                        "fixed": 0, "merged": 0}
+    assert _exact_basis_counts(cs) == (84, 74, 56)
+    # derangement(5) fixes its five diagonal entries; pure_involution(6)
+    # fixes the diagonal and merges each entry with its transpose.
+    assert enumerate_vertices(derangement(5), 5).stats == {
+        "bases": 167_960, "nonsingular": 40_500, "feasible": 26_280, "solved": 44,
+        "fixed": 5, "merged": 0}
+    assert enumerate_vertices(pure_involution(6), 6).stats == {
+        "bases": 5005, "nonsingular": 2530, "feasible": 1930, "solved": 25,
+        "fixed": 6, "merged": 15}
+
+
+def test_vertex_set_stats_leave_equality_and_hash_alone():
+    vs = enumerate_vertices(_trace_cs(3, 1), 3)
+    bare = polytope.VertexSet(3, vs.vertices)
+    assert bare.stats is None and bare == vs and hash(bare) == hash(vs)
+    # An inconsistent system still reports its (empty) walk.
+    x11_two = ConstraintSystem(3, (ConstraintRow.make({var_index(1, 1, 3): 1}, Relation.EQ, 2),))
+    assert enumerate_vertices(x11_two, 3).stats["feasible"] == 0
 
 
 def test_pure_involution_polytope_n4_is_integral():
