@@ -71,9 +71,14 @@ def _report(kind: str, sigma: float, spectra: Iterable, arg: Callable) -> BoundR
         raise ValueError("sigma must be positive")
     values: list[float] = []
     worst = (0.0, (1, 1))
+    q: dict[float, float] = {}  # chunks of one code share most of their distances
     for keys, inverse in spectra:
         distinct, index = np.unique(np.append(arg(*keys), np.inf), return_inverse=True)
-        terms = np.take(np.array([q_function(a) for a in distinct.tolist()])[index], inverse)
+        args = distinct.tolist()
+        for a in args:
+            if a not in q:
+                q[a] = q_function(a)
+        terms = np.take(np.array([q[a] for a in args])[index], inverse)
         r, t = divmod(int(terms.argmax()), terms.shape[1])
         if terms[r, t] > worst[0]:
             worst = (terms[r, t], (len(values) + r + 1, t + 1))
