@@ -73,7 +73,7 @@ def _parse_snr_grid(text: str) -> list[float]:
         raise SpecFileError("SNR grid needs step > 0 and stop >= start")
     if step < _MIN_SNR_STEP:
         raise SpecFileError(f"SNR grid step must be at least {_MIN_SNR_STEP:g}")
-    # A stop within a billionth of a step past the last point still ends on it.
+    # A stop a billionth of a step short of a point still reaches it: 0.3 / 0.1 < 3.
     steps = (stop - start) / step + 1e-9
     if not steps < _MAX_SNR_POINTS:
         raise SpecFileError(f"SNR grid has more than {_MAX_SNR_POINTS} points")
