@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .codebook import CodeSpec, build_code
-from .constraints import _pair_weight_histogram, sample_ensemble
+from .codebook import Code, CodeSpec, build_code
+from .constraints import _COUNTER_MAX_DEGREE, _pair_weight_histogram, sample_ensemble
 from .lp import _code_polytope, _sort_certificate, lp_decode, ml_decode_detail
-from .perm import BRUTE_FORCE_LIMIT, check_degree
+from .perm import BRUTE_FORCE_LIMIT, BruteForceLimitError
 
 # The ensemble path no longer calls these; they stay importable here because
 # perfbench/tracing.py patches this module's lookups by name.
@@ -132,6 +132,18 @@ def _simulate_point(args) -> TrialRecord:
     )
 
 
+def _is_codeword(spec: CodeSpec, word: np.ndarray, code: Optional[Code]) -> bool:
+    """Whether word = X s for some X satisfying spec.cs; ``code`` is read only when s repeats."""
+    s = np.asarray(spec.s, dtype=float)
+    if len(set(spec.s)) < spec.n:
+        return word.shape == s.shape and bool((code.codewords == word).all(axis=1).any())
+    # Distinct entries: only the X matching sorted s to sorted word maps s
+    # there, and the exact int64 rows of the sort certificate check it.
+    order = s.argsort()
+    rearranged = np.array_equal(np.sort(word), s[order])
+    return rearranged and _code_polytope(spec.cs).admits(word.argsort(), order)
+
+
 def simulate_bler(
     spec: CodeSpec,
     snr_db_list: Sequence[float],
@@ -144,27 +156,25 @@ def simulate_bler(
 ) -> list[TrialRecord]:
     """Monte-Carlo block error rates per SNR point.
 
-    ``transmitted`` fixes the sent codeword; None draws uniformly per trial
-    (which requires an enumerable code, as does the ML decoder).  The code is
-    built once per call; worker processes receive its permutations only.
+    ``transmitted`` fixes the sent codeword; None draws uniformly per trial.
+    Random words, ML and a fixed word over an s with repeats build the code
+    under ``limit``; worker processes receive its permutations only.
     """
     decoders = tuple(decoders)
     if not decoders or any(d not in ("lp", "ml") for d in decoders):
         raise ValueError("decoders must be a nonempty subset of {'lp', 'ml'}")
     if trials_per_point < 1:
         raise ValueError("need at least one trial per point")
-    code = build_code(spec, limit)
-    if transmitted is not None:
-        word = np.asarray(tuple(transmitted), dtype=float)
-        if word.shape != (spec.n,) or not (code.codewords == word).all(axis=1).any():
-            raise ValueError("transmitted word is not a codeword of this spec")
-    elif len(code) == 0:
+    word = None if transmitted is None else np.asarray(tuple(transmitted), dtype=float)
+    needs_code = "ml" in decoders or word is None
+    code = build_code(spec, limit) if needs_code or len(set(spec.s)) < spec.n else None
+    if word is None and len(code) == 0:
         raise ValueError("the code is empty; nothing to transmit")
-    # LP-only runs with a fixed word need the code for the check above only.
-    job_code = code if "ml" in decoders or transmitted is None else None
+    if word is not None and not _is_codeword(spec, word, code):
+        raise ValueError("transmitted word is not a codeword of this spec")
     jobs = [
-        (spec, job_code, float(db), k, trials_per_point, seed, decoders,
-         None if transmitted is None else tuple(transmitted))
+        (spec, code if needs_code else None, float(db), k, trials_per_point, seed, decoders,
+         None if word is None else tuple(word))
         for k, db in enumerate(snr_db_list)
     ]
     return _fan_out(_simulate_point, jobs, threads)
@@ -197,11 +207,12 @@ def _ensemble_chunk(args) -> np.ndarray:
     return out
 
 
-def _ensemble_histograms(n, m, num_samples, seed, threads, limit) -> np.ndarray:
+def _ensemble_histograms(n, m, num_samples, seed, threads) -> np.ndarray:
     """``_ensemble_chunk`` over samples 0..num_samples-1, fanned out to workers."""
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    check_degree(n, limit)
+    if n > _COUNTER_MAX_DEGREE:
+        raise BruteForceLimitError(f"degree {n} exceeds the counter ceiling {_COUNTER_MAX_DEGREE}")
     parts = max(1, min(threads, num_samples))
     chunks = [list(range(k, num_samples, parts)) for k in range(parts)]
     hist = np.empty((num_samples, n + 1), dtype=np.int64)
@@ -224,10 +235,9 @@ def ensemble_experiment(
     num_samples: int,
     seed: int,
     threads: int = 1,
-    limit: int = BRUTE_FORCE_LIMIT,
 ) -> EnsembleResult:
     """Sample satisfying-set sizes of random pair ensembles."""
-    counts = _ensemble_histograms(n, m, num_samples, seed, threads, limit).sum(axis=1)
+    counts = _ensemble_histograms(n, m, num_samples, seed, threads).sum(axis=1)
     mean, se = _moments(counts)
     return EnsembleResult(
         n=n,
@@ -256,7 +266,6 @@ def ensemble_weight_experiment(
     m: int,
     num_samples: int,
     seed: int,
-    limit: int = BRUTE_FORCE_LIMIT,
 ) -> WeightEnsembleResult:
     """Sample weight distributions of random pair ensembles.
 
@@ -264,7 +273,7 @@ def ensemble_weight_experiment(
     initial entries the weight of a satisfying permutation is its degree minus
     its fixed-point count, so no explicit vector is needed.
     """
-    means, ses = _moments(_ensemble_histograms(n, m, num_samples, seed, 1, limit))
+    means, ses = _moments(_ensemble_histograms(n, m, num_samples, seed, 1))
     formula = tuple(bounds.expected_weight(n, m, w) for w in range(n + 1))
     return WeightEnsembleResult(
         n=n,

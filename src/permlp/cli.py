@@ -24,7 +24,7 @@ from . import channel, codebook, encoder, polytope
 from .constraints import satisfies
 from .lp import InfeasibleCodeError, lp_decode, ml_decode_detail
 from .perm import BRUTE_FORCE_LIMIT, BruteForceLimitError, PermutationMatrix
-from .polytope import BasisBudgetError, enumerate_vertices
+from .polytope import BasisBudgetError, SharedImageError, enumerate_vertices
 from .specfile import CodeSpecFile, SpecFileError, load_spec
 
 
@@ -223,25 +223,19 @@ def _cmd_bounds(args) -> int:
     )
     x = _matrix_for_word(code, word)
     vs = enumerate_vertices(spec.cs, sf.n, max_bases=args.max_bases)
+    # Every row is computed before the output opens, so a refusal leaves no file.
+    rows = []
+    for db in grid:
+        sigma = channel.sigma_from_snr_db(db)
+        lpb = bounds_mod.lp_union_bound(x, vs, spec.s, sigma)
+        mlb = bounds_mod.ml_union_bound(x, code, sigma)
+        rows.append([_fmt(v) for v in (db, sigma, lpb, min(lpb, 1.0), mlb, min(mlb, 1.0))])
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["snr_db", "sigma", "lp_bound", "lp_bound_clamped", "ml_bound", "ml_bound_clamped"]
         )
-        for db in grid:
-            sigma = channel.sigma_from_snr_db(db)
-            lpb = bounds_mod.lp_union_bound(x, vs, spec.s, sigma)
-            mlb = bounds_mod.ml_union_bound(x, code, sigma)
-            writer.writerow(
-                [
-                    _fmt(db),
-                    _fmt(sigma),
-                    _fmt(lpb),
-                    _fmt(min(lpb, 1.0)),
-                    _fmt(mlb),
-                    _fmt(min(mlb, 1.0)),
-                ]
-            )
+        writer.writerows(rows)
     return 0
 
 
@@ -291,7 +285,6 @@ def _cmd_ensemble(args) -> int:
             args.samples,
             seed=args.seed,
             threads=args.threads,
-            limit=args.brute_force_cap,
         )
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)
@@ -325,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--brute-force-cap",
         type=int,
         default=argparse.SUPPRESS,
-        help=f"largest degree enumerated exhaustively (default {BRUTE_FORCE_LIMIT})",
+        help="largest degree whose n! permutations are enumerated: build, ML decoding, "
+        f"bounds and random-word simulate (default {BRUTE_FORCE_LIMIT})",
     )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
@@ -399,7 +393,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.brute_force_cap = getattr(args, "brute_force_cap", BRUTE_FORCE_LIMIT)
     try:
         return args.handler(args)
-    except (SpecFileError, InfeasibleCodeError, BruteForceLimitError, BasisBudgetError) as exc:
+    except (SpecFileError, InfeasibleCodeError, BruteForceLimitError, BasisBudgetError,
+            SharedImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:  # downstream closed the pipe; not our error

@@ -19,7 +19,7 @@ BRUTE_FORCE_LIMIT = 10
 
 
 class BruteForceLimitError(ValueError):
-    """Full enumeration of the symmetric group was refused: degree too large."""
+    """Work over the symmetric group was refused: degree above a cap."""
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,6 @@ def var_entry(p: int, n: int) -> tuple[int, int]:
     return (p - 1) // n + 1, (p - 1) % n + 1
 
 
-def check_degree(n: int, limit: int = BRUTE_FORCE_LIMIT) -> None:
-    """Refuse work over all of S_n above the cap (BruteForceLimitError)."""
-    if n > limit:
-        raise BruteForceLimitError(f"refusing to enumerate {n}! permutations (cap {limit})")
-
-
 _TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -126,7 +120,8 @@ def permutation_table(n: int, limit: int = BRUTE_FORCE_LIMIT) -> np.ndarray:
     Used by the vectorized codebook filter; cached per degree, and only for
     the degree asked for, because the degree-10 table holds 36 MB.
     """
-    check_degree(n, limit)
+    if n > limit:
+        raise BruteForceLimitError(f"refusing to enumerate {n}! permutations (cap {limit})")
     if n < 0:
         raise ValueError("degree must be nonnegative")
     tab = _TABLE_CACHE.get(n)

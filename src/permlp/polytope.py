@@ -156,6 +156,10 @@ class BasisBudgetError(ValueError):
     """The basis walk would exceed the configured budget."""
 
 
+class SharedImageError(ValueError):
+    """Two matrices share an image under s: their pseudo distance is undefined."""
+
+
 def _gauss_jordan(mat: list[list[int]], rhs: list[int]):
     """Exact Gauss-Jordan elimination of mat @ x = rhs, column by column.
 
@@ -300,7 +304,7 @@ def pseudo_distance(x, x_other, s: Sequence[float]) -> float:
     os_ = om.image(s)
     denom = float(np.linalg.norm(os_ - xs))
     if denom < 1e-12:
-        raise ValueError("matrices have identical images; pseudo distance undefined")
+        raise SharedImageError("matrices have identical images; pseudo distance undefined")
     return float((xs @ xs - os_ @ xs) / denom)
 
 
@@ -362,11 +366,11 @@ def _pair_spectra(owner, key, images: np.ndarray, starts: np.ndarray, with_b: bo
 
 
 def _lp_spectra(vs: VertexSet, s: Sequence[float], starts: np.ndarray, message: str):
-    """(b, d) pair spectra of vs's images under s; raises message when two vertices share one."""
+    """(b, d) pair spectra of vs's images under s; SharedImageError(message) on a shared one."""
     key = np.asarray(s, dtype=float).tobytes()
     for (b, d), inverse in _pair_spectra(vs, key, vs.images(s), starts, with_b=True):
         if (d < 1e-12).any():
-            raise ValueError(message)
+            raise SharedImageError(message)
         yield (b, d), inverse
 
 

@@ -19,6 +19,7 @@ from permlp.channel import (
 )
 from permlp.codebook import CodeSpec, build_code
 from permlp.constraints import (
+    _COUNTER_MAX_DEGREE,
     ConstraintRow,
     ConstraintSystem,
     Relation,
@@ -28,8 +29,10 @@ from permlp.constraints import (
     involution,
     pure_involution,
     sample_ensemble,
+    repetition,
     satisfies,
     theta,
+    transposition,
 )
 from permlp.perm import BRUTE_FORCE_LIMIT, BruteForceLimitError, PermutationMatrix, var_index
 
@@ -106,6 +109,115 @@ def test_simulate_fixed_transmitted_word():
     assert a == b
     with pytest.raises(ValueError):
         simulate_bler(spec, [4.0], 50, seed=8, transmitted=np.array([9.0, 9.0, 9.0, 9.0]))
+
+
+def _row_system(n, coeffs, relation, rhs):
+    return ConstraintSystem(n, (ConstraintRow.make(coeffs, relation, rhs),))
+
+
+def _systems(n):
+    # Every named family, a trace row (exactly one fixed point), and a row
+    # that is not symmetric under transposition: entry (1, 2) is one.
+    trace = {var_index(i, i, n): 1 for i in range(1, n + 1)}
+    yield _row_system(n, trace, Relation.EQ, 1)
+    yield _row_system(n, {var_index(1, 2, n): 1}, Relation.EQ, 1)
+    yield from (derangement(n), involution(n), pure_involution(n), cyclic(n))
+    yield from (transposition(n), transposition(n, with_symmetry=True))
+    for k in (k for k in range(1, n + 1) if n % k == 0):
+        yield from (repetition(n, k), block(n, k), block(n, k, redundant=True))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_fixed_word_check_matches_codebook(n):
+    # With distinct entries in s, the one matrix mapping s to the word is
+    # checked against the rows; the verdict must equal a codebook lookup for
+    # every rearrangement of s.
+    s = (2.0, -1.5, 7.0, 0.25, 3.5, 0.0)[:n]
+    words = np.array([[s[k] for k in p] for p in itertools.permutations(range(n))])
+    for cs in _systems(n):
+        spec = CodeSpec(n, cs, s)
+        code = build_code(spec)
+        for word in words:
+            want = bool((code.codewords == word).all(axis=1).any())
+            assert channel._is_codeword(spec, word, None) is want, (cs, word)
+
+
+@pytest.mark.parametrize(
+    "word,accepted",
+    [((1, 0, 3, 2), True), ((1, 0, 3, 2.00002), False), ((1, 0, 3, 2.0000000000001), False),
+     ((0, 1, 2, 3), False), ((1, 0, 3), False), ((1, 0, 3, 2, 4), False)],
+)
+def test_fixed_word_check_needs_exact_equality(word, accepted):
+    spec = _spec()
+    assert channel._is_codeword(spec, np.array(word, dtype=float), None) is accepted
+    if accepted:
+        assert len(simulate_bler(spec, [4.0], 5, seed=1, decoders=("lp",), transmitted=word)) == 1
+    else:
+        with pytest.raises(ValueError, match="not a codeword"):
+            simulate_bler(spec, [4.0], 5, seed=1, decoders=("lp",), transmitted=word)
+
+
+def test_fixed_word_over_repeated_s_is_looked_up_in_the_code(monkeypatch):
+    # (0, 0, 1, 1) is the image of the derangement (2, 1, 4, 3), though the
+    # matrix matching sorted s to sorted word, the identity, is not one.
+    spec = CodeSpec(4, derangement(4), (0.0, 0.0, 1.0, 1.0))
+    built = []
+
+    def capture(*args):
+        built.append(build_code(*args))
+        return built[-1]
+
+    monkeypatch.setattr(channel, "build_code", capture)
+    (rec,) = simulate_bler(spec, [4.0], 5, seed=1, decoders=("lp",), transmitted=(0, 0, 1, 1))
+    assert rec.trials == 5 and len(built) == 1
+    assert not lp._code_polytope(spec.cs).admits(np.arange(4), np.arange(4))
+    with pytest.raises(ValueError, match="not a codeword"):
+        simulate_bler(spec, [4.0], 5, seed=1, decoders=("lp",), transmitted=(0, 1, 1, 2))
+
+
+# (lp_errors, lp_failures, lp_certified) per SNR point (0, 3, 6 dB; 200
+# trials, seed 31) for LP-only runs with a fixed word at degree 12, past the
+# n! table's cap: a cyclic shift of s, and s with neighbouring pairs swapped.
+_S12 = tuple(float(v) for v in range(12))
+PINNED_N12_FIXED_WORD = {
+    "derangement12": (derangement, _S12[-1:] + _S12[:-1], [(164, 0, 9), (78, 0, 27), (13, 0, 74)]),
+    "pure_involution12": (
+        pure_involution, tuple(_S12[k ^ 1] for k in range(12)), [(35, 8, 6), (0, 0, 16), (0, 0, 80)]
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(PINNED_N12_FIXED_WORD))
+def test_simulate_fixed_word_lp_pinned_past_table_cap(name, threads, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an LP-only fixed-word run built a code")
+
+    monkeypatch.setattr(channel, "build_code", forbidden)
+    monkeypatch.setattr(perm, "_TABLE_CACHE", {})
+    make, word, want = PINNED_N12_FIXED_WORD[name]
+    recs = simulate_bler(CodeSpec(12, make(12), _S12), [0, 3, 6], 200, seed=31,
+                         decoders=("lp",), transmitted=word, threads=threads)
+    assert [(r.lp_errors, r.lp_failures, r.lp_certified) for r in recs] == want
+    assert all(r.trials == 200 and r.ml_errors is None and r.solver_errors == 0 for r in recs)
+    assert perm._TABLE_CACHE == {}
+
+
+def test_enumerating_runs_keep_the_table_cap():
+    n = BRUTE_FORCE_LIMIT + 1
+    s = tuple(float(v) for v in range(n))
+    word = s[-1:] + s[:-1]
+    repeated = (0.0,) * 2 + s[2:]
+    refused = [
+        (s, {"decoders": ("ml",), "transmitted": word}),
+        (s, {"decoders": ("lp", "ml"), "transmitted": word}),
+        (s, {"decoders": ("lp",)}),
+        (repeated, {"decoders": ("lp",), "transmitted": repeated[-1:] + repeated[:-1]}),
+    ]
+    message = rf"refusing to enumerate {n}! permutations \(cap {BRUTE_FORCE_LIMIT}\)"
+    for s_, kwargs in refused:
+        with pytest.raises(BruteForceLimitError, match=message):
+            simulate_bler(CodeSpec(n, derangement(n), s_), [4.0], 5, seed=1, **kwargs)
 
 
 def _fixpair5():
@@ -411,11 +523,28 @@ def test_ensembles_refuse_degree_above_cap_before_any_work(monkeypatch, threads)
     for name in ("_pair_weight_histogram", "sample_ensemble", "ProcessPoolExecutor"):
         monkeypatch.setattr(channel, name, forbidden)
     monkeypatch.setattr(perm, "_TABLE_CACHE", {})
-    n = BRUTE_FORCE_LIMIT + 1
-    with pytest.raises(BruteForceLimitError):
+    n = _COUNTER_MAX_DEGREE + 1
+    with pytest.raises(BruteForceLimitError, match=f"counter ceiling {_COUNTER_MAX_DEGREE}"):
         ensemble_experiment(n, 3, 2, seed=1, threads=threads)
-    with pytest.raises(BruteForceLimitError):
+    with pytest.raises(BruteForceLimitError, match=f"counter ceiling {_COUNTER_MAX_DEGREE}"):
         ensemble_weight_experiment(n, 3, 2, seed=1)
+    assert perm._TABLE_CACHE == {}
+
+
+def test_ensembles_at_degree_12_match_the_closed_forms(monkeypatch):
+    # Past the n! table's cap: the counter needs no table.
+    monkeypatch.setattr(perm, "_TABLE_CACHE", {})
+    n, m, samples = 12, 90, 400
+    card = ensemble_experiment(n, m, samples, seed=2026)
+    assert abs(card.sample_mean - expected_cardinality(n, m)) <= 3 * card.standard_error
+    weights = ensemble_weight_experiment(n, m, samples, seed=2026)
+    for w, (mean, se) in enumerate(zip(weights.sample_means, weights.standard_errors)):
+        want = expected_weight(n, m, w)
+        if se > 0:
+            assert abs(mean - want) <= 3 * se, w
+        else:
+            # Unseen in every sample: the closed form expects under one in all of them.
+            assert mean == 0 and want * samples < 1, w
     assert perm._TABLE_CACHE == {}
 
 

@@ -297,3 +297,55 @@ def test_invalid_run_inputs_exit_three(specs, capsys, tmp_path, argv):
     code, _, err = _run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _derangement_spec(tmp_path, n):
+    path = tmp_path / f"der{n}.json"
+    path.write_text(json.dumps({"n": n, "s": list(range(n)), "constraints": {"family": "derangement"}}))
+    return str(path)
+
+
+def test_bounds_shared_image_exits_three_and_writes_nothing(tmp_path, capsys):
+    # Another vertex shares the sent word's image under this s, so the LP
+    # bound is undefined at every SNR point.
+    spec = tmp_path / "shared.json"
+    spec.write_text(json.dumps({"n": 4, "s": [0, 0, 1, 1], "constraints": {"family": "involution"}}))
+    target = tmp_path / "f.csv"
+    code, out, err = _run(capsys, "bounds", str(spec), "--snr", "0:8:0.5", "--out", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "share" in err and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_lp_fixed_word_and_ensembles_run_past_the_table_cap(tmp_path, capsys):
+    word = ",".join(str(v) for v in [11] + list(range(11)))
+    code, out, _ = _run(capsys, "simulate", _derangement_spec(tmp_path, 12), "--snr", "0:6:3",
+                        "--trials", "20", "--decoder", "lp", "--word", word)
+    assert code == 0 and len(list(csv.DictReader(io.StringIO(out)))) == 3
+    code, out, err = _run(capsys, "ensemble", "--n", "12", "--m", "90", "--samples", "10")
+    assert code == 0 and len(list(csv.DictReader(io.StringIO(out)))) == 10
+    assert "formula=" in err
+    # The counter's ceiling, not --brute-force-cap, bounds the ensembles.
+    code, _, err = _run(capsys, "ensemble", "--n", "13", "--m", "90", "--samples", "2",
+                        "--brute-force-cap", "4")
+    assert code == 0
+    code, out, err = _run(capsys, "ensemble", "--n", "17", "--m", "90", "--samples", "2")
+    assert code == 3 and out == "" and err == "error: degree 17 exceeds the counter ceiling 16\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build",),
+        ("bounds", "--snr", "4"),
+        ("decode", "-y", ",".join(str(v) for v in range(11)), "--decoder", "ml"),
+        ("simulate", "--snr", "4", "--trials", "2", "--decoder", "lp"),
+        ("simulate", "--snr", "4", "--trials", "2", "--decoder", "ml",
+         "--word", ",".join(str(v) for v in [10] + list(range(10)))),
+    ],
+    ids=["build", "bounds", "decode_ml", "simulate_random_words", "simulate_ml_fixed_word"],
+)
+def test_enumerating_commands_keep_the_table_cap(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, argv[0], _derangement_spec(tmp_path, 11), *argv[1:])
+    assert code == 3 and out == ""
+    assert err == "error: refusing to enumerate 11! permutations (cap 10)\n"
