@@ -164,26 +164,29 @@ def _cmd_decode(args) -> int:
     sf = load_spec(args.specfile)
     spec = sf.code_spec()
     y = _parse_vector(args.received, sf.n, "received vector")
+    # Every line is computed before the output opens, so a refusal (such as
+    # the ML decoder's codebook past the cap) leaves no partial file.
+    lines = []
     failed = False
+    if args.decoder in ("lp", "both"):
+        res = lp_decode(spec.cs, np.asarray(spec.s), y)
+        if res.is_codeword:
+            lines.append("lp: " + " ".join(_fmt(v) for v in res.word))
+        else:
+            failed = True
+            lines.append("lp: FAILURE")
+            lines.extend("  " + " ".join(_fmt(v) for v in row) for row in res.fractional)
+        lines.append("lp_objective: " + _fmt(res.objective_value))
+    if args.decoder in ("ml", "both"):
+        code = codebook.build_code(spec, limit=args.brute_force_cap)
+        if len(code) == 0:
+            raise InfeasibleCodeError("the code is empty")
+        _, word, tie = ml_decode_detail(code, y)
+        lines.append("ml: " + " ".join(_fmt(v) for v in word))
+        if tie:
+            lines.append("ml_tie: true")
     with _open_out(args.out) as fh:
-        if args.decoder in ("lp", "both"):
-            res = lp_decode(spec.cs, np.asarray(spec.s), y)
-            if res.is_codeword:
-                fh.write("lp: " + " ".join(_fmt(v) for v in res.word) + "\n")
-            else:
-                failed = True
-                fh.write("lp: FAILURE\n")
-                for row in res.fractional:
-                    fh.write("  " + " ".join(_fmt(v) for v in row) + "\n")
-            fh.write("lp_objective: " + _fmt(res.objective_value) + "\n")
-        if args.decoder in ("ml", "both"):
-            code = codebook.build_code(spec, limit=args.brute_force_cap)
-            if len(code) == 0:
-                raise InfeasibleCodeError("the code is empty")
-            _, word, tie = ml_decode_detail(code, y)
-            fh.write("ml: " + " ".join(_fmt(v) for v in word) + "\n")
-            if tie:
-                fh.write("ml_tie: true\n")
+        fh.writelines(line + "\n" for line in lines)
     return 2 if failed else 0
 
 
@@ -354,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("specfile")
     p.add_argument(
         "--max-bases", type=int, default=polytope.DEFAULT_BASIS_BUDGET,
-        help="basis-walk budget",
+        help="vertex enumeration work budget: bases walked, or n^2 per candidate vertex",
     )
     p.set_defaults(handler=_cmd_vertices)
 
@@ -364,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default=None, help="transmitted codeword (default: first)")
     p.add_argument(
         "--max-bases", type=int, default=polytope.DEFAULT_BASIS_BUDGET,
-        help="basis-walk budget",
+        help="vertex enumeration work budget: bases walked, or n^2 per candidate vertex",
     )
     p.set_defaults(handler=_cmd_bounds)
 

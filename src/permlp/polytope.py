@@ -1,18 +1,28 @@
 """Exact vertex enumeration of code polytopes.
 
 The code polytope is the set of doubly stochastic matrices satisfying the
-constraint rows.  The enumerator starts from the LP layer's standard form
-(``permlp.lp``: the presolved rows plus one slack per <= row), keeps its
-independent rows and walks every column basis, whose basic feasible
-solutions are the vertices.  All reported vertices are solved,
-feasibility-checked and deduplicated in exact rational arithmetic.
+constraint rows.  The enumerator reads the LP layer's standard form
+(``permlp.lp``: the presolved rows plus one slack per <= row) and chooses
+its method from it.  All reported vertices are exact rationals, sorted by
+their row-major entries, and every method returns the same list.
 
-A batched floating-point prefilter over candidate bases keeps the walk
-tractable at desk scale.  The selected rows stay integral, so a basis
-determinant is an integer: the float determinant cleanly separates singular
-bases, and generously-tolerant feasibility screening only discards bases
-whose exact solution would be clearly negative.  Every surviving candidate is
-re-solved exactly.
+* Face: only the Birkhoff rows are left and nothing is merged.  The
+  polytope is the face of the Birkhoff polytope whose fixed entries are
+  zero, so its vertices are its permutation matrices (Birkhoff-von Neumann).
+* Row: one more row is left and nothing is merged.  The vertices are the
+  face's permutations on the row (for a <= row, also those inside it),
+  plus the point where the row crosses each edge [P, Q] of the face whose
+  ends lie strictly on opposite sides.  P and Q span an edge iff P^-1 Q is
+  a single cycle (Brualdi & Gibson, "Convex polyhedra of doubly stochastic
+  matrices I", J. Combin. Theory A, 1977).
+* Screen: every other system.  Its independent rows are kept and every
+  column basis is walked; the basic feasible solutions are the vertices.
+
+The screen is a batched floating-point prefilter over candidate bases.  The
+selected rows stay integral, so a basis determinant is an integer: the float
+determinant cleanly separates singular bases, and generously-tolerant
+feasibility screening only discards bases whose exact solution would be
+clearly negative.  Every surviving candidate is re-solved exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ _GROUP_DECIMALS = 9
 # float matrices, so the batch size bounds the screen's working memory.
 _SCREEN_CHUNK = 4096
 
+# Permutation pairs tested for adjacency per vectorized batch.
+_EDGE_CHUNK = 1 << 16
+
 # Start rows times images per pairwise_terms chunk: about 2 MB of float arrays at n = 8.
 _PAIR_CHUNK = 16_384
 
@@ -63,15 +76,15 @@ class RationalMatrix:
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise ValueError("entries must form a square matrix")
-        one = Fraction(1)
-        for row in self.entries:
-            if any(e < 0 for e in row):
-                raise ValueError("entries must be nonnegative")
-            if sum(row) != one:
-                raise ValueError("row sums must equal one exactly")
-        for j in range(n):
-            if sum(row[j] for row in self.entries) != one:
-                raise ValueError("column sums must equal one exactly")
+        # Sums in integers over one common denominator: Fraction sums are slow.
+        scale = math.lcm(*(e.denominator for row in self.entries for e in row))
+        scaled = [[e.numerator * (scale // e.denominator) for e in row] for row in self.entries]
+        if any(v < 0 for row in scaled for v in row):
+            raise ValueError("entries must be nonnegative")
+        if any(sum(row) != scale for row in scaled):
+            raise ValueError("row sums must equal one exactly")
+        if any(sum(col) != scale for col in zip(*scaled)):
+            raise ValueError("column sums must equal one exactly")
 
     @property
     def n(self) -> int:
@@ -110,15 +123,19 @@ class RationalMatrix:
 class VertexSet:
     """All vertices of one code polytope, deterministically ordered.
 
-    ``stats`` counts the work of :func:`enumerate_vertices`: column bases in
-    total, nonsingular and feasible in the float screen, and solved exactly,
-    plus the entries its presolve fixed at zero and merged into another.
-    It is None for a set built by hand.
+    ``stats`` records the work of :func:`enumerate_vertices`: the ``method``
+    that ran ("face", "row" or "screen") and the entries its presolve fixed
+    at zero and merged into another.  The screen adds column bases in total,
+    nonsingular and feasible in floats, and solved exactly.  The structured
+    methods add the candidates counted (the face's permutations plus the
+    crossing edges), the permutation pairs tested for an edge, and the
+    candidates that are vertices (``feasible``).  It is None for a set built
+    by hand.
     """
 
     n: int
     vertices: tuple[RationalMatrix, ...]
-    stats: Optional[dict[str, int]] = field(default=None, compare=False)
+    stats: Optional[dict[str, int | str]] = field(default=None, compare=False)
 
     @cached_property
     def integral_mask(self) -> np.ndarray:
@@ -153,7 +170,7 @@ class VertexSet:
 
 
 class BasisBudgetError(ValueError):
-    """The basis walk would exceed the configured budget."""
+    """Vertex enumeration would exceed its work budget (``max_bases``)."""
 
 
 class SharedImageError(ValueError):
@@ -192,24 +209,63 @@ def _gauss_jordan(mat: list[list[int]], rhs: list[int]):
     return pivots, a
 
 
+def _presolve_counts(columns: np.ndarray, n: int) -> tuple[int, int]:
+    """Entries the presolve fixed at zero, and entries it merged into another."""
+    fixed = int((columns < 0).sum())
+    return fixed, n * n - fixed - (int(columns.max()) + 1)
+
+
+def _method(std, n: int) -> str:
+    """The enumerator for a presolved standard form: "face", "row" or "screen".
+
+    The 2n Birkhoff rows always survive the presolve.  With nothing merged,
+    no other row left is a face of the Birkhoff polytope, and one more row
+    cuts such a face with a hyperplane or a halfspace.
+    """
+    if std is None or _presolve_counts(std[0], n)[1]:
+        return "screen"
+    return {2 * n: "face", 2 * n + 1: "row"}.get(len(std[1]), "screen")
+
+
 def enumerate_vertices(
     cs: ConstraintSystem, n: int, max_bases: int = DEFAULT_BASIS_BUDGET
 ) -> VertexSet:
-    """Enumerate every vertex of the code polytope of (cs, n) exactly."""
+    """Enumerate every vertex of the code polytope of (cs, n) exactly.
+
+    ``max_bases`` bounds the work; past it BasisBudgetError is raised before
+    the work starts.  The screen charges one unit per column basis.  The
+    structured methods charge n^2 per candidate vertex plus one per
+    permutation pair tested, and check before they build any Fraction.
+    """
     if cs.n != n:
         raise ValueError("constraint system degree does not match n")
-    stats = dict.fromkeys(("bases", "nonsingular", "feasible", "solved", "fixed", "merged"), 0)
     std = _standard_form(*_pack_system(cs))
+    method = _method(std, n)
+    vertices, stats = (_screen if method == "screen" else _structured)(n, std, max_bases)
+    return VertexSet(n, vertices, {"method": method, **stats})
+
+
+def _flat(vertex: RationalMatrix) -> tuple[Fraction, ...]:
+    """A vertex's entries in row-major order, the key vertex lists are sorted by."""
+    return tuple(itertools.chain.from_iterable(vertex.entries))
+
+
+def _screen(n: int, std, max_bases: int):
+    """Vertices of any standard form by a basis walk: ``(vertices, stats)``.
+
+    Every C(width, rank) column basis is screened in floats, and each
+    distinct candidate solution is re-solved exactly.
+    """
+    stats = dict.fromkeys(("bases", "nonsingular", "feasible", "solved", "fixed", "merged"), 0)
     if std is None:
-        return VertexSet(n, (), stats)
+        return (), stats
     # The Birkhoff rows always survive the presolve, so the system keeps at
     # least one row and one column.  Its entries are integers.
     columns, rows, rhs, _ = std
-    stats["fixed"] = int((columns < 0).sum())
-    stats["merged"] = n * n - stats["fixed"] - (int(columns.max()) + 1)
+    stats["fixed"], stats["merged"] = _presolve_counts(columns, n)
     reduced = _gauss_jordan(rows.astype(np.int64).tolist(), rhs.astype(np.int64).tolist())
     if reduced is None:
-        return VertexSet(n, (), stats)
+        return (), stats
     kept = sorted(r for r, _ in reduced[0])
     rank, width = len(kept), rows.shape[1]
     total = stats["bases"] = math.comb(width, rank)
@@ -267,14 +323,145 @@ def enumerate_vertices(
             values[cols[k]] = row[-1]
         if any(v < 0 for v in values):
             continue
-        entries = tuple(
-            tuple(values[columns[i * n + j]] for j in range(n)) for i in range(n)
+        vertex = RationalMatrix(
+            tuple(tuple(values[columns[i * n + j]] for j in range(n)) for i in range(n))
         )
-        vertex = RationalMatrix(entries)
-        verts.setdefault(tuple(itertools.chain.from_iterable(vertex.entries)), vertex)
+        verts.setdefault(_flat(vertex), vertex)
+    return tuple(verts[k] for k in sorted(verts.keys())), stats
 
-    ordered = tuple(verts[k] for k in sorted(verts.keys()))
-    return VertexSet(n, ordered, stats)
+
+def _permutations(allowed: np.ndarray, cap: int) -> Optional[np.ndarray]:
+    """Every permutation supported on ``allowed``, or None when there are more than cap.
+
+    Row k of the result holds the column of each matrix row's one.  Rows
+    fill in order, and the completions of each set of used columns are
+    counted once; the count refuses past cap before anything is listed, and
+    the listing never enters a branch without a completion.
+    """
+    n = len(allowed)
+    options = [np.flatnonzero(r).tolist() for r in allowed]
+    completions = {(1 << n) - 1: 1}
+
+    def count(used: int, i: int) -> int:
+        if used not in completions:
+            total = 0
+            for j in options[i]:
+                if not used >> j & 1:
+                    total += count(used | 1 << j, i + 1)
+                    if total > cap:
+                        break
+            completions[used] = total
+        return completions[used]
+
+    if count(0, 0) > cap:
+        return None
+    out = np.empty((completions[0], n), dtype=np.intp)
+    prefix: list[int] = []
+
+    def fill(used: int, k: int) -> int:
+        if len(prefix) == n:
+            out[k] = prefix
+            return k + 1
+        for j in options[len(prefix)]:
+            if not used >> j & 1 and completions.get(used | 1 << j):
+                prefix.append(j)
+                k = fill(used | 1 << j, k)
+                prefix.pop()
+        return k
+
+    fill(0, 0)
+    return out
+
+
+def _edges(above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b) where above[a] and below[b] span an edge of the Birkhoff polytope.
+
+    Two permutation matrices P and Q span an edge iff P^-1 Q is a single
+    cycle (Brualdi & Gibson, 1977).  For rows of columns p and q,
+    sigma = inverse(p)[q] maps each row to the row that p puts in q's
+    column; the pair is an edge iff the cycle through sigma's first moved
+    row is as long as sigma moves rows.
+    """
+    m, n = below.shape
+    inverse = np.argsort(above, axis=1)
+    ups, downs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    step = max(1, _EDGE_CHUNK // max(m, 1))
+    for lo in range(0, len(above), step):
+        sigma = inverse[lo : lo + step][:, below].reshape(-1, n)  # pair (a, b) at a * m + b
+        moved = sigma != np.arange(n)
+        start = moved.argmax(axis=1)
+        pick = np.arange(len(sigma))
+        row, length = start, np.zeros(len(sigma), dtype=np.intp)
+        back = np.zeros(len(sigma), dtype=bool)
+        for _ in range(n):
+            row = sigma[pick, row]
+            length += ~back
+            back |= row == start
+        a, b = np.divmod(np.flatnonzero(length == moved.sum(axis=1)), m)
+        ups.append(a + lo)
+        downs.append(b)
+    return np.concatenate(ups), np.concatenate(downs)
+
+
+def _charge(work: int, max_bases: int) -> None:
+    if work > max_bases:
+        raise BasisBudgetError(
+            f"{work} units of work exceed the budget of {max_bases}; raise max_bases"
+        )
+
+
+def _structured(n: int, std, max_bases: int):
+    """Vertices of a Birkhoff face cut by at most one row: ``(vertices, stats)``.
+
+    The face's vertices are its permutation matrices (Birkhoff-von Neumann).
+    A row keeps those on it (an ``le`` row also those inside it) and adds
+    the point where it crosses each edge [P, Q] of the face whose ends lie
+    strictly on opposite sides.  Candidates are the face's permutations and
+    the crossing edges; ``feasible`` counts those that are vertices.
+    """
+    columns, rows, rhs, is_eq = std
+    fixed, merged = _presolve_counts(columns, n)
+    stats = {"candidates": 0, "pairs": 0, "feasible": 0, "fixed": fixed, "merged": merged}
+    unit = n * n
+    perms = _permutations((columns >= 0).reshape(n, n), max_bases // unit)
+    if perms is None:
+        raise BasisBudgetError(
+            f"over {max_bases // unit} permutations at {unit} units each exceed the "
+            f"budget of {max_bases}; raise max_bases"
+        )
+    one, zero = Fraction(1), Fraction(0)
+    units = [tuple(one if j == c else zero for j in range(n)) for c in range(n)]
+    kept, crossings = perms, []
+    if len(rows) > 2 * n:
+        live = columns >= 0
+        coeffs = np.zeros(n * n, dtype=np.int64)
+        coeffs[live] = rows[2 * n, columns[live]]
+        values = coeffs.reshape(n, n)[np.arange(n), perms].sum(axis=1)
+        b = int(rhs[2 * n])
+        kept = perms[values == b if is_eq[2 * n] else values <= b]
+        above, below = values > b, values < b
+        stats["pairs"] = int(above.sum()) * int(below.sum())
+        work = unit * len(perms) + stats["pairs"]
+        _charge(work, max_bases)
+        ups, downs = _edges(perms[above], perms[below])
+        _charge(work + unit * len(ups), max_bases)
+        for p, q, vp, vq in zip(
+            perms[above][ups].tolist(), perms[below][downs].tolist(),
+            values[above][ups].tolist(), values[below][downs].tolist(),
+        ):
+            lam = Fraction(b - vq, vp - vq)
+            mu = one - lam
+            crossings.append(tuple(
+                units[pc] if pc == qc
+                else tuple(lam if c == pc else mu if c == qc else zero for c in range(n))
+                for pc, qc in zip(p, q)
+            ))
+    stats["candidates"] = len(perms) + len(crossings)
+    stats["feasible"] = len(kept) + len(crossings)
+    matrices = [tuple(units[c] for c in p) for p in kept.tolist()] + crossings
+    # Distinct by construction: the permutations are, and relative
+    # interiors of distinct edges are disjoint.
+    return tuple(sorted(map(RationalMatrix, matrices), key=_flat)), stats
 
 
 # ---------------------------------------------------------------------------

@@ -349,3 +349,29 @@ def test_enumerating_commands_keep_the_table_cap(tmp_path, capsys, argv):
     code, out, err = _run(capsys, argv[0], _derangement_spec(tmp_path, 11), *argv[1:])
     assert code == 3 and out == ""
     assert err == "error: refusing to enumerate 11! permutations (cap 10)\n"
+
+
+def test_decode_both_refused_by_ml_writes_no_file(tmp_path, capsys):
+    # The LP decode succeeds at degree 11; the ML codebook is then refused.
+    target = tmp_path / "d.out"
+    word = ",".join(str(v) for v in [10] + list(range(10)))
+    code, out, err = _run(capsys, "decode", _derangement_spec(tmp_path, 11), "-y", word,
+                          "--decoder", "both", "--out", str(target))
+    assert code == 3 and out == ""
+    assert err == "error: refusing to enumerate 11! permutations (cap 10)\n"
+    assert not target.exists()
+
+
+def test_derangement_6_vertices_and_bounds_need_no_basis_walk(tmp_path, capsys):
+    spec = _derangement_spec(tmp_path, 6)
+    code, out, _ = _run(capsys, "vertices", spec)
+    doc = json.loads(out)
+    assert code == 0 and doc["num_vertices"] == doc["num_integral"] == 265
+    code, out, _ = _run(capsys, "bounds", spec, "--snr", "0:8:4")
+    assert code == 0 and len(list(csv.DictReader(io.StringIO(out)))) == 3
+
+
+def test_derangement_10_vertices_exit_three_on_the_work_budget(tmp_path, capsys):
+    code, out, err = _run(capsys, "vertices", _derangement_spec(tmp_path, 10))
+    assert code == 3 and out == ""
+    assert err.startswith("error: over 60000 permutations") and "Traceback" not in err

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -38,6 +38,11 @@ def _trace_cs(n, value):
         {var_index(i, i, n): 1 for i in range(1, n + 1)}, Relation.EQ, value
     )
     return ConstraintSystem(n, (row,))
+
+
+def _screened(cs, n):
+    """``(vertices, stats)`` of the basis-walk screen, the structured methods' oracle."""
+    return polytope._screen(n, _standard_form(*_pack_system(cs)), polytope.DEFAULT_BASIS_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +356,16 @@ def test_vertex_set_stats_count_the_enumeration():
     # Acceptance 4's trace-1 polytope: every count of the float screen agrees
     # with an exact solve of each of its 84 bases.
     cs = _trace_cs(3, 1)
-    vs = enumerate_vertices(cs, 3)
-    assert vs.stats == {"bases": 84, "nonsingular": 74, "feasible": 56, "solved": 5,
-                        "fixed": 0, "merged": 0}
+    _, stats = _screened(cs, 3)
+    assert stats == {"bases": 84, "nonsingular": 74, "feasible": 56, "solved": 5,
+                     "fixed": 0, "merged": 0}
     assert _exact_basis_counts(cs) == (84, 74, 56)
     # derangement(5) fixes its five diagonal entries; pure_involution(6)
     # fixes the diagonal and merges each entry with its transpose.
-    assert enumerate_vertices(derangement(5), 5).stats == {
+    assert _screened(derangement(5), 5)[1] == {
         "bases": 167_960, "nonsingular": 40_500, "feasible": 26_280, "solved": 44,
         "fixed": 5, "merged": 0}
-    assert enumerate_vertices(pure_involution(6), 6).stats == {
+    assert _screened(pure_involution(6), 6)[1] == {
         "bases": 5005, "nonsingular": 2530, "feasible": 1930, "solved": 25,
         "fixed": 6, "merged": 15}
 
@@ -392,10 +397,136 @@ def test_screen_chunk_size_does_not_change_vertices(monkeypatch):
         (block(4, 2, redundant=True), 4),
         (_trace_cs(3, 1), 3),
     ]
-    want = [enumerate_vertices(cs, n).vertices for cs, n in systems]
+    want = [_screened(cs, n)[0] for cs, n in systems]
     monkeypatch.setattr(polytope, "_SCREEN_CHUNK", 7)
-    got = [enumerate_vertices(cs, n).vertices for cs, n in systems]
+    got = [_screened(cs, n)[0] for cs, n in systems]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Structured methods: a Birkhoff face, cut by at most one row
+# ---------------------------------------------------------------------------
+
+
+def _fixpair_cs(n):
+    row = ConstraintRow.make({var_index(1, 1, n): 1, var_index(n, n, n): 1}, Relation.EQ, 1)
+    return ConstraintSystem(n, (row,))
+
+
+def _assert_equals_screen(cs, n):
+    vs = enumerate_vertices(cs, n)
+    want, _ = _screened(cs, n)
+    assert vs.vertices == want
+    # Byte-identical too: the same entry strings, in the same order.
+    assert [[str(e) for row in v.entries for e in row] for v in vs.vertices] == [
+        [str(e) for row in v.entries for e in row] for v in want
+    ]
+    return vs
+
+
+@pytest.mark.parametrize(
+    "cs,n,method",
+    [
+        (_trace_cs(3, 1), 3, "row"),
+        (_trace_cs(4, 2), 4, "row"),
+        (derangement(4), 4, "face"),
+        (derangement(5), 5, "face"),
+        (transposition(4), 4, "row"),
+        (transposition(4, with_symmetry=True), 4, "screen"),
+        pytest.param(transposition(5), 5, "row", marks=pytest.mark.slow),
+        (transposition(5, with_symmetry=True), 5, "screen"),
+        pytest.param(_fixpair_cs(5), 5, "row", marks=pytest.mark.slow),
+    ],
+    ids=["trace1_n3", "trace2_n4", "derangement4", "derangement5", "transposition4",
+         "transposition4_sym", "transposition5", "transposition5_sym", "fixpair5"],
+)
+def test_structured_methods_equal_the_screen(cs, n, method):
+    # The screen takes about 10 s on each of the slow instances.
+    assert _assert_equals_screen(cs, n).stats["method"] == method
+
+
+def _one_row(n, coeffs, relation, rhs, fixed=()):
+    rows = (ConstraintRow.make(coeffs, relation, rhs),)
+    if fixed:
+        rows += (ConstraintRow.make(dict.fromkeys(fixed, 1), Relation.EQ, 0),)
+    return ConstraintSystem(n, rows)
+
+
+@st.composite
+def _one_row_systems(draw):
+    """At most one general row beside a zero-rhs row fixing entries, at n <= 5.
+
+    The fixed entries avoid an anchor permutation, so the face is never
+    empty, and the row's rhs lies near the anchor's value on it.  At n = 5
+    at least ten entries are fixed, so the screen walks at most C(16, 10)
+    bases.
+    """
+    n = draw(st.integers(1, 5))
+    anchor = draw(st.permutations(range(n)))  # the column of each row's one
+    off = [i * n + j + 1 for i in range(n) for j in range(n) if anchor[i] != j]
+    fixed = draw(st.lists(st.sampled_from(off), min_size=10 if n == 5 else 0,
+                          max_size=12 if n == 5 else len(off) // 2, unique=True)) if off else []
+    rows = []
+    if fixed:
+        rows.append(ConstraintRow.make(dict.fromkeys(fixed, 1), Relation.EQ, 0))
+    if draw(st.integers(0, 3)):
+        pos = draw(st.lists(st.integers(1, n * n), min_size=1, max_size=n * n, unique=True))
+        coeffs = {p: draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for p in pos}
+        value = sum(c for p, c in coeffs.items() if anchor[(p - 1) // n] == (p - 1) % n)
+        rhs = value + draw(st.integers(-2, 2))
+        rows.append(ConstraintRow.make(coeffs, draw(st.sampled_from(list(Relation))), rhs))
+    return ConstraintSystem(n, tuple(rows))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(_one_row_systems())
+@example(_one_row(3, {1: 2, 5: -1, 9: 1}, Relation.EQ, 1))  # negative coefficient
+@example(_one_row(4, {1: 1, 6: 1, 11: 1, 16: 1}, Relation.LE, 1))  # le row
+@example(_one_row(4, {1: 1, 6: 1, 11: 1, 16: 1}, Relation.EQ, 2, fixed=(2, 5)))  # fixed beside it
+@example(_one_row(4, {2: -1, 7: 2, 12: -1}, Relation.LE, -1, fixed=(1, 6, 11)))
+@example(_one_row(3, {1: 1, 5: 1}, Relation.EQ, 5))  # infeasible row
+@example(_one_row(3, {1: 1, 5: 1}, Relation.LE, -1))  # infeasible le row
+def test_structured_methods_match_the_screen_on_random_rows(cs):
+    _assert_equals_screen(cs, cs.n)
+
+
+def test_structured_stats_count_candidates_and_pairs():
+    assert enumerate_vertices(derangement(5), 5).stats == {
+        "method": "face", "candidates": 44, "pairs": 0, "feasible": 44, "fixed": 5, "merged": 0}
+    # fixpair5: of 120 permutations 36 lie on the row, 6 above it and 78 below;
+    # 294 of the 6 * 78 pairs across it are edges.
+    assert enumerate_vertices(_fixpair_cs(5), 5).stats == {
+        "method": "row", "candidates": 414, "pairs": 468, "feasible": 330, "fixed": 0, "merged": 0}
+    assert enumerate_vertices(pure_involution(6), 6).stats["method"] == "screen"
+
+
+def test_structured_work_is_charged_to_the_budget():
+    # n^2 = 25 units per candidate, one per pair tested.
+    enumerate_vertices(derangement(5), 5, max_bases=44 * 25)
+    with pytest.raises(BasisBudgetError):
+        enumerate_vertices(derangement(5), 5, max_bases=44 * 25 - 1)
+    work = 25 * 120 + 468 + 25 * 294
+    assert len(enumerate_vertices(_fixpair_cs(5), 5, max_bases=work)) == 330
+    for budget in (work - 1, 25 * 120 + 467):
+        with pytest.raises(BasisBudgetError, match="units of work"):
+            enumerate_vertices(_fixpair_cs(5), 5, max_bases=budget)
+    # derangement(10) has 1,334,961 permutations, past 6e6 / 100; the count
+    # stops at the first 60,001.
+    with pytest.raises(BasisBudgetError, match="over 60000 permutations"):
+        enumerate_vertices(derangement(10), 10)
+
+
+def test_derangement_6_polytope_is_its_code():
+    vs = enumerate_vertices(derangement(6), 6)
+    assert len(vs) == 265 and len(vs.fractional) == 0
+    want = {m.perm for m in build_code(CodeSpec(6, derangement(6), tuple(map(float, range(6))))).matrices}
+    assert {v.to_permutation().perm for v in vs.vertices} == want
+
+
+def test_one_row_polytopes_past_the_screen():
+    vs = enumerate_vertices(transposition(6), 6)
+    assert (len(vs), len(vs.integral)) == (409, 15)
+    assert len(enumerate_vertices(_fixpair_cs(6), 6)) == 6456
 
 
 def _low_rank(rng, rows, cols, rank):
