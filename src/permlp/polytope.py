@@ -215,18 +215,6 @@ def _presolve_counts(columns: np.ndarray, n: int) -> tuple[int, int]:
     return fixed, n * n - fixed - (int(columns.max()) + 1)
 
 
-def _method(std, n: int) -> str:
-    """The enumerator for a presolved standard form: "face", "row" or "screen".
-
-    The 2n Birkhoff rows always survive the presolve.  With nothing merged,
-    no other row left is a face of the Birkhoff polytope, and one more row
-    cuts such a face with a hyperplane or a halfspace.
-    """
-    if std is None or _presolve_counts(std[0], n)[1]:
-        return "screen"
-    return {2 * n: "face", 2 * n + 1: "row"}.get(len(std[1]), "screen")
-
-
 def enumerate_vertices(
     cs: ConstraintSystem, n: int, max_bases: int = DEFAULT_BASIS_BUDGET
 ) -> VertexSet:
@@ -240,7 +228,11 @@ def enumerate_vertices(
     if cs.n != n:
         raise ValueError("constraint system degree does not match n")
     std = _standard_form(*_pack_system(cs))
-    method = _method(std, n)
+    # The 2n Birkhoff rows always survive the presolve.  With nothing merged,
+    # no other row left is a face of the Birkhoff polytope, and one more row
+    # cuts such a face with a hyperplane or a halfspace.
+    extra = None if std is None or _presolve_counts(std[0], n)[1] else len(std[1]) - 2 * n
+    method = {0: "face", 1: "row"}.get(extra, "screen")
     vertices, stats = (_screen if method == "screen" else _structured)(n, std, max_bases)
     return VertexSet(n, vertices, {"method": method, **stats})
 
