@@ -9,7 +9,7 @@ unit-energy-free convention used throughout is SNR_dB = 10 log10(1 / sigma^2).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,12 +17,14 @@ import numpy as np
 from . import bounds
 from .codebook import Code, CodeSpec, build_code
 from .constraints import _COUNTER_MAX_DEGREE, _pair_weight_histogram, sample_ensemble
-from .lp import _code_polytope, _sort_certificate, lp_decode, ml_decode_detail
+from .lp import _CHUNK, _OPTIMAL, _check_finite, _code_polytope, _decode_misses, _sort_certificate
+from .lp import ml_decode_detail
 from .perm import BRUTE_FORCE_LIMIT, BruteForceLimitError
 
-# The ensemble path no longer calls these; they stay importable here because
+# The simulation no longer calls these; they stay importable here because
 # perfbench/tracing.py patches this module's lookups by name.
 from .constraints import satisfies_mask, theta  # noqa: F401
+from .lp import lp_decode  # noqa: F401
 from .perm import permutation_table  # noqa: F401
 
 
@@ -60,7 +62,10 @@ class TrialRecord:
     ml_errors: Optional[int]
     seed: int
     lp_certified: int = 0  # LP trials answered by the sort certificate
-    solver_errors: int = 0  # LP trials whose simplex raised; counted as failures
+    solver_errors: int = 0  # LP trials whose simplex failed; counted as failures
+    # Summed over the point's LP trials: phase-two ``pivots``, ``degenerate``
+    # pivots, and ``blands``, the trials whose simplex switched to Bland's rule.
+    lp_stats: Optional[dict[str, int]] = field(default=None, compare=False)
 
 
 def _fan_out(fn, jobs: list, threads: int) -> list:
@@ -81,54 +86,70 @@ def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
 
 
 def _simulate_point(args) -> TrialRecord:
+    """One SNR point, in chunks of up to ``lp._CHUNK`` trials.
+
+    A chunk draws every trial's noise first.  The sort certificate then runs
+    on all of its received words at once; the LP words it misses go through
+    the simplex as one stack, and the ML words it misses are scanned one by
+    one.
+    """
     spec, code, snr_db, point_idx, trials, seed, decoders, transmitted = args
     sigma = sigma_from_snr_db(snr_db)
     s = np.asarray(spec.s, dtype=float)
+    n = spec.n
     fixed = None if transmitted is None else np.asarray(transmitted, dtype=float)
-    polytope = _code_polytope(spec.cs) if "ml" in decoders else None
-    lp_errors = lp_failures = ml_errors = lp_certified = solver_errors = 0
-    for t in range(trials):
-        rng = _trial_rng(seed, point_idx, t)
-        if fixed is None:
-            sent = code.codewords[int(rng.integers(0, len(code)))]
-        else:
-            sent = fixed
-        y = awgn(sent, sigma, rng)
+    polytope = _code_polytope(spec.cs)
+    lp_right = lp_failures = ml_right = certified = solver_errors = 0
+    lp_stats = {"pivots": 0, "degenerate": 0, "blands": 0} if "lp" in decoders else None
+    for start in range(0, trials, _CHUNK):
+        size = min(_CHUNK, trials - start)
+        noise = np.empty((size, n))
+        picks = np.zeros(size, dtype=np.intp)
+        for k in range(size):
+            rng = _trial_rng(seed, point_idx, start + k)
+            if fixed is None:
+                picks[k] = rng.integers(0, len(code))
+            noise[k] = rng.normal(0.0, sigma, n)
+        sent = code.codewords[picks] if fixed is None else np.broadcast_to(fixed, (size, n))
+        ys = sent + noise
+        _check_finite(s, ys)
+        hit, perm = _sort_certificate(polytope, s, ys)
+        words = np.empty_like(ys)
+        np.put_along_axis(words, perm, s, axis=1)
+        right = int(np.count_nonzero(hit & (words == sent).all(axis=1)))
+        misses = (~hit).nonzero()[0]
         if "lp" in decoders:
-            try:
-                res = lp_decode(spec.cs, s, y)
-            except RuntimeError:  # the simplex hit its iteration cap or drifted
-                solver_errors += 1
-                lp_failures += 1
-                lp_errors += 1
-            else:
-                lp_certified += res.certified
-                if not res.is_codeword:
-                    lp_failures += 1
-                    lp_errors += 1
-                elif not np.array_equal(res.word, sent):
-                    lp_errors += 1
+            certified += size - len(misses)
+            lp_right += right
+        if "lp" in decoders and len(misses):
+            out = _decode_misses(polytope, s, ys[misses])
+            run = out.run
+            solver_errors += len(misses) - int(np.count_nonzero(run.status == _OPTIMAL))
+            lp_failures += len(misses) - int(np.count_nonzero(out.codeword))
+            found = np.empty((len(misses), n))
+            np.put_along_axis(found, out.perm, s, axis=1)
+            lp_right += int(np.count_nonzero(out.codeword & (found == sent[misses]).all(axis=1)))
+            lp_stats["pivots"] += int(run.pivots.sum())
+            lp_stats["degenerate"] += int(run.degenerate.sum())
+            lp_stats["blands"] += int(np.count_nonzero(run.blands))
         if "ml" in decoders:
             # A certified X* is the unique argmax of codewords @ y, so the
-            # scan is needed only when the certificate does not hold.
-            perm = _sort_certificate(polytope, s, y)
-            if perm is None:
-                _, word, _ = ml_decode_detail(code, y)
-            else:
-                word = np.empty(spec.n)
-                word[perm] = s
-            if not np.array_equal(word, sent):
-                ml_errors += 1
+            # scan is needed only where the certificate does not hold.
+            ml_right += right
+            for k in misses.tolist():
+                _, word, _ = ml_decode_detail(code, ys[k])
+                ml_right += np.array_equal(word, sent[k])
     return TrialRecord(
         snr_db=float(snr_db),
         sigma=sigma,
         trials=trials,
-        lp_errors=lp_errors,
+        lp_errors=trials - lp_right if "lp" in decoders else 0,
         lp_failures=lp_failures,
-        ml_errors=ml_errors if "ml" in decoders else None,
+        ml_errors=trials - ml_right if "ml" in decoders else None,
         seed=seed,
-        lp_certified=lp_certified,
+        lp_certified=certified,
         solver_errors=solver_errors,
+        lp_stats=lp_stats,
     )
 
 
@@ -141,7 +162,7 @@ def _is_codeword(spec: CodeSpec, word: np.ndarray, code: Optional[Code]) -> bool
     # there, and the exact int64 rows of the sort certificate check it.
     order = s.argsort()
     rearranged = np.array_equal(np.sort(word), s[order])
-    return rearranged and _code_polytope(spec.cs).admits(word.argsort(), order)
+    return rearranged and bool(_code_polytope(spec.cs).admits(word.argsort(), order))
 
 
 def simulate_bler(

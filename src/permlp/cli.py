@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import channel, codebook, encoder, polytope
 from .constraints import satisfies
-from .lp import InfeasibleCodeError, lp_decode, ml_decode_detail
+from .lp import InfeasibleCodeError, lp_decode_batch, ml_decode_detail
 from .perm import BRUTE_FORCE_LIMIT, BruteForceLimitError, PermutationMatrix
 from .polytope import BasisBudgetError, SharedImageError, enumerate_vertices
 from .specfile import CodeSpecFile, SpecFileError, load_spec
@@ -163,30 +163,32 @@ def _cmd_decode_message(args) -> int:
 def _cmd_decode(args) -> int:
     sf = load_spec(args.specfile)
     spec = sf.code_spec()
-    y = _parse_vector(args.received, sf.n, "received vector")
+    ys = np.array([_parse_vector(text, sf.n, "received vector") for text in args.received])
     # Every line is computed before the output opens, so a refusal (such as
-    # the ML decoder's codebook past the cap) leaves no partial file.
-    lines = []
+    # the ML decoder's codebook past the cap) leaves no partial file.  Each
+    # received vector gets its own block of lines, in the order given.
+    blocks: list[list[str]] = [[] for _ in ys]
     failed = False
     if args.decoder in ("lp", "both"):
-        res = lp_decode(spec.cs, np.asarray(spec.s), y)
-        if res.is_codeword:
-            lines.append("lp: " + " ".join(_fmt(v) for v in res.word))
-        else:
-            failed = True
-            lines.append("lp: FAILURE")
-            lines.extend("  " + " ".join(_fmt(v) for v in row) for row in res.fractional)
-        lines.append("lp_objective: " + _fmt(res.objective_value))
+        for lines, res in zip(blocks, lp_decode_batch(spec.cs, np.asarray(spec.s), ys)):
+            if res.is_codeword:
+                lines.append("lp: " + " ".join(_fmt(v) for v in res.word))
+            else:
+                failed = True
+                lines.append("lp: FAILURE")
+                lines.extend("  " + " ".join(_fmt(v) for v in row) for row in res.fractional)
+            lines.append("lp_objective: " + _fmt(res.objective_value))
     if args.decoder in ("ml", "both"):
         code = codebook.build_code(spec, limit=args.brute_force_cap)
         if len(code) == 0:
             raise InfeasibleCodeError("the code is empty")
-        _, word, tie = ml_decode_detail(code, y)
-        lines.append("ml: " + " ".join(_fmt(v) for v in word))
-        if tie:
-            lines.append("ml_tie: true")
+        for lines, y in zip(blocks, ys):
+            _, word, tie = ml_decode_detail(code, y)
+            lines.append("ml: " + " ".join(_fmt(v) for v in word))
+            if tie:
+                lines.append("ml_tie: true")
     with _open_out(args.out) as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(line + "\n" for lines in blocks for line in lines)
     return 2 if failed else 0
 
 
@@ -349,7 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", parents=[common, out], help="decode a received vector")
     p.add_argument("specfile")
-    p.add_argument("-y", "--received", required=True, help="received vector, comma-separated")
+    p.add_argument("-y", "--received", required=True, action="append",
+                   help="received vector, comma-separated; repeat to decode several in one batch")
     p.add_argument("--decoder", choices=["lp", "ml", "both"], default="lp")
     p.set_defaults(handler=_cmd_decode)
 

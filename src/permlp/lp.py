@@ -6,6 +6,17 @@ a dense numpy tableau: phase one drives artificial variables out, phase two
 optimizes the real objective.  Entering columns follow the largest-reduced-
 cost rule until the iteration stalls on degenerate pivots, after which the
 solver switches permanently to Bland's rule, which guarantees termination.
+The leaving row is the one with the least ratio rhs / column entry over the
+entries above 1e-9; among the rows whose ratio lies within 1e-9 of that
+least one, it is the row whose basic variable is smallest.
+
+One kernel, ``_simplex``, runs every simplex: it optimizes a stack of
+tableaux that share a shape, one pivot per running problem per round, each
+problem with its own Bland's-rule switch, stall count and iteration cap.
+Phase one and ``solve`` run it as a stack of one, which, like the last
+running problem of a larger stack, takes its rounds with scalar indices on
+its 2-D tableau.  A problem that fails (the iteration cap, or an optimum
+that fails the drift re-check) fails alone.
 
 Phase one runs on the presolved problem (Andersen & Andersen, "Presolving in
 linear programming", 1995).  The presolve fixes the variables that same-sign
@@ -28,17 +39,20 @@ smallest entry of y) the unique maximizer over the whole Birkhoff polytope
 it is the unique LP optimum and the ML codeword, so no simplex runs.
 Otherwise the decode falls through to the simplex.  The polytope depends on
 the constraint system alone, so phase one runs once per system and is
-cached; the decode starts phase two from a copy of that feasible tableau.
-Phase one never reads the objective, so a fall-through makes the same
-pivots, and returns the same result, as a cold two-phase solve.
+cached.  ``lp_decode_batch`` runs the certificate on all received words at
+once and sends the words it misses to phase two as one stack of copies of
+that feasible tableau, up to ``_CHUNK`` at a time; ``lp_decode`` is a batch
+of one.  Phase one never reads the objective, and the kernel treats each
+problem of a stack alike, so a fall-through makes the same pivots, and
+returns the same result, as a cold two-phase solve.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -87,62 +101,179 @@ class LPSolution:
     objective_value: float
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    pivot_row = tableau[row]
-    pivot_row /= pivot_row[col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    # Rows with a zero factor would only have zero subtracted from them.
-    hit = factors.nonzero()[0]
-    tableau[hit] -= factors[hit, None] * pivot_row
-    basis[row] = col
+# Outcome of each problem of a stack: an optimum, an unbounded ray, or a
+# solver failure (the iteration cap, or an optimum that fails the re-check).
+_OPTIMAL, _UNBOUNDED, _CAPPED, _DRIFTED = range(4)
+_FAILURES = {
+    _UNBOUNDED: "the simplex found a ray in a bounded LP",
+    _CAPPED: "simplex failed to terminate within the iteration cap",
+    _DRIFTED: "simplex returned an infeasible point",
+}
 
 
-def _choose_leaving(tableau: np.ndarray, basis: np.ndarray, col: int, m: int):
-    """Minimum-ratio row; ties broken towards the smallest basis variable."""
-    column = tableau[:m, col]
-    rows = (column > _EPS).nonzero()[0]
-    ratios = tableau[rows, -1] / column[rows]
-    best_row, best_ratio = -1, np.inf
-    for r, ratio in zip(rows.tolist(), ratios.tolist()):
-        if ratio < best_ratio - _EPS or (
-            abs(ratio - best_ratio) <= _EPS
-            and (best_row < 0 or basis[r] < basis[best_row])
-        ):
-            best_row, best_ratio = r, ratio
-    return best_row, best_ratio
+def _limits(m: int, ncols: int) -> tuple[int, int]:
+    """``(stall budget, iteration cap)`` of an m-row problem with ncols columns.
+
+    A run of more degenerate pivots than the budget switches the problem to
+    Bland's rule for good; a problem still running after the cap's pivots
+    has failed.
+    """
+    return 5 * (m + ncols), 200 * (m + ncols) + 2000
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int, m: int) -> LPStatus:
-    """Optimize the tableau in place.  Returns OPTIMAL or UNBOUNDED."""
+def _pivot(stack, factors, pivot_rows, basis, basis_at, cols) -> None:
+    """Pivot each problem of a contiguous (k, m+1, W) stack on one entry, in place.
+
+    ``factors`` (k, m+1) holds each problem's pivot column, ``pivot_rows``
+    the pivot rows as indices into the stack's (k(m+1), W) rows and
+    ``basis_at`` the same rows as flat indices into the (k, m) ``basis``,
+    whose entries become ``cols``.
+    """
+    rows = stack.reshape(-1, stack.shape[2])
+    pivot = rows.take(pivot_rows, axis=0)
+    pivot /= factors.take(pivot_rows)[:, None]
+    # The pivot row's own update is overwritten next, so every row is
+    # updated as one block; a zero factor subtracts zero.
+    stack -= factors[:, :, None] * pivot[:, None, :]
+    rows[pivot_rows] = pivot
+    basis.put(basis_at, cols)
+
+
+class _Simplex(NamedTuple):
+    """Per problem of a stack: outcome code and the kernel's counters."""
+
+    status: np.ndarray  # _OPTIMAL, _UNBOUNDED or _CAPPED
+    pivots: np.ndarray
+    degenerate: np.ndarray  # pivots whose ratio was within _EPS of zero
+    blands: np.ndarray  # whether the stall switch to Bland's rule engaged
+
+
+def _stack_views(t: np.ndarray):
+    """Views and gather offsets of a contiguous (k, m+1, W) working stack."""
+    k, height, width = t.shape
+    m = height - 1
+    first_row = np.arange(k) * height
+    # flat index of entry (r, 0) of each problem, cost row included
+    entries = (first_row[:, None] + np.arange(height)) * width
+    return t.reshape(-1), t[:, m, : width - 1], t[:, :m, -1], first_row, entries, np.arange(k) * m
+
+
+def _simplex(tableau: np.ndarray, basis: np.ndarray) -> _Simplex:
+    """Optimize each tableau of a contiguous (B, m+1, W) stack in place, each on its own.
+
+    The last column is the rhs and the last row the reduced costs; ``basis``
+    (B, m) holds each row's basic column.  Every running problem takes one
+    pivot per round, with its own Bland's-rule switch, stall count and
+    iteration cap.  Problems that end leave the working stack, which then
+    runs on a smaller copy; their final tableaux are written back.  The last
+    running problem, and so a stack of one, takes its rounds alone on its
+    2-D tableau with scalar indices: the same rules and arithmetic without
+    the numpy calls that address a stack.
+    """
+    size, height, width = tableau.shape
+    m, ncols = height - 1, width - 1
+    status = np.full(size, _CAPPED, dtype=np.int8)
+    pivots = np.zeros(size, dtype=np.int64)
+    degenerate = np.zeros(size, dtype=np.int64)
+    blands = np.zeros(size, dtype=bool)
     if ncols == 0:  # the presolve fixed every variable
-        return LPStatus.OPTIMAL
-    stall_budget = 5 * (m + ncols)
-    stalled = 0
-    blands = False
-    max_iters = 200 * (m + ncols) + 2000
-    for _ in range(max_iters):
-        reduced = tableau[-1, :ncols]
-        if blands:
-            candidates = (reduced > _EPS).nonzero()[0]
-            if candidates.size == 0:
-                return LPStatus.OPTIMAL
-            col = int(candidates[0])
-        else:
-            col = int(reduced.argmax())
-            if reduced[col] <= _EPS:
-                return LPStatus.OPTIMAL
-        row, ratio = _choose_leaving(tableau, basis, col, m)
-        if row < 0:
-            return LPStatus.UNBOUNDED
-        _pivot(tableau, basis, row, col)
-        if ratio <= _EPS:
-            stalled += 1
-            if not blands and stalled > stall_budget:
-                blands = True
-        else:
-            stalled = 0
-    raise RuntimeError("simplex failed to terminate within the iteration cap")
+        status[:] = _OPTIMAL
+        return _Simplex(status, pivots, degenerate, blands)
+    stall_budget, cap = _limits(m, ncols)
+    live = np.arange(size)  # the problem on each row of the working stack
+    t, b = tableau, basis
+    stalled = np.zeros(size, dtype=np.int64)
+    flat = np.zeros(size, dtype=np.int64)
+    bland = np.zeros(size, dtype=bool)
+    any_bland = False
+    it = 0
+    if size > 1:
+        flat_t, reduced, rhs, first_row, entries, first_ratio = _stack_views(t)
+    while len(live) > 1 and it < cap:
+        col = reduced.argmax(axis=1)
+        if any_bland:
+            col = np.where(bland, (reduced > _EPS).argmax(axis=1), col)
+        factors = flat_t.take(entries + col[:, None])  # column col, cost row last
+        column = factors[:, :m]
+        ratio = np.divide(rhs, column, out=np.full(column.shape, np.inf), where=column > _EPS)
+        least = ratio.min(axis=1)
+        optimal = factors[:, m] <= _EPS
+        ended = optimal | (least == np.inf)
+        if np.count_nonzero(ended):
+            done = live[ended]
+            status[done] = np.where(optimal[ended], _OPTIMAL, _UNBOUNDED)
+            pivots[done] = it
+            degenerate[done] = flat[ended]
+            blands[done] = bland[ended]
+            if t is not tableau:
+                tableau[done] = t[ended]
+                basis[done] = b[ended]
+            going = ~ended
+            live, t, b = live[going], t[going], b[going]
+            stalled, flat, bland = stalled[going], flat[going], bland[going]
+            if len(live) <= 1:
+                break
+            col, factors, ratio, least = col[going], factors[going], ratio[going], least[going]
+            flat_t, reduced, rhs, first_row, entries, first_ratio = _stack_views(t)
+        # Leaving row: the least ratio, then among the rows within _EPS of
+        # it the one whose basic variable is smallest.
+        row = np.where(ratio - least[:, None] <= _EPS, b, width).argmin(axis=1)
+        at = first_ratio + row
+        degen = ratio.take(at) <= _EPS
+        _pivot(t, factors, first_row + row, b, at, col)
+        flat += degen
+        stalled += 1
+        stalled *= degen
+        it += 1
+        if it > stall_budget:  # before that no run of stalls can exceed the budget
+            bland |= stalled > stall_budget
+            any_bland = bool(bland.any())
+    if len(live) == 1:
+        t1, b1 = t[0], b[0]
+        stall, flats, bl = int(stalled[0]), int(flat[0]), bool(bland[0])
+        cost, rhs1 = t1[m, :ncols], t1[:m, -1]
+        outcome = _CAPPED
+        while it < cap:
+            if bl:
+                col = int((cost > _EPS).argmax())
+            else:
+                col = int(cost.argmax())
+            if cost[col] <= _EPS:
+                outcome = _OPTIMAL
+                break
+            column = t1[:m, col]
+            rows = (column > _EPS).nonzero()[0]
+            if not rows.size:
+                outcome = _UNBOUNDED
+                break
+            ratios = rhs1[rows] / column[rows]
+            near = (ratios - ratios.min() <= _EPS).nonzero()[0]
+            pick = near[0] if near.size == 1 else near[b1[rows[near]].argmin()]
+            row = int(rows[pick])
+            pivot = t1[row] / column[row]
+            t1 -= t1[:, col, None] * pivot
+            t1[row] = pivot
+            b1[row] = col
+            it += 1
+            if ratios[pick] <= _EPS:
+                flats += 1
+                stall += 1
+                bl = bl or stall > stall_budget
+            else:
+                stall = 0
+        j = live[0]
+        status[j], pivots[j], degenerate[j], blands[j] = outcome, it, flats, bl
+        if t is not tableau:
+            tableau[j] = t1
+            basis[j] = b1
+        return _Simplex(status, pivots, degenerate, blands)
+    pivots[live] = it
+    degenerate[live] = flat
+    blands[live] = bland
+    if t is not tableau:
+        tableau[live] = t
+        basis[live] = b
+    return _Simplex(status, pivots, degenerate, blands)
 
 
 def _pack(problem: LPProblem):
@@ -250,7 +381,9 @@ class _FeasibleTableau:
     row.  ``columns`` maps each variable to its reduced column (-1 when the
     presolve fixed it at zero) and ``width`` counts the reduced columns.
     ``rows``, ``rhs`` and ``eq`` are the problem's rows as given, for the
-    final feasibility re-check.  The arrays are read-only; phase two works on
+    final feasibility re-check.  ``fold`` sums an objective onto the reduced
+    columns: level k pairs each column that has a k-th entry with that entry,
+    entries in increasing order.  The arrays are read-only; phase two works on
     copies.
     """
 
@@ -261,6 +394,23 @@ class _FeasibleTableau:
     rows: np.ndarray
     rhs: np.ndarray
     eq: np.ndarray
+    fold: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _fold_levels(columns: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``_FeasibleTableau.fold`` for the column map of a presolve."""
+    entries = np.flatnonzero(columns >= 0)
+    rank = np.zeros(len(columns), dtype=np.intp)
+    seen: dict[int, int] = {}
+    for v in entries.tolist():
+        c = int(columns[v])
+        seen[c] = seen.get(c, -1) + 1
+        rank[v] = seen[c]
+    levels = []
+    for level in range(max(seen.values(), default=-1) + 1):
+        at = entries[rank[entries] == level]
+        levels.append((columns[at], at))
+    return tuple(levels)
 
 
 def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_FeasibleTableau]:
@@ -290,9 +440,9 @@ def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_F
     tableau[-1, width:-1] = -1.0
     for r in art.nonzero()[0].tolist():
         tableau[-1] += tableau[r]
-    status = _run_simplex(tableau, basis, tableau.shape[1] - 1, m)
-    if status is not LPStatus.OPTIMAL:  # pragma: no cover - bounded by construction
-        raise RuntimeError("phase one cannot be unbounded")
+    status = _simplex(tableau[None], basis[None]).status[0]
+    if status != _OPTIMAL:  # pragma: no cover - bounded by construction; the cap is defensive
+        raise RuntimeError(_FAILURES[status])
     if tableau[-1, -1] > 1e-7:
         return None
     # Pivot lingering artificials out; a row with no real coefficient is
@@ -301,58 +451,84 @@ def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_F
     for r in np.flatnonzero(basis >= width).tolist():  # a pivot on r changes basis[r] only
         real = np.flatnonzero(np.abs(tableau[r, :width]) > 1e-7)
         if real.size:
-            _pivot(tableau, basis, r, int(real[0]))
+            c = int(real[0])
+            at = np.array([r])
+            _pivot(tableau[None], tableau[None, :, c].copy(), at, basis[None], at, c)
         else:
             keep[r] = False
 
     tableau = np.delete(tableau[np.append(keep, True)], np.s_[width:-1], axis=1)
     tableau[-1] = 0.0
     basis = basis[keep]
-    for arr in (tableau, basis, columns, rows, rhs, eq):
+    fold = _fold_levels(columns)
+    for arr in (tableau, basis, columns, rows, rhs, eq, *(a for level in fold for a in level)):
         arr.setflags(write=False)
-    return _FeasibleTableau(tableau, basis, columns, nv, rows, rhs, eq)
+    return _FeasibleTableau(tableau, basis, columns, nv, rows, rhs, eq, fold)
 
 
-def _phase_two(feasible: _FeasibleTableau, objective: np.ndarray) -> LPSolution:
-    """Optimize the objective from the feasible basis (the tables are copied)."""
-    tableau = feasible.tableau.copy()
-    basis = feasible.basis.copy()
-    m = basis.size
+def _phase_two(feasible: _FeasibleTableau, objectives: np.ndarray) -> tuple[np.ndarray, _Simplex]:
+    """Optimize each row of ``objectives`` from the feasible basis, as one stack.
+
+    Returns each problem's x and the kernel's ``_Simplex``, whose status also
+    reads ``_DRIFTED`` for an optimum that fails the re-check; x is
+    meaningful only where the status is ``_OPTIMAL``.
+    """
+    size = len(objectives)
     nv = feasible.width
-    # A merged column carries the summed objective of its entries.
-    fixed = feasible.columns < 0
-    tableau[-1, :nv] = np.bincount(
-        feasible.columns[~fixed], weights=objective[~fixed], minlength=nv
-    )
+    start = feasible.tableau  # its cost row is zero
+    cost = np.zeros((size, start.shape[1]))
+    # A merged column carries the summed objective of its entries, added to
+    # zero in entry order; level 0 holds every column's first entry.
+    for level, (cols, entries) in enumerate(feasible.fold):
+        if level:
+            cost[:, cols] += objectives.take(entries, axis=1)
+        else:
+            np.add(objectives.take(entries, axis=1), 0.0, out=cost[:, :nv])
     # Basis columns are exact unit vectors, so subtracting row r changes no
     # other basic cost: the costs read up front are the ones a sequential
-    # elimination would read, and the subtractions keep their order.
-    costs = tableau[-1, basis]
-    for r in costs.nonzero()[0].tolist():
-        tableau[-1] -= costs[r] * tableau[r]
-    status = _run_simplex(tableau, basis, tableau.shape[1] - 1, m)
-    if status is LPStatus.UNBOUNDED:
-        return LPSolution(LPStatus.UNBOUNDED, None, float("nan"))
+    # elimination would read.  subtract.reduce over the rows axis keeps the
+    # subtractions in row order; a row whose cost is zero subtracts zero.
+    if feasible.basis.size:
+        terms = cost.take(feasible.basis, axis=1)[:, :, None] * start[:-1]
+        np.subtract(cost, terms[:, 0], out=terms[:, 0])
+        np.subtract.reduce(terms, axis=1, out=cost)
+        del terms
+    tableau = np.repeat(start[None], size, axis=0)
+    tableau[:, -1] = cost
+    basis = np.repeat(feasible.basis[None], size, axis=0)
+    run = _simplex(tableau, basis)
 
-    reduced = np.zeros(nv + 1, dtype=float)  # the last slot reads 0 for fixed entries
-    real = basis < nv
-    reduced[basis[real]] = tableau[:m, -1][real]
-    x = reduced[feasible.columns]
-    value = float(objective @ x)
+    # Basic values by column; slot nv collects the slacks and slot nv + 1
+    # stays 0, which is where the presolve's fixed entries (column -1) read.
+    reduced = np.zeros((size, nv + 2), dtype=float)
+    at = np.minimum(basis, nv) + (np.arange(size) * (nv + 2))[:, None]
+    reduced.reshape(-1).put(at, tableau[:, :-1, -1])
+    x = reduced.take(feasible.columns, axis=1)
 
     # Cheap internal revalidation against drift, on the rows as given.
-    dev = feasible.rows @ x - feasible.rhs
-    if np.any(np.where(feasible.eq, np.abs(dev), dev) > 1e-6):  # pragma: no cover - defensive
-        raise RuntimeError("simplex returned an infeasible point")
-    return LPSolution(LPStatus.OPTIMAL, x, value)
+    dev = x @ feasible.rows.T - feasible.rhs
+    np.abs(dev, out=dev, where=feasible.eq)
+    drifted = (dev.max(axis=1, initial=-np.inf) > 1e-6) & (run.status == _OPTIMAL)
+    run.status[drifted] = _DRIFTED
+    return x, run
 
 
 def solve(problem: LPProblem) -> LPSolution:
-    """Two-phase simplex.  The optimal x is a vertex of the feasible region."""
+    """Two-phase simplex.  The optimal x is a vertex of the feasible region.
+
+    Phase two runs as a stack of one.  Raises ``RuntimeError`` when the
+    simplex hits its iteration cap or its optimum fails the drift re-check.
+    """
     feasible = _phase_one(*_pack(problem))
     if feasible is None:
         return LPSolution(LPStatus.INFEASIBLE, None, float("nan"))
-    return _phase_two(feasible, problem.objective)
+    x, run = _phase_two(feasible, problem.objective[None])
+    status = run.status[0]
+    if status == _UNBOUNDED:
+        return LPSolution(LPStatus.UNBOUNDED, None, float("nan"))
+    if status != _OPTIMAL:
+        raise RuntimeError(_FAILURES[status])
+    return LPSolution(LPStatus.OPTIMAL, x[0], float(problem.objective @ x[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +566,19 @@ class InfeasibleCodeError(ValueError):
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """LP decoding outcome: a codeword, or a declared failure."""
+    """LP decoding outcome: a codeword, or a declared failure.
+
+    ``stats`` counts the simplex's work on this word: phase-two ``pivots``,
+    ``degenerate`` pivots (ratio zero) and whether the stall switch to
+    ``blands`` rule engaged; all zero for a certified answer.
+    """
 
     matrix: Optional[PermutationMatrix]
     word: Optional[np.ndarray]
     fractional: Optional[np.ndarray]
     objective_value: float
     certified: bool = False  # answered by the sort certificate, no simplex
+    stats: Optional[dict[str, int | bool]] = field(default=None, compare=False)
 
     @property
     def is_codeword(self) -> bool:
@@ -414,6 +596,10 @@ INTEGRALITY_TOL = 1e-6
 # the simplex would stop at X* too.
 _CERT_MARGIN = 1e-6
 
+# Received words that miss the certificate go to the simplex in stacks of at
+# most this many, which bounds a stack's tableaux to a few MB.
+_CHUNK = 512
+
 
 @dataclass(frozen=True)
 class _CodePolytope:
@@ -430,9 +616,13 @@ class _CodePolytope:
     cube: np.ndarray
     bound: np.ndarray
 
-    def admits(self, rows: np.ndarray, cols: np.ndarray) -> bool:
-        """Whether the permutation matrix with ones at (rows[k], cols[k]) satisfies cs."""
-        return bool((self.cube[rows, cols].sum(axis=0) <= self.bound).all())
+    def admits(self, rows: np.ndarray, cols: np.ndarray):
+        """Whether the permutation matrix with ones at (rows[..., k], cols[..., k]) satisfies cs.
+
+        One-dimensional index arrays give one answer, two-dimensional ones an
+        answer per row.
+        """
+        return (self.cube[rows, cols].sum(axis=-2) <= self.bound).all(axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -450,75 +640,141 @@ def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
     return _CodePolytope(feasible, cube, bound)
 
 
-def _sort_certificate(polytope: _CodePolytope, s: np.ndarray, y: np.ndarray):
-    """Column-to-row map (0-based) of the sort-matching X*, or None.
+def _sort_certificate(polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray):
+    """``(hit, perm)`` for each row y of ys: whether the sort-matching X* is certified.
 
     X* puts the column of the i-th smallest entry of s in the row of the i-th
-    smallest entry of y.  It is returned only when it beats every other
-    permutation by the margin and satisfies every row of the code exactly;
-    repeated entries, near-ties and non-finite inputs return None.
+    smallest entry of y; ``perm[k]`` is its column-to-row map (0-based),
+    meaningful only where ``hit[k]``.  X* is certified only when it beats
+    every other permutation by the margin and satisfies every row of the
+    code exactly; repeated entries, near-ties and non-finite inputs miss.
     """
-    order_s, order_y = s.argsort(), y.argsort()
-    ss, ys = s[order_s], y[order_y]
-    # NaN sorts last, so finite ends mean finite entries.
-    if not np.isfinite((ys[0], ys[-1], ss[0], ss[-1])).all():
-        return None
-    gap = (ys[1:] - ys[:-1]).min(initial=np.inf) * (ss[1:] - ss[:-1]).min(initial=np.inf)
-    if not gap > _CERT_MARGIN or not polytope.admits(order_y, order_s):
-        return None
-    perm = np.empty_like(order_s)
-    perm[order_s] = order_y
-    return perm
+    order_s = s.argsort()
+    ss = s[order_s]
+    finite = np.isfinite(ys).all(axis=1)
+    if np.count_nonzero(finite) < len(ys):
+        ys = np.where(finite[:, None], ys, 0.0)  # zeroed so that no arithmetic meets them
+    order_y = ys.argsort(axis=1)
+    perm = np.empty_like(order_y)
+    perm[:, order_s] = order_y
+    gap_s = (ss[1:] - ss[:-1]).min(initial=np.inf) if np.isfinite(ss).all() else 0.0
+    if not gap_s > 0:
+        return np.zeros(len(ys), dtype=bool), perm
+    sy = np.sort(ys, axis=1)
+    gap_y = (sy[:, 1:] - sy[:, :-1]).min(axis=1, initial=np.inf)
+    hit = finite & (gap_y * gap_s > _CERT_MARGIN) & polytope.admits(order_y, order_s)
+    return hit, perm
+
+
+class _Misses(NamedTuple):
+    """Phase two of the received words the certificate missed, one row each.
+
+    ``run`` is ``_phase_two``'s; ``x`` is each optimum and ``objectives``
+    each row's objective, both over the n^2 entries.  Where ``codeword`` is
+    set, the optimum is a permutation matrix that satisfies the code and
+    ``perm`` is its column-to-row map.
+    """
+
+    run: _Simplex
+    x: np.ndarray
+    objectives: np.ndarray
+    codeword: np.ndarray
+    perm: np.ndarray
+
+
+def _decode_misses(polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray) -> _Misses:
+    """Phase two for each row of ys (finite, at most ``_CHUNK`` rows) as one stack.
+
+    The objective of row y is y s^T, entry by entry as ``build_decoding_lp``
+    forms it.  An optimum counts as a codeword when it is within
+    ``INTEGRALITY_TOL`` of a permutation matrix that satisfies the code.
+    """
+    size, n = ys.shape
+    objectives = (ys[:, :, None] * s).reshape(size, n * n)
+    x, run = _phase_two(polytope.feasible, objectives)
+    # The candidate matrix puts each column's 1 at its largest entry.  An
+    # optimum within the tolerance of it rounds to it, and its rows are then
+    # distinct: the drift re-check holds every row sum within 1e-6 of 1.
+    perm = x.reshape(size, n, n).argmax(axis=1)
+    onehot = perm[:, None, :] == np.arange(n)[:, None]
+    codeword = (
+        (run.status == _OPTIMAL)
+        & (np.abs(x - onehot.reshape(size, n * n)).max(axis=1) <= INTEGRALITY_TOL)
+        & polytope.admits(perm, np.arange(n))
+    )
+    return _Misses(run, x, objectives, codeword, perm)
+
+
+def _check_finite(s: np.ndarray, ys: np.ndarray) -> None:
+    if not (np.isfinite(s).all() and np.isfinite(ys).all()):
+        raise ValueError("initial vector and received vector must be finite")
+
+
+def lp_decode_batch(
+    cs: ConstraintSystem, s: Sequence[float], ys: np.ndarray
+) -> list[DecodeResult]:
+    """``lp_decode`` of every row of ys, as one batch.
+
+    One certificate pass covers every row, and the rows it misses run through
+    the simplex in stacks of up to ``_CHUNK``.  Each result equals
+    ``lp_decode(cs, s, y)`` of its row.  A row whose simplex fails raises
+    ``RuntimeError``; non-finite entries raise ``ValueError``.
+    """
+    n = cs.n
+    s = np.asarray(s, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if s.shape != (n,) or ys.ndim != 2 or ys.shape[1:] != (n,):
+        raise ValueError("initial vector and received vector must have length n")
+    polytope = _code_polytope(cs)
+    if polytope.feasible is None:
+        raise InfeasibleCodeError("empty code polytope")
+    _check_finite(s, ys)
+    hit, perm = _sort_certificate(polytope, s, ys)
+    results: list[Optional[DecodeResult]] = [None] * len(ys)
+    for k in hit.nonzero()[0].tolist():
+        x = PermutationMatrix(tuple((perm[k] + 1).tolist()))
+        word = x.apply(s)
+        results[k] = DecodeResult(
+            matrix=x, word=word, fractional=None, objective_value=float(ys[k] @ word),
+            certified=True, stats={"pivots": 0, "degenerate": 0, "blands": False},
+        )
+    misses = (~hit).nonzero()[0]
+    for start in range(0, len(misses), _CHUNK):
+        rows = misses[start : start + _CHUNK]
+        out = _decode_misses(polytope, s, ys[rows])
+        run = out.run
+        for j, k in enumerate(rows.tolist()):
+            if run.status[j] != _OPTIMAL:
+                raise RuntimeError(_FAILURES[run.status[j]])
+            stats = {"pivots": int(run.pivots[j]), "degenerate": int(run.degenerate[j]),
+                     "blands": bool(run.blands[j])}
+            value = float(out.objectives[j] @ out.x[j])
+            if out.codeword[j]:
+                x = PermutationMatrix(tuple((out.perm[j] + 1).tolist()))
+                results[k] = DecodeResult(matrix=x, word=x.apply(s), fractional=None,
+                                          objective_value=value, stats=stats)
+            else:
+                results[k] = DecodeResult(matrix=None, word=None,
+                                          fractional=out.x[j].reshape(n, n).copy(),
+                                          objective_value=value, stats=stats)
+    return results
 
 
 def lp_decode(cs: ConstraintSystem, s: Sequence[float], y: Sequence[float]) -> DecodeResult:
-    """LP decoding of y against the code (cs, s).
+    """LP decoding of y against the code (cs, s), as a batch of one.
 
     The sort certificate is tried first: when it holds, X* is returned with
     ``certified`` set and objective y . (X* s), without a simplex.  Otherwise
     phase two runs from the phase-one basis cached per constraint system,
     which gives the same result as ``solve(build_decoding_lp(cs, s, y))``.
     The two agree on every certified input too, up to the last bits of the
-    objective.  Non-finite entries in s or y raise ``ValueError``.
+    objective.  Non-finite entries in s or y raise ``ValueError``; a simplex
+    that hits its iteration cap or drifts raises ``RuntimeError``.
     """
-    n = cs.n
-    s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    if s.shape != (n,) or y.shape != (n,):
+    if y.shape != (cs.n,):
         raise ValueError("initial vector and received vector must have length n")
-    polytope = _code_polytope(cs)
-    if polytope.feasible is None:
-        raise InfeasibleCodeError("empty code polytope")
-    perm = _sort_certificate(polytope, s, y)
-    if perm is not None:
-        x = PermutationMatrix(tuple((perm + 1).tolist()))
-        word = x.apply(s)
-        return DecodeResult(
-            matrix=x, word=word, fractional=None, objective_value=float(y @ word), certified=True
-        )
-    # The certificate refuses non-finite entries, so only a miss pays this check.
-    if not (np.isfinite(s).all() and np.isfinite(y).all()):
-        raise ValueError("initial vector and received vector must be finite")
-    sol = _phase_two(polytope.feasible, np.outer(y, s).reshape(n * n))
-    if sol.status is not LPStatus.OPTIMAL:  # pragma: no cover - polytope is bounded
-        raise RuntimeError(f"unexpected LP status {sol.status}")
-    frac = sol.x.reshape(n, n)
-    rounded = np.rint(frac)
-    if np.max(np.abs(frac - rounded)) <= INTEGRALITY_TOL:
-        try:
-            x = PermutationMatrix.from_dense(rounded.astype(np.int8))
-        except ValueError:
-            x = None
-        if x is not None and polytope.admits(np.array(x.perm) - 1, np.arange(n)):
-            return DecodeResult(
-                matrix=x,
-                word=x.apply(s),
-                fractional=None,
-                objective_value=sol.objective_value,
-            )
-    return DecodeResult(
-        matrix=None, word=None, fractional=frac, objective_value=sol.objective_value
-    )
+    return lp_decode_batch(cs, s, y[None])[0]
 
 
 def ml_decode_detail(code: Code, y: Sequence[float]) -> tuple[int, np.ndarray, bool]:

@@ -270,20 +270,65 @@ def test_simulate_bler_ml_counts_pinned(name, threads):
     assert [r.ml_errors for r in recs] == want
 
 
+def _point_words(spec, snr_db, point, trials, seed):
+    """Sent and received words of one point with random codewords, drawn as simulate_bler draws them."""
+    code = build_code(spec)
+    sigma = sigma_from_snr_db(snr_db)
+    sent, received = [], []
+    for t in range(trials):
+        rng = channel._trial_rng(seed, point, t)
+        word = code.codewords[int(rng.integers(0, len(code)))]
+        sent.append(word)
+        received.append(awgn(word, sigma, rng))
+    return np.array(sent), np.array(received)
+
+
+def _one_by_one(spec, snr_db, point, trials, seed):
+    """A TrialRecord's LP fields, from lp_decode on each trial's word alone."""
+    sent, received = _point_words(spec, snr_db, point, trials, seed)
+    errors = failures = certified = 0
+    stats = {"pivots": 0, "degenerate": 0, "blands": 0}
+    for word, y in zip(sent, received):
+        res = lp.lp_decode(spec.cs, spec.s, y)
+        certified += res.certified
+        failures += not res.is_codeword
+        errors += not (res.is_codeword and np.array_equal(res.word, word))
+        for key in stats:
+            stats[key] += res.stats[key]
+    return errors, failures, certified, stats
+
+
 def test_simulate_bler_counts_certificate_hits(monkeypatch):
     spec = CodeSpec(5, derangement(5), tuple(float(v) for v in range(5)))
-    certified = []
+    certified, stacked = [], []
+    real_certificate, real_misses = channel._sort_certificate, channel._decode_misses
 
-    def spy(*args):
-        res = lp.lp_decode(*args)
-        certified.append(res.certified)
-        return res
+    def spy_certificate(*args):
+        hit, perm = real_certificate(*args)
+        certified.append(hit)
+        return hit, perm
 
-    monkeypatch.setattr(channel, "lp_decode", spy)
+    def spy_misses(polytope, s, ys):
+        stacked.append(len(ys))
+        return real_misses(polytope, s, ys)
+
+    monkeypatch.setattr(channel, "_sort_certificate", spy_certificate)
+    monkeypatch.setattr(channel, "_decode_misses", spy_misses)
     low, high = simulate_bler(spec, [0.0, 6.0], 150, seed=11, decoders=("lp",))
-    assert (low.lp_certified, high.lp_certified) == (sum(certified[:150]), sum(certified[150:]))
+    # One chunk per point: one certificate pass, and one stack of its misses.
+    assert (low.lp_certified, high.lp_certified) == (certified[0].sum(), certified[1].sum())
+    assert stacked == [150 - low.lp_certified, 150 - high.lp_certified]
     assert 0 < low.lp_certified < high.lp_certified < 150
     assert low.solver_errors == high.solver_errors == 0
+    # Each trial's verdict, and the point's counts and telemetry, equal
+    # lp_decode on that trial's word alone.
+    for point, (db, rec) in enumerate(zip([0.0, 6.0], (low, high))):
+        _, received = _point_words(spec, db, point, 150, 11)
+        alone = [lp.lp_decode(spec.cs, spec.s, y).certified for y in received]
+        assert certified[point].tolist() == alone
+        errors, failures, hits, stats = _one_by_one(spec, db, point, 150, 11)
+        assert (rec.lp_errors, rec.lp_failures, rec.lp_certified) == (errors, failures, hits)
+        assert rec.lp_stats == stats and stats["pivots"] > 0
 
 
 def test_simulate_bler_counts_solver_errors(monkeypatch):
@@ -292,19 +337,32 @@ def test_simulate_bler_counts_solver_errors(monkeypatch):
     base = simulate_bler(spec, [0.0, 20.0], 40, seed=4, decoders=("lp",))
     assert (base[1].lp_errors, base[1].lp_certified, base[1].solver_errors) == (0, 0, 0)
     real = lp._phase_two
-    calls = []
+    calls = []  # one entry per objective that reached phase two
 
-    def flaky(*args):
-        calls.append(1)
-        if len(calls) == 40 + 7:  # trial 7 of the second point
-            raise RuntimeError("simplex failed to terminate within the iteration cap")
-        return real(*args)
+    def flaky(feasible, objectives):
+        x, run = real(feasible, objectives)
+        first = len(calls)
+        calls.extend([1] * len(objectives))
+        if first < 40 + 7 <= len(calls):  # trial 7 of the second point fails alone
+            run.status[40 + 7 - 1 - first] = lp._CAPPED
+        return x, run
 
     monkeypatch.setattr(lp, "_phase_two", flaky)
     got = simulate_bler(spec, [0.0, 20.0], 40, seed=4, decoders=("lp",))
     assert len(calls) == 80
     assert got[0] == base[0]
     assert got[1] == dataclasses.replace(base[1], lp_errors=1, lp_failures=1, solver_errors=1)
+
+
+def test_simulate_point_past_the_chunk_matches_one_by_one():
+    # More trials than one chunk: the second chunk continues the trial count.
+    spec = CodeSpec(5, derangement(5), tuple(float(v) for v in range(5)))
+    trials = lp._CHUNK + 88
+    (rec,) = simulate_bler(spec, [2.0], trials, seed=19, decoders=("lp",))
+    errors, failures, certified, stats = _one_by_one(spec, 2.0, 0, trials, 19)
+    assert (rec.lp_errors, rec.lp_failures, rec.lp_certified) == (errors, failures, certified)
+    assert rec.lp_stats == stats
+    assert 0 < rec.lp_certified < trials and rec.trials == trials
 
 
 @pytest.mark.parametrize(
@@ -314,7 +372,13 @@ def test_simulate_bler_counts_solver_errors(monkeypatch):
 def test_simulate_bler_ml_certificate_matches_full_scan(cs, monkeypatch):
     spec = CodeSpec(cs.n, cs, _RANGE6)
     fast = simulate_bler(spec, [0.0, 3.0, 6.0], 100, seed=9, decoders=("ml",))
-    monkeypatch.setattr(channel, "_sort_certificate", lambda *args: None)
+    real = channel._sort_certificate
+
+    def no_certificate(*args):
+        hit, perm = real(*args)
+        return np.zeros_like(hit), perm
+
+    monkeypatch.setattr(channel, "_sort_certificate", no_certificate)
     slow = simulate_bler(spec, [0.0, 3.0, 6.0], 100, seed=9, decoders=("ml",))
     assert fast == slow
 

@@ -94,6 +94,34 @@ def test_decode_failure_exit_two(specs, capsys):
     assert out.count("\n  ") >= 3 or out.count("  ") >= 3
 
 
+# Three received words for pinv6: a certificate hit, a miss whose optimum is
+# the same codeword, and a fractional optimum; the first word comes again.
+# The expected text is the four single-word outputs, concatenated.
+_WORDS = ["1.1,0.05,3.02,1.9,5.1,3.9", "1.28,0.66,3.26,0.96,5.72,4.36",
+          "1.51,1.58,-0.47,4.36,4.91,6.67", "1.1,0.05,3.02,1.9,5.1,3.9"]
+_HIT = "lp: 1 0 3 2 5 4\nlp_objective: 55.06\nml: 1 0 3 2 5 4\n"
+_WORDS_OUT = (
+    _HIT
+    + "lp: 1 0 3 2 5 4\nlp_objective: 59.02\nml: 1 0 3 2 5 4\n"
+    + "lp: FAILURE\n"
+    + "  0 0.5 0.5 0 0 0\n  0.5 0 0.5 0 0 0\n  0.5 0.5 0 0 0 0\n"
+    + "  0 0 0 0 0.5 0.5\n  0 0 0 0.5 0 0.5\n  0 0 0 0.5 0.5 0\n"
+    + "lp_objective: 66.215\nml: 2 3 0 1 5 4\n"
+    + _HIT
+)
+
+
+def test_decode_several_words_in_one_batch(specs, capsys):
+    argv = [a for w in _WORDS for a in ("-y", w)]
+    code, out, _ = _run(capsys, "decode", specs["pinv6"], *argv, "--decoder", "both")
+    assert (code, out) == (2, _WORDS_OUT)  # one fractional word makes the exit 2
+    alone = []
+    for w in _WORDS:
+        alone.append(_run(capsys, "decode", specs["pinv6"], "-y", w, "--decoder", "both"))
+    assert [c for c, _, _ in alone] == [0, 0, 2, 0]
+    assert "".join(o for _, o, _ in alone) == _WORDS_OUT
+
+
 def test_decode_infeasible_exit_three(specs, capsys):
     code, _, err = _run(capsys, "decode", specs["infeasible"], "-y", "0.5,0.5")
     assert code == 3

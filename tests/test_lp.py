@@ -1,8 +1,10 @@
 """Simplex solver against scipy, plus the LP/ML decoders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -18,6 +20,7 @@ from permlp.constraints import (
     pure_involution,
     repetition,
     satisfies,
+    transposition,
 )
 from permlp.codebook import CodeSpec, build_code
 from permlp.lp import (
@@ -27,6 +30,7 @@ from permlp.lp import (
     birkhoff_rows,
     build_decoding_lp,
     lp_decode,
+    lp_decode_batch,
     ml_decode,
     ml_decode_detail,
     solve,
@@ -599,9 +603,17 @@ def test_sort_certificate_ties_fall_through(cs, values, kind, data):
 def test_sort_certificate_rejects_non_finite():
     polytope = lp._code_polytope(derangement(4))
     s = np.arange(4.0)
-    assert lp._sort_certificate(polytope, s, np.array([3.0, 2.0, 1.0, 0.0])) is not None
+    # One batch: the finite row certifies, each row with a non-finite entry misses.
+    ys = np.array([[3.0, 2.0, 1.0, bad] for bad in (0.0, np.nan, np.inf, -np.inf)])
+    hit, perm = lp._sort_certificate(polytope, s, ys)
+    assert hit.tolist() == [True, False, False, False]
+    assert perm[0].tolist() == [3, 2, 1, 0]
     for bad in (np.nan, np.inf, -np.inf):
-        assert lp._sort_certificate(polytope, s, np.array([3.0, 2.0, 1.0, bad])) is None
+        assert not lp._sort_certificate(polytope, np.array([0.0, 1.0, 2.0, bad]), ys[:1])[0][0]
+    # At n = 1 there is no gap to test, so only finiteness refuses.
+    one = lp._code_polytope(ConstraintSystem(1, ()))
+    assert lp._sort_certificate(one, np.array([1.0]), np.array([[0.5], [np.nan]]))[0].tolist() == [
+        True, False]
 
 
 def test_sort_certificate_fails_outside_the_code():
@@ -613,3 +625,166 @@ def test_sort_certificate_fails_outside_the_code():
     _assert_cold_equal(res, solve(build_decoding_lp(cs, s, s + 0.01)), 5)
     # Away from the identity the same system certifies.
     assert lp_decode(cs, s, s[[1, 2, 3, 4, 0]]).certified
+
+
+# ---------------------------------------------------------------------------
+# The batched simplex kernel
+# ---------------------------------------------------------------------------
+
+
+def _named_systems():
+    """Every named family at n = 2..6 with a nonempty polytope, plus fixpair5 and block(8,2,r)."""
+    systems = []
+    for n in range(2, 7):
+        systems += [derangement(n), involution(n), transposition(n), cyclic(n),
+                    transposition(n, with_symmetry=True)]
+        if n % 2 == 0:
+            systems.append(pure_involution(n))
+        for d in range(1, n + 1):
+            if n % d == 0:
+                systems += [repetition(n, d), block(n, d), block(n, d, redundant=True)]
+    systems += [_fixpair5(), block(8, 2, redundant=True)]
+    return [cs for cs in systems if lp._code_polytope(cs).feasible is not None]
+
+
+_BATCH_SYSTEMS = _named_systems()
+
+
+def _draw_batch(cs, data):
+    """s (distinct or with a repeat) and a batch mixing near-codeword, noisy, tied and repeated rows."""
+    n = cs.n
+    s = np.arange(float(n))
+    if data.draw(st.booleans()):
+        s[data.draw(st.integers(1, n - 1))] = 0.0
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in data.draw(st.lists(st.sampled_from(["near", "noisy", "tied", "again"]),
+                                   min_size=1, max_size=10)):
+        if kind == "again" and rows:
+            rows.append(rows[int(rng.integers(len(rows)))])
+            continue
+        y = s[rng.permutation(n)] + rng.normal(scale=0.1 if kind == "near" else 1.5, size=n)
+        if kind == "tied":
+            y[1] = y[0]
+        rows.append(y)
+    return s, np.array(rows)
+
+
+def _same_row(a, b):
+    return _same(a, b) and a.certified == b.certified and a.stats == b.stats
+
+
+@given(st.sampled_from(_BATCH_SYSTEMS), st.data())
+@settings(max_examples=120)
+def test_batch_rows_equal_cold_solve_and_single_decodes(cs, data):
+    n = cs.n
+    s, ys = _draw_batch(cs, data)
+    for y, res in zip(ys, lp_decode_batch(cs, s, ys)):
+        assert _same_row(res, lp_decode(cs, s, y))
+        sol = solve(build_decoding_lp(cs, s, y))
+        assert sol.status is LPStatus.OPTIMAL
+        if res.certified:
+            assert np.array_equal(res.matrix.vec(), np.rint(sol.x))
+            assert res.objective_value == pytest.approx(sol.objective_value, rel=1e-12, abs=1e-12)
+        else:
+            _assert_cold_equal(res, sol, n)
+
+
+@given(st.sampled_from(_BATCH_SYSTEMS), st.data())
+def test_batch_invariance_under_shuffles_and_splits(cs, data):
+    s, ys = _draw_batch(cs, data)
+    whole = lp_decode_batch(cs, s, ys)
+    order = np.random.default_rng(len(ys)).permutation(len(ys))
+    for k, res in zip(order, lp_decode_batch(cs, s, ys[order])):
+        assert _same_row(res, whole[k])
+    cut = data.draw(st.integers(0, len(ys)))
+    parts = lp_decode_batch(cs, s, ys[:cut]) + lp_decode_batch(cs, s, ys[cut:])
+    assert all(_same_row(a, b) for a, b in zip(parts, whole))
+
+
+def test_batch_mixes_hits_misses_and_fractional_optima():
+    # A fixed batch over fixpair5 that holds every kind of row at once.
+    cs = _fixpair5()
+    s = np.arange(5.0)
+    ys = np.random.default_rng(2).normal(scale=1.5, size=(40, 5)) + s
+    batch = lp_decode_batch(cs, s, ys)
+    kinds = {(r.certified, r.is_codeword) for r in batch}
+    assert kinds == {(True, True), (False, True), (False, False)}
+    for y, res in zip(ys, batch):
+        assert _same_row(res, lp_decode(cs, s, y))
+
+
+def test_batch_rows_past_the_chunk_size():
+    cs = pure_involution(6)
+    s = np.arange(6.0)
+    ys = np.random.default_rng(12).normal(scale=2.0, size=(lp._CHUNK + 30, 6)) + s
+    batch = lp_decode_batch(cs, s, ys)
+    assert sum(not r.certified for r in batch) > lp._CHUNK // 2
+    for k in range(0, len(ys), 7):
+        assert _same_row(batch[k], lp_decode(cs, s, ys[k]))
+
+
+def test_one_row_at_the_iteration_cap_fails_alone(monkeypatch):
+    # Repeated entries in s send every row to the simplex.
+    cs = derangement(5)
+    s = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
+    ys = np.random.default_rng(2).normal(scale=1.5, size=(12, 5)) + s
+    alone = [lp_decode(cs, s, y) for y in ys]
+    pivots = [r.stats["pivots"] for r in alone]
+    worst = int(np.argmax(pivots))
+    runner_up = max(p for k, p in enumerate(pivots) if k != worst)
+    assert pivots[worst] > runner_up
+    # Every row but the worst ends within the cap; the cached phase one is unaffected.
+    monkeypatch.setattr(lp, "_limits", lambda m, ncols: (5 * (m + ncols), runner_up + 1))
+    out = lp._decode_misses(lp._code_polytope(cs), s, ys)
+    status, pivots = out.run.status, out.run.pivots
+    assert [k for k, st_ in enumerate(status) if st_ != lp._OPTIMAL] == [worst]
+    assert status[worst] == lp._CAPPED and pivots[worst] == runner_up + 1
+    for k, res in enumerate(alone):
+        if k != worst:
+            assert pivots[k] == res.stats["pivots"]
+            assert float(out.objectives[k] @ out.x[k]) == res.objective_value
+            assert out.codeword[k] == res.is_codeword
+    with pytest.raises(RuntimeError, match="iteration cap"):
+        lp_decode(cs, s, ys[worst])
+    with pytest.raises(RuntimeError, match="iteration cap"):
+        lp_decode_batch(cs, s, ys)
+    assert _same_row(lp_decode(cs, s, ys[worst - 1]), alone[worst - 1])
+
+
+def test_decode_stats_pinned():
+    # trace1_n3: exactly one fixed point.  y near s sorts to the identity,
+    # which has three, so the decode runs the simplex.
+    row = ConstraintRow.make({var_index(i, i, 3): 1 for i in range(1, 4)}, Relation.EQ, 1)
+    trace = ConstraintSystem(3, (row,))
+    res = lp_decode(trace, np.arange(3.0), np.array([0.1, 1.2, 1.9]))
+    assert not res.certified and res.is_codeword
+    assert res.stats == {"pivots": 2, "degenerate": 1, "blands": False}
+    certified = lp_decode(trace, np.arange(3.0), np.array([2.0, 1.0, 0.0]))
+    assert certified.certified
+    assert certified.stats == {"pivots": 0, "degenerate": 0, "blands": False}
+    # A seeded derangement(5) word that misses the certificate.
+    rng = np.random.default_rng(2024)
+    ys = np.arange(5.0)[[1, 2, 3, 4, 0]] + rng.normal(scale=1.0, size=(3, 5))
+    res = lp_decode(derangement(5), np.arange(5.0), ys[2])
+    assert not res.certified and res.is_codeword
+    assert res.stats == {"pivots": 4, "degenerate": 3, "blands": False}
+    # Telemetry never enters equality.
+    assert dataclasses.replace(res, stats=None) == res
+
+
+def test_blands_rule_engages_per_problem(monkeypatch):
+    # With no stall budget a problem switches to Bland's rule at its first
+    # degenerate pivot, and one without a degenerate pivot never does.
+    cs = pure_involution(6)
+    s = np.arange(6.0)
+    ys = np.random.default_rng(5).normal(scale=1.5, size=(40, 6)) + s
+    usual = lp_decode_batch(cs, s, ys)
+    monkeypatch.setattr(lp, "_limits", lambda m, ncols: (0, 200 * (m + ncols) + 2000))
+    batch = lp_decode_batch(cs, s, ys)
+    switched = [r.stats["blands"] for r in batch if not r.certified]
+    assert switched == [r.stats["degenerate"] > 0 for r in batch if not r.certified]
+    assert any(switched) and not all(switched)
+    for y, res, ref in zip(ys, batch, usual):
+        assert _same_row(res, lp_decode(cs, s, y))
+        assert res.objective_value == pytest.approx(ref.objective_value, rel=1e-12, abs=1e-12)
