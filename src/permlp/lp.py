@@ -600,6 +600,10 @@ _CERT_MARGIN = 1e-6
 # most this many, which bounds a stack's tableaux to a few MB.
 _CHUNK = 512
 
+# ``_ml_scan`` walks the codebook this many rows at a time, so that one block's
+# inner products with a chunk of ``_CHUNK`` received words stay at 4 MB.
+_ML_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class _CodePolytope:
@@ -798,6 +802,28 @@ def ml_decode_detail(code: Code, y: Sequence[float]) -> tuple[int, np.ndarray, b
     k = int(np.argmax(g))
     tie = bool(np.count_nonzero(g >= g[k] - 0.5e-12) > 1)
     return k + 1, code.codewords[k].copy(), tie
+
+
+def _ml_scan(words: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """For each row of ys, the index of the row of words with the largest inner product.
+
+    ``words`` is a code's codeword array and ys is finite.  The scan takes
+    ``_ML_BLOCK`` rows of words at a time, one matrix product against all of
+    ys per block, and keeps the lowest index on exact ties, as
+    ``ml_decode_detail`` does (0-based here).
+    """
+    cols = np.arange(len(ys))
+    best = np.full(len(ys), -np.inf)
+    at = np.zeros(len(ys), dtype=np.intp)
+    for lo in range(0, len(words), _ML_BLOCK):
+        g = words[lo : lo + _ML_BLOCK] @ ys.T
+        k = g.argmax(axis=0)
+        top = g[k, cols]
+        # Strictly greater: a later block's tie leaves the earlier index.
+        better = top > best
+        best[better] = top[better]
+        at[better] = k[better] + lo
+    return at
 
 
 def ml_decode(code: Code, y: Sequence[float]) -> np.ndarray:

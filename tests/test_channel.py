@@ -89,6 +89,9 @@ def test_simulate_bler_record_fields():
     assert r.ml_errors is not None and 0 <= r.ml_errors <= r.trials
     # LP can never beat ML on average; with shared noise it cannot here.
     assert r.ml_errors <= r.lp_errors
+    # Wall seconds of the point, left out of seeded equality.
+    assert r.seconds > 0
+    assert dataclasses.replace(r, seconds=r.seconds + 1.0) == r
 
 
 def test_simulate_bler_lp_only_skips_ml():
@@ -257,6 +260,8 @@ PINNED_ML_COUNTS = {
     "involution6": (lambda: involution(6), _RANGE6, [71, 41, 19]),
     "block6_3": (lambda: block(6, 3), _RANGE6, [119, 89, 40]),
     "derangement6_singular": (lambda: derangement(6), (0.0, 0.0, 1.0, 1.0, 2.0, 2.0), [129, 104, 64]),
+    # 133,496 words: the blocked scan crosses 131 block seams.
+    "derangement9": (lambda: derangement(9), tuple(float(v) for v in range(9)), [141, 117, 64]),
 }
 
 
@@ -381,6 +386,31 @@ def test_simulate_bler_ml_certificate_matches_full_scan(cs, monkeypatch):
     monkeypatch.setattr(channel, "_sort_certificate", no_certificate)
     slow = simulate_bler(spec, [0.0, 3.0, 6.0], 100, seed=9, decoders=("ml",))
     assert fast == slow
+
+
+def test_simulate_bler_ml_scans_each_chunk_once(monkeypatch):
+    spec = CodeSpec(6, derangement(6), _RANGE6)
+    trials = lp._CHUNK + 88
+    sent, received = _point_words(spec, 0.0, 0, trials, 7)
+    code = build_code(spec)
+    errors = sum(not np.array_equal(lp.ml_decode_detail(code, y)[1], w) for w, y in zip(sent, received))
+    scanned = []
+    real = channel._ml_scan
+
+    def spy(words, ys):
+        scanned.append(len(ys))
+        return real(words, ys)
+
+    def per_word(*args):
+        raise AssertionError("the ML branch decoded a miss on its own")
+
+    monkeypatch.setattr(channel, "_ml_scan", spy)
+    monkeypatch.setattr(channel, "ml_decode_detail", per_word)
+    monkeypatch.setattr(lp, "ml_decode_detail", per_word)
+    (rec,) = simulate_bler(spec, [0.0], trials, seed=7, decoders=("ml",))
+    # One scan per chunk, over that chunk's certificate misses only.
+    assert len(scanned) == 2 and 0 < scanned[0] < lp._CHUNK and 0 < scanned[1] < 88
+    assert rec.ml_errors == errors
 
 
 class _PicklingPool:

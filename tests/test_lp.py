@@ -410,6 +410,44 @@ def test_ml_certificate_small():
     assert checked > 100
 
 
+@pytest.mark.parametrize(
+    "cs,count",
+    [(derangement(9), 1000), (involution(9), 4500), (block(9, 3), 4500)],
+    ids=["derangement9", "involution9", "block9_3"],
+)
+def test_ml_scan_matches_ml_decode_detail(cs, count):
+    # 10^4 noisy words over the three codes, in chunks as the simulation sends them.
+    code = build_code(CodeSpec(cs.n, cs, tuple(float(v) for v in range(cs.n))))
+    rng = np.random.default_rng(23)
+    sent = code.codewords[rng.integers(len(code), size=count)]
+    sigma = rng.choice([0.3, 0.7, 1.0, 1.5], size=(count, 1))
+    ys = sent + sigma * rng.normal(size=sent.shape)
+    got = np.concatenate([lp._ml_scan(code.codewords, ys[lo : lo + lp._CHUNK])
+                          for lo in range(0, count, lp._CHUNK)])
+    for k, y in zip(got.tolist(), ys):
+        want_k, word, tie = ml_decode_detail(code, y)
+        assert np.array_equal(code.codewords[k], word)
+        assert tie or k + 1 == want_k
+    assert np.count_nonzero((code.codewords[got] != sent).any(axis=1)) > count // 10
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+def test_ml_scan_exact_ties_across_block_seams(rows, monkeypatch):
+    monkeypatch.setattr(lp, "_ML_BLOCK", rows)
+    code = build_code(CodeSpec(5, derangement(5), (0.0, 0.0, 1.0, 1.0, 2.0)))
+    rng = np.random.default_rng(29)
+    # Half-integer y against integer s: every inner product is exact.
+    ys = rng.integers(-2, 12, size=(300, 5)) / 2.0
+    got = lp._ml_scan(code.codewords, ys)
+    seams = 0
+    for k, y in zip(got.tolist(), ys):
+        g = code.codewords @ y
+        tied = np.flatnonzero(g == g.max())
+        assert k == tied[0] == ml_decode_detail(code, y)[0] - 1
+        seams += tied[-1] // rows > tied[0] // rows
+    assert seams > 100
+
+
 # ---------------------------------------------------------------------------
 # Phase one cached per constraint system
 # ---------------------------------------------------------------------------
