@@ -260,7 +260,7 @@ PINNED_ML_COUNTS = {
     "involution6": (lambda: involution(6), _RANGE6, [71, 41, 19]),
     "block6_3": (lambda: block(6, 3), _RANGE6, [119, 89, 40]),
     "derangement6_singular": (lambda: derangement(6), (0.0, 0.0, 1.0, 1.0, 2.0, 2.0), [129, 104, 64]),
-    # 133,496 words: the blocked scan crosses 131 block seams.
+    # 133,496 words: the blocked scan crosses 130 block seams.
     "derangement9": (lambda: derangement(9), tuple(float(v) for v in range(9)), [141, 117, 64]),
 }
 
