@@ -26,7 +26,9 @@ from permlp import (
     ml_union_bound,
     simulate_bler,
 )
+from permlp.cli import _parse_snr_grid
 from permlp.perm import var_index
+from permlp.specfile import SpecFileError
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -85,12 +87,10 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
-    start, stop, step = (float(v) for v in args.snr.split(":"))
-    grid = []
-    v = start
-    while v <= stop + 1e-9:
-        grid.append(round(v, 10))
-        v += step
+    try:
+        grid = _parse_snr_grid(args.snr)
+    except SpecFileError as exc:
+        ap.error(str(exc))
     cfg = Config(snr_db=tuple(grid), trials=args.trials, seed=args.seed, threads=args.threads)
     run_code("derangement code, n=5", derangement(5), cfg)
     run_code("fixed-pair code X11+X55=1, n=5", fixed_pair_system(), cfg)

@@ -18,15 +18,7 @@ import numpy as np
 from . import bounds
 from .codebook import Code, CodeSpec, build_code
 from .constraints import _COUNTER_MAX_DEGREE, _pair_weight_histogram, sample_ensemble
-from .lp import (
-    _CHUNK,
-    _OPTIMAL,
-    _check_finite,
-    _code_polytope,
-    _decode_misses,
-    _ml_scan,
-    _sort_certificate,
-)
+from .lp import _CHUNK, _OPTIMAL, _code_polytope, _decode_chunk
 from .perm import BRUTE_FORCE_LIMIT, BruteForceLimitError
 
 # The simulation no longer calls these; they stay importable here because
@@ -97,10 +89,8 @@ def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
 def _simulate_point(args) -> TrialRecord:
     """One SNR point, in chunks of up to ``lp._CHUNK`` trials.
 
-    A chunk draws every trial's noise first.  The sort certificate then runs
-    on all of its received words at once; the LP words it misses go through
-    the simplex as one stack, and the ML words it misses through one blocked
-    scan of the codebook.
+    A chunk draws every trial's noise first, then decodes all of its
+    received words with one ``lp._decode_chunk`` call.
     """
     began = time.perf_counter()
     spec, code, snr_db, point_idx, trials, seed, decoders, transmitted = args
@@ -121,34 +111,22 @@ def _simulate_point(args) -> TrialRecord:
                 picks[k] = rng.integers(0, len(code))
             noise[k] = rng.normal(0.0, sigma, n)
         sent = code.codewords[picks] if fixed is None else np.broadcast_to(fixed, (size, n))
-        ys = sent + noise
-        _check_finite(s, ys)
-        hit, perm = _sort_certificate(polytope, s, ys)
-        words = np.empty_like(ys)
-        np.put_along_axis(words, perm, s, axis=1)
-        right = int(np.count_nonzero(hit & (words == sent).all(axis=1)))
-        misses = (~hit).nonzero()[0]
+        out = _decode_chunk(polytope, s, sent + noise, "lp" in decoders,
+                            code.codewords if "ml" in decoders else None)
         if "lp" in decoders:
-            certified += size - len(misses)
-            lp_right += right
-        if "lp" in decoders and len(misses):
-            out = _decode_misses(polytope, s, ys[misses])
+            lp_words = np.empty((size, n))
+            np.put_along_axis(lp_words, out.perm, s, axis=1)
+            certified += int(np.count_nonzero(out.hit))
+            lp_failures += size - int(np.count_nonzero(out.codeword))
+            lp_right += int(np.count_nonzero(out.codeword & (lp_words == sent).all(axis=1)))
+        if out.run is not None:
             run = out.run
-            solver_errors += len(misses) - int(np.count_nonzero(run.status == _OPTIMAL))
-            lp_failures += len(misses) - int(np.count_nonzero(out.codeword))
-            found = np.empty((len(misses), n))
-            np.put_along_axis(found, out.perm, s, axis=1)
-            lp_right += int(np.count_nonzero(out.codeword & (found == sent[misses]).all(axis=1)))
+            solver_errors += int(np.count_nonzero(run.status != _OPTIMAL))
             lp_stats["pivots"] += int(run.pivots.sum())
             lp_stats["degenerate"] += int(run.degenerate.sum())
             lp_stats["blands"] += int(np.count_nonzero(run.blands))
-        if "ml" in decoders:
-            # A certified X* is the unique argmax of codewords @ y, so the
-            # scan is needed only where the certificate does not hold.
-            ml_right += right
-            if len(misses):
-                best = code.codewords[_ml_scan(code.codewords, ys[misses])]
-                ml_right += int(np.count_nonzero((best == sent[misses]).all(axis=1)))
+        if out.ml is not None:
+            ml_right += int(np.count_nonzero((out.ml == sent).all(axis=1)))
     return TrialRecord(
         snr_db=float(snr_db),
         sigma=sigma,

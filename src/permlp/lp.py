@@ -39,12 +39,15 @@ smallest entry of y) the unique maximizer over the whole Birkhoff polytope
 it is the unique LP optimum and the ML codeword, so no simplex runs.
 Otherwise the decode falls through to the simplex.  The polytope depends on
 the constraint system alone, so phase one runs once per system and is
-cached.  ``lp_decode_batch`` runs the certificate on all received words at
-once and sends the words it misses to phase two as one stack of copies of
-that feasible tableau, up to ``_CHUNK`` at a time; ``lp_decode`` is a batch
-of one.  Phase one never reads the objective, and the kernel treats each
-problem of a stack alike, so a fall-through makes the same pivots, and
-returns the same result, as a cold two-phase solve.
+cached.  One chunk decoder, ``_decode_chunk``, serves both ``lp_decode_batch``
+and the Monte-Carlo of ``permlp.channel``: it runs the certificate on up to
+``_CHUNK`` received words at once and sends the words it misses to phase two
+as one stack of copies of that feasible tableau and, given a codeword array,
+to one blocked ML scan.  ``lp_decode_batch`` runs it on slices of ``_CHUNK``
+rows, and ``lp_decode`` is a batch of one.  Phase one never reads the
+objective, and the kernel treats each problem of a stack alike, so a
+fall-through makes the same pivots, and returns the same result, as a cold
+two-phase solve.
 """
 
 from __future__ import annotations
@@ -381,10 +384,8 @@ class _FeasibleTableau:
     row.  ``columns`` maps each variable to its reduced column (-1 when the
     presolve fixed it at zero) and ``width`` counts the reduced columns.
     ``rows``, ``rhs`` and ``eq`` are the problem's rows as given, for the
-    final feasibility re-check.  ``fold`` sums an objective onto the reduced
-    columns: level k pairs each column that has a k-th entry with that entry,
-    entries in increasing order.  The arrays are read-only; phase two works on
-    copies.
+    final feasibility re-check.  The arrays are read-only; phase two works
+    on copies.
     """
 
     tableau: np.ndarray
@@ -394,23 +395,6 @@ class _FeasibleTableau:
     rows: np.ndarray
     rhs: np.ndarray
     eq: np.ndarray
-    fold: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-def _fold_levels(columns: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``_FeasibleTableau.fold`` for the column map of a presolve."""
-    entries = np.flatnonzero(columns >= 0)
-    rank = np.zeros(len(columns), dtype=np.intp)
-    seen: dict[int, int] = {}
-    for v in entries.tolist():
-        c = int(columns[v])
-        seen[c] = seen.get(c, -1) + 1
-        rank[v] = seen[c]
-    levels = []
-    for level in range(max(seen.values(), default=-1) + 1):
-        at = entries[rank[entries] == level]
-        levels.append((columns[at], at))
-    return tuple(levels)
 
 
 def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_FeasibleTableau]:
@@ -460,10 +444,9 @@ def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_F
     tableau = np.delete(tableau[np.append(keep, True)], np.s_[width:-1], axis=1)
     tableau[-1] = 0.0
     basis = basis[keep]
-    fold = _fold_levels(columns)
-    for arr in (tableau, basis, columns, rows, rhs, eq, *(a for level in fold for a in level)):
+    for arr in (tableau, basis, columns, rows, rhs, eq):
         arr.setflags(write=False)
-    return _FeasibleTableau(tableau, basis, columns, nv, rows, rhs, eq, fold)
+    return _FeasibleTableau(tableau, basis, columns, nv, rows, rhs, eq)
 
 
 def _phase_two(feasible: _FeasibleTableau, objectives: np.ndarray) -> tuple[np.ndarray, _Simplex]:
@@ -478,12 +461,9 @@ def _phase_two(feasible: _FeasibleTableau, objectives: np.ndarray) -> tuple[np.n
     start = feasible.tableau  # its cost row is zero
     cost = np.zeros((size, start.shape[1]))
     # A merged column carries the summed objective of its entries, added to
-    # zero in entry order; level 0 holds every column's first entry.
-    for level, (cols, entries) in enumerate(feasible.fold):
-        if level:
-            cost[:, cols] += objectives.take(entries, axis=1)
-        else:
-            np.add(objectives.take(entries, axis=1), 0.0, out=cost[:, :nv])
+    # zero in entry order: add.at is unbuffered and walks the entries in order.
+    live = feasible.columns >= 0
+    np.add.at(cost, (slice(None), feasible.columns[live]), objectives[:, live])
     # Basis columns are exact unit vectors, so subtracting row r changes no
     # other basic cost: the costs read up front are the ones a sequential
     # elimination would read.  subtract.reduce over the rows axis keeps the
@@ -596,8 +576,8 @@ INTEGRALITY_TOL = 1e-6
 # the simplex would stop at X* too.
 _CERT_MARGIN = 1e-6
 
-# Received words that miss the certificate go to the simplex in stacks of at
-# most this many, which bounds a stack's tableaux to a few MB.
+# ``_decode_chunk`` takes at most this many received words, which bounds a
+# stack of phase-two tableaux to a few MB.
 _CHUNK = 512
 
 # ``_ml_scan`` walks the codebook this many rows at a time, so that one block's
@@ -651,67 +631,84 @@ def _sort_certificate(polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray):
     smallest entry of y; ``perm[k]`` is its column-to-row map (0-based),
     meaningful only where ``hit[k]``.  X* is certified only when it beats
     every other permutation by the margin and satisfies every row of the
-    code exactly; repeated entries, near-ties and non-finite inputs miss.
+    code exactly; repeated entries and near-ties miss.  s and ys are finite.
     """
     order_s = s.argsort()
     ss = s[order_s]
-    finite = np.isfinite(ys).all(axis=1)
-    if np.count_nonzero(finite) < len(ys):
-        ys = np.where(finite[:, None], ys, 0.0)  # zeroed so that no arithmetic meets them
     order_y = ys.argsort(axis=1)
     perm = np.empty_like(order_y)
     perm[:, order_s] = order_y
-    gap_s = (ss[1:] - ss[:-1]).min(initial=np.inf) if np.isfinite(ss).all() else 0.0
+    gap_s = (ss[1:] - ss[:-1]).min(initial=np.inf)
     if not gap_s > 0:
         return np.zeros(len(ys), dtype=bool), perm
     sy = np.sort(ys, axis=1)
     gap_y = (sy[:, 1:] - sy[:, :-1]).min(axis=1, initial=np.inf)
-    hit = finite & (gap_y * gap_s > _CERT_MARGIN) & polytope.admits(order_y, order_s)
+    hit = (gap_y * gap_s > _CERT_MARGIN) & polytope.admits(order_y, order_s)
     return hit, perm
 
 
-class _Misses(NamedTuple):
-    """Phase two of the received words the certificate missed, one row each.
+class _Chunk(NamedTuple):
+    """The LP and ML decoding of a chunk of received words.
 
-    ``run`` is ``_phase_two``'s; ``x`` is each optimum and ``objectives``
-    each row's objective, both over the n^2 entries.  Where ``codeword`` is
-    set, the optimum is a permutation matrix that satisfies the code and
-    ``perm`` is its column-to-row map.
+    Per word: ``hit`` marks the words the sort certificate answered, and
+    ``perm`` is the LP answer's column-to-row map (0-based), X* where ``hit``
+    and phase two's rounded optimum elsewhere.  ``codeword`` is set where
+    that map is an LP optimum within ``INTEGRALITY_TOL`` of a permutation
+    matrix that satisfies the code; ``perm`` means nothing elsewhere.  ``ml``
+    is each word's ML codeword.  Per miss, in word order: phase two's ``run``,
+    optimum ``x`` and ``objectives``, both over the n^2 entries.  The phase
+    two fields are None when it did not run, and ``ml`` without a codebook.
     """
 
-    run: _Simplex
-    x: np.ndarray
-    objectives: np.ndarray
-    codeword: np.ndarray
+    hit: np.ndarray
     perm: np.ndarray
+    codeword: np.ndarray
+    run: Optional[_Simplex]
+    x: Optional[np.ndarray]
+    objectives: Optional[np.ndarray]
+    ml: Optional[np.ndarray]
 
 
-def _decode_misses(polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray) -> _Misses:
-    """Phase two for each row of ys (finite, at most ``_CHUNK`` rows) as one stack.
+def _decode_chunk(
+    polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray, lp: bool, words: Optional[np.ndarray]
+) -> _Chunk:
+    """Decode each row of ys (at most ``_CHUNK`` rows) against the code (polytope, s).
 
-    The objective of row y is y s^T, entry by entry as ``build_decoding_lp``
-    forms it.  An optimum counts as a codeword when it is within
-    ``INTEGRALITY_TOL`` of a permutation matrix that satisfies the code.
+    Non-finite entries raise ``ValueError`` before anything runs.  The sort
+    certificate runs on every row.  With ``lp`` set, the rows it misses run
+    through phase two as one stack, the objective of row y being y s^T entry
+    by entry as ``build_decoding_lp`` forms it.  With ``words``, a code's
+    codeword array, they run through one ``_ml_scan``; a certified X* is the
+    unique argmax of words @ y, so it is the ML answer too.
     """
-    size, n = ys.shape
-    objectives = (ys[:, :, None] * s).reshape(size, n * n)
-    x, run = _phase_two(polytope.feasible, objectives)
-    # The candidate matrix puts each column's 1 at its largest entry.  An
-    # optimum within the tolerance of it rounds to it, and its rows are then
-    # distinct: the drift re-check holds every row sum within 1e-6 of 1.
-    perm = x.reshape(size, n, n).argmax(axis=1)
-    onehot = perm[:, None, :] == np.arange(n)[:, None]
-    codeword = (
-        (run.status == _OPTIMAL)
-        & (np.abs(x - onehot.reshape(size, n * n)).max(axis=1) <= INTEGRALITY_TOL)
-        & polytope.admits(perm, np.arange(n))
-    )
-    return _Misses(run, x, objectives, codeword, perm)
-
-
-def _check_finite(s: np.ndarray, ys: np.ndarray) -> None:
     if not (np.isfinite(s).all() and np.isfinite(ys).all()):
         raise ValueError("initial vector and received vector must be finite")
+    hit, perm = _sort_certificate(polytope, s, ys)
+    misses = (~hit).nonzero()[0]
+    ml = None
+    if words is not None:
+        ml = np.empty_like(ys)
+        np.put_along_axis(ml, perm, s, axis=1)
+        if len(misses):
+            ml[misses] = words[_ml_scan(words, ys[misses])]
+    codeword = hit.copy()
+    run = x = objectives = None
+    if lp and len(misses):
+        size, n = len(misses), len(s)
+        objectives = (ys[misses, :, None] * s).reshape(size, n * n)
+        x, run = _phase_two(polytope.feasible, objectives)
+        # The candidate matrix puts each column's 1 at its largest entry.  An
+        # optimum within the tolerance of it rounds to it, and its rows are then
+        # distinct: the drift re-check holds every row sum within 1e-6 of 1.
+        found = x.reshape(size, n, n).argmax(axis=1)
+        onehot = found[:, None, :] == np.arange(n)[:, None]
+        codeword[misses] = (
+            (run.status == _OPTIMAL)
+            & (np.abs(x - onehot.reshape(size, n * n)).max(axis=1) <= INTEGRALITY_TOL)
+            & polytope.admits(found, np.arange(n))
+        )
+        perm[misses] = found
+    return _Chunk(hit, perm, codeword, run, x, objectives, ml)
 
 
 def lp_decode_batch(
@@ -719,10 +716,11 @@ def lp_decode_batch(
 ) -> list[DecodeResult]:
     """``lp_decode`` of every row of ys, as one batch.
 
-    One certificate pass covers every row, and the rows it misses run through
-    the simplex in stacks of up to ``_CHUNK``.  Each result equals
-    ``lp_decode(cs, s, y)`` of its row.  A row whose simplex fails raises
-    ``RuntimeError``; non-finite entries raise ``ValueError``.
+    The rows run through ``_decode_chunk`` in slices of ``_CHUNK``: one
+    certificate pass per slice, and one simplex stack of the rows it misses.
+    Each result equals ``lp_decode(cs, s, y)`` of its row.  A row whose
+    simplex fails raises ``RuntimeError``; non-finite entries raise
+    ``ValueError``.
     """
     n = cs.n
     s = np.asarray(s, dtype=float)
@@ -732,35 +730,29 @@ def lp_decode_batch(
     polytope = _code_polytope(cs)
     if polytope.feasible is None:
         raise InfeasibleCodeError("empty code polytope")
-    _check_finite(s, ys)
-    hit, perm = _sort_certificate(polytope, s, ys)
-    results: list[Optional[DecodeResult]] = [None] * len(ys)
-    for k in hit.nonzero()[0].tolist():
-        x = PermutationMatrix(tuple((perm[k] + 1).tolist()))
-        word = x.apply(s)
-        results[k] = DecodeResult(
-            matrix=x, word=word, fractional=None, objective_value=float(ys[k] @ word),
-            certified=True, stats={"pivots": 0, "degenerate": 0, "blands": False},
-        )
-    misses = (~hit).nonzero()[0]
-    for start in range(0, len(misses), _CHUNK):
-        rows = misses[start : start + _CHUNK]
-        out = _decode_misses(polytope, s, ys[rows])
-        run = out.run
-        for j, k in enumerate(rows.tolist()):
+    results = []
+    for start in range(0, len(ys), _CHUNK):
+        chunk = ys[start : start + _CHUNK]
+        out = _decode_chunk(polytope, s, chunk, True, None)
+        j = 0  # the row's place among the chunk's misses
+        for k, y in enumerate(chunk):
+            x = PermutationMatrix(tuple((out.perm[k] + 1).tolist())) if out.codeword[k] else None
+            word = None if x is None else x.apply(s)
+            if out.hit[k]:
+                results.append(DecodeResult(
+                    matrix=x, word=word, fractional=None, objective_value=float(y @ word),
+                    certified=True, stats={"pivots": 0, "degenerate": 0, "blands": False}))
+                continue
+            run = out.run
             if run.status[j] != _OPTIMAL:
                 raise RuntimeError(_FAILURES[run.status[j]])
             stats = {"pivots": int(run.pivots[j]), "degenerate": int(run.degenerate[j]),
                      "blands": bool(run.blands[j])}
-            value = float(out.objectives[j] @ out.x[j])
-            if out.codeword[j]:
-                x = PermutationMatrix(tuple((out.perm[j] + 1).tolist()))
-                results[k] = DecodeResult(matrix=x, word=x.apply(s), fractional=None,
-                                          objective_value=value, stats=stats)
-            else:
-                results[k] = DecodeResult(matrix=None, word=None,
-                                          fractional=out.x[j].reshape(n, n).copy(),
-                                          objective_value=value, stats=stats)
+            results.append(DecodeResult(
+                matrix=x, word=word,
+                fractional=None if x is not None else out.x[j].reshape(n, n).copy(),
+                objective_value=float(out.objectives[j] @ out.x[j]), stats=stats))
+            j += 1
     return results
 
 

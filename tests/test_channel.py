@@ -306,19 +306,19 @@ def _one_by_one(spec, snr_db, point, trials, seed):
 def test_simulate_bler_counts_certificate_hits(monkeypatch):
     spec = CodeSpec(5, derangement(5), tuple(float(v) for v in range(5)))
     certified, stacked = [], []
-    real_certificate, real_misses = channel._sort_certificate, channel._decode_misses
+    real_certificate, real_phase_two = lp._sort_certificate, lp._phase_two
 
     def spy_certificate(*args):
         hit, perm = real_certificate(*args)
         certified.append(hit)
         return hit, perm
 
-    def spy_misses(polytope, s, ys):
-        stacked.append(len(ys))
-        return real_misses(polytope, s, ys)
+    def spy_phase_two(feasible, objectives):
+        stacked.append(len(objectives))
+        return real_phase_two(feasible, objectives)
 
-    monkeypatch.setattr(channel, "_sort_certificate", spy_certificate)
-    monkeypatch.setattr(channel, "_decode_misses", spy_misses)
+    monkeypatch.setattr(lp, "_sort_certificate", spy_certificate)
+    monkeypatch.setattr(lp, "_phase_two", spy_phase_two)
     low, high = simulate_bler(spec, [0.0, 6.0], 150, seed=11, decoders=("lp",))
     # One chunk per point: one certificate pass, and one stack of its misses.
     assert (low.lp_certified, high.lp_certified) == (certified[0].sum(), certified[1].sum())
@@ -377,13 +377,13 @@ def test_simulate_point_past_the_chunk_matches_one_by_one():
 def test_simulate_bler_ml_certificate_matches_full_scan(cs, monkeypatch):
     spec = CodeSpec(cs.n, cs, _RANGE6)
     fast = simulate_bler(spec, [0.0, 3.0, 6.0], 100, seed=9, decoders=("ml",))
-    real = channel._sort_certificate
+    real = lp._sort_certificate
 
     def no_certificate(*args):
         hit, perm = real(*args)
         return np.zeros_like(hit), perm
 
-    monkeypatch.setattr(channel, "_sort_certificate", no_certificate)
+    monkeypatch.setattr(lp, "_sort_certificate", no_certificate)
     slow = simulate_bler(spec, [0.0, 3.0, 6.0], 100, seed=9, decoders=("ml",))
     assert fast == slow
 
@@ -395,7 +395,7 @@ def test_simulate_bler_ml_scans_each_chunk_once(monkeypatch):
     code = build_code(spec)
     errors = sum(not np.array_equal(lp.ml_decode_detail(code, y)[1], w) for w, y in zip(sent, received))
     scanned = []
-    real = channel._ml_scan
+    real = lp._ml_scan
 
     def spy(words, ys):
         scanned.append(len(ys))
@@ -404,7 +404,7 @@ def test_simulate_bler_ml_scans_each_chunk_once(monkeypatch):
     def per_word(*args):
         raise AssertionError("the ML branch decoded a miss on its own")
 
-    monkeypatch.setattr(channel, "_ml_scan", spy)
+    monkeypatch.setattr(lp, "_ml_scan", spy)
     monkeypatch.setattr(channel, "ml_decode_detail", per_word)
     monkeypatch.setattr(lp, "ml_decode_detail", per_word)
     (rec,) = simulate_bler(spec, [0.0], trials, seed=7, decoders=("ml",))

@@ -539,6 +539,39 @@ def test_presolve_shrinks_the_phase_one_tableau(cs, shape):
     assert lp._code_polytope(cs).feasible.tableau.shape == shape
 
 
+@pytest.mark.parametrize("cs", [cyclic(8), repetition(8, 2)], ids=["cyclic8", "repetition8_2"])
+def test_phase_two_folds_objectives_in_entry_order(cs, monkeypatch):
+    # solve and lp_decode share the fold, so only an oracle sees its order: a
+    # merged column sums its entries' objectives one at a time onto zero, in
+    # entry order, and the basic rows' costs are then subtracted in row order.
+    feasible = lp._code_polytope(cs).feasible
+    rng = np.random.default_rng(8)
+    shape = (7, cs.n * cs.n)
+    objectives = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 17, size=shape)
+    objectives[:, ::9] = -0.0
+    objectives[:, 5::11] = 1e-300
+    seen = []
+    real = lp._simplex
+
+    def spy(tableau, basis):
+        seen.append(tableau[:, -1].copy())
+        return real(tableau, basis)
+
+    monkeypatch.setattr(lp, "_simplex", spy)
+    lp._phase_two(feasible, objectives)
+    start = feasible.tableau
+    for row, got in zip(objectives, seen[0]):
+        folded = [0.0] * start.shape[1]
+        for v, c in enumerate(feasible.columns.tolist()):
+            if c >= 0:
+                folded[c] = folded[c] + float(row[v])
+        cost = np.array(folded)
+        want = cost
+        for r, b in enumerate(feasible.basis.tolist()):
+            want = want - cost[b] * start[r]
+        assert want.tobytes() == got.tobytes()
+
+
 def test_constraint_system_hash_cached_and_shared():
     a, b = block(8, 2, redundant=True), block(8, 2, redundant=True)
     assert a is not b and a == b and hash(a) == hash(b)
@@ -639,19 +672,27 @@ def test_sort_certificate_ties_fall_through(cs, values, kind, data):
 
 
 def test_sort_certificate_rejects_non_finite():
-    polytope = lp._code_polytope(derangement(4))
+    cs = derangement(4)
     s = np.arange(4.0)
-    # One batch: the finite row certifies, each row with a non-finite entry misses.
-    ys = np.array([[3.0, 2.0, 1.0, bad] for bad in (0.0, np.nan, np.inf, -np.inf)])
-    hit, perm = lp._sort_certificate(polytope, s, ys)
-    assert hit.tolist() == [True, False, False, False]
+    ys = np.tile([3.0, 2.0, 1.0, 0.0], (lp._CHUNK + 5, 1))
+    hit, perm = lp._sort_certificate(lp._code_polytope(cs), s, ys[:1])
+    assert hit.tolist() == [True]
     assert perm[0].tolist() == [3, 2, 1, 0]
+    # The certificate reads finite input only: a batch refuses a non-finite
+    # row, also one past its first chunk, and a non-finite s.
     for bad in (np.nan, np.inf, -np.inf):
-        assert not lp._sort_certificate(polytope, np.array([0.0, 1.0, 2.0, bad]), ys[:1])[0][0]
+        past = ys.copy()
+        past[lp._CHUNK + 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lp_decode_batch(cs, s, past)
+        with pytest.raises(ValueError, match="finite"):
+            lp_decode_batch(cs, np.array([0.0, 1.0, 2.0, bad]), ys[:1])
     # At n = 1 there is no gap to test, so only finiteness refuses.
-    one = lp._code_polytope(ConstraintSystem(1, ()))
-    assert lp._sort_certificate(one, np.array([1.0]), np.array([[0.5], [np.nan]]))[0].tolist() == [
-        True, False]
+    one = ConstraintSystem(1, ())
+    assert lp._sort_certificate(lp._code_polytope(one), np.array([1.0]), np.array([[0.5]]))[
+        0].tolist() == [True]
+    with pytest.raises(ValueError, match="finite"):
+        lp_decode_batch(one, [1.0], np.array([[0.5], [np.nan]]))
 
 
 def test_sort_certificate_fails_outside_the_code():
@@ -774,7 +815,8 @@ def test_one_row_at_the_iteration_cap_fails_alone(monkeypatch):
     assert pivots[worst] > runner_up
     # Every row but the worst ends within the cap; the cached phase one is unaffected.
     monkeypatch.setattr(lp, "_limits", lambda m, ncols: (5 * (m + ncols), runner_up + 1))
-    out = lp._decode_misses(lp._code_polytope(cs), s, ys)
+    out = lp._decode_chunk(lp._code_polytope(cs), s, ys, True, None)
+    assert not out.hit.any()
     status, pivots = out.run.status, out.run.pivots
     assert [k for k, st_ in enumerate(status) if st_ != lp._OPTIMAL] == [worst]
     assert status[worst] == lp._CAPPED and pivots[worst] == runner_up + 1

@@ -237,10 +237,7 @@ def _check_against_oracles(cs, vs, s, monkeypatch):
     return dict(zip((label for label, *_ in calls), want))
 
 
-# fixpair5's vertex enumeration alone takes about 10 s.
-@pytest.mark.parametrize(
-    "name", [pytest.param(k, marks=pytest.mark.slow) if k == "fixpair5" else k for k in INSTANCES]
-)
+@pytest.mark.parametrize("name", INSTANCES)
 def test_bounds_match_loop_oracles(name, monkeypatch):
     cs, vs = _instance(name)
     s = tuple(float(v) for v in range(cs.n))
