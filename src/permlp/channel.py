@@ -1,13 +1,18 @@
 """AWGN channel simulation and random-ensemble experiments.
 
-Noise is generated from a counter-based scheme: every trial owns a fresh
-generator seeded by (seed, snr point index, trial index), so results are
-bit-identical regardless of worker count or execution order.  The SNR of the
-unit-energy-free convention used throughout is SNR_dB = 10 log10(1 / sigma^2).
+Noise is generated from a counter-based scheme: every trial draws from the
+stream of ``default_rng(SeedSequence((seed, snr point index, trial index)))``,
+so results are bit-identical regardless of worker count or execution order.
+That contract is per trial; ``_pcg64_states`` only computes the generator
+states of a whole chunk of trials at once, and one generator takes each
+trial's state in turn.  Ensemble sample k draws from ``SeedSequence((seed,
+k))`` the same way.  The SNR of the unit-energy-free convention used
+throughout is SNR_dB = 10 log10(1 / sigma^2).
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -82,15 +87,126 @@ def _fan_out(fn, jobs: list, threads: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, point, trial)))
+# ---------------------------------------------------------------------------
+# Generator states of a chunk of seeds
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe with a pool of four 32-bit
+# words) and the PCG64 seeding from its output.  The arithmetic wraps mod
+# 2**32 on uint32 arrays with uint32 constants only: a numpy scalar product
+# that overflows warns, and a Python-int constant would widen the result
+# under the value-based casting of numpy < 2.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hash constants while mixing in entropy
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash constants while drawing out the state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of the given hash calls, as uint32 columns.
+
+    The hash constant starts at ``init`` and is multiplied by ``mult`` inside
+    every call, between the xor and the multiply, so call k xors with
+    init * mult**k and multiplies by init * mult**(k + 1), mod 2**32.  No
+    constant depends on the data.
+    """
+    def at(k: int) -> int:
+        return init * pow(mult, k, 1 << 32) & _MASK32
+
+    return (np.array([at(k) for k in calls], dtype=np.uint32)[:, None],
+            np.array([at(k + 1) for k in calls], dtype=np.uint32)[:, None])
+
+
+# Call k of the entropy hash: 0-3 fill the pool; 4-15 cross-mix it, three
+# calls per source word (one per other pool word, in order); from 16 on,
+# four calls per entropy word past the pool.  Only keys with a seed of
+# 2**32 or above reach those, so their constants are made per chunk.  A
+# cross-mix step hashes the source word for all four pool words at once;
+# the source's own column (call 0 here) is computed and dropped.
+_FILL = _hash_constants(_INIT_A, _MULT_A, range(_POOL))
+_CROSS = [
+    _hash_constants(_INIT_A, _MULT_A,
+                    [_POOL + 3 * src + d - (d > src) if d != src else 0 for d in range(_POOL)])
+    for src in range(_POOL)
+]
+# The state is drawn as 8 words, the pool twice over: PCG64's 4 uint64 seed words.
+_DRAW = tuple(c.reshape(2, _POOL, 1) for c in _hash_constants(_INIT_B, _MULT_B, range(2 * _POOL)))
+
+
+def _hash(values: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    xor, mult = constants
+    values = (values ^ xor) * mult
+    return values ^ (values >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _words32(x: int) -> list[int]:
+    """x in 32-bit words, least significant first, as SeedSequence splits an integer."""
+    return [x >> shift & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
+
+
+def _pcg64_states(head: Sequence[int], tails) -> list[dict]:
+    """The bit-generator state of ``default_rng(SeedSequence((*head, tail)))`` for each tail.
+
+    ``head`` holds non-negative ints of any size; ``tails`` holds
+    non-negative ints below 2**64.  The entropy of every tail is mixed at
+    once, one (4, len(tails)) uint32 step per entropy word.
+    """
+    tails = np.asarray(tails, dtype=np.uint64)
+    words = [w for x in head for w in _words32(x)]
+    last = len(words) + 1  # the row of each tail's high word
+    entropy = np.zeros((max(last + 1, _POOL), len(tails)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[last - 1] = tails  # the cast keeps the low 32 bits
+    high = entropy[last] = tails >> np.uint64(32)
+    pool = _hash(entropy[:_POOL], _FILL)
+    for src, constants in enumerate(_CROSS):
+        mixed = _mix(pool, _hash(pool[src], constants))
+        mixed[src] = pool[src]  # the source word is mixed into the others only
+        pool = mixed
+    for row in range(_POOL, len(entropy)):
+        constants = _hash_constants(_INIT_A, _MULT_A, range(_POOL * row, _POOL * row + _POOL))
+        mixed = _mix(pool, _hash(entropy[row], constants))
+        # A tail below 2**32 is one word long, so its entropy has no high word.
+        pool = np.where(high != 0, mixed, pool) if row == last else mixed
+    drawn = _hash(pool, _DRAW).transpose(2, 0, 1).astype("<u4", order="C").reshape(-1, 2 * _POOL)
+    states = []
+    for a, b, c, d in drawn.view("<u8").tolist():
+        # PCG64 seeds from (a:b, c:d): inc = (c:d) << 1 | 1, then one step
+        # from inc + (a:b).
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _check_seed(seed) -> int:
+    """seed as an int, refused as ``SeedSequence`` refuses it, before any work runs.
+
+    Integers of any type pass (``True``, numpy integers); anything else
+    raises ``TypeError`` and a negative one ``ValueError``.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return seed
 
 
 def _simulate_point(args) -> TrialRecord:
     """One SNR point, in chunks of up to ``lp._CHUNK`` trials.
 
-    A chunk draws every trial's noise first, then decodes all of its
-    received words with one ``lp._decode_chunk`` call.
+    A chunk computes its trials' generator states with one
+    ``_pcg64_states`` call, draws every trial's noise, then decodes all of
+    its received words with one ``lp._decode_chunk`` call.
     """
     began = time.perf_counter()
     spec, code, snr_db, point_idx, trials, seed, decoders, transmitted = args
@@ -101,12 +217,14 @@ def _simulate_point(args) -> TrialRecord:
     polytope = _code_polytope(spec.cs)
     lp_right = lp_failures = ml_right = certified = solver_errors = 0
     lp_stats = {"pivots": 0, "degenerate": 0, "blands": 0} if "lp" in decoders else None
+    rng = np.random.Generator(np.random.PCG64())  # each trial sets its state
     for start in range(0, trials, _CHUNK):
         size = min(_CHUNK, trials - start)
         noise = np.empty((size, n))
         picks = np.zeros(size, dtype=np.intp)
-        for k in range(size):
-            rng = _trial_rng(seed, point_idx, start + k)
+        tails = np.arange(start, start + size, dtype=np.uint64)
+        for k, state in enumerate(_pcg64_states((seed, point_idx), tails)):
+            rng.bit_generator.state = state
             if fixed is None:
                 picks[k] = rng.integers(0, len(code))
             noise[k] = rng.normal(0.0, sigma, n)
@@ -166,10 +284,16 @@ def simulate_bler(
 ) -> list[TrialRecord]:
     """Monte-Carlo block error rates per SNR point.
 
-    ``transmitted`` fixes the sent codeword; None draws uniformly per trial.
+    Trial t of point k draws from ``default_rng(SeedSequence((seed, k, t)))``:
+    first the sent codeword's index with ``integers(0, len(code))`` (unless
+    ``transmitted`` fixes the word), then its noise with ``normal``.  The
+    generator states are computed a chunk at a time, which leaves each
+    trial's stream unchanged.  ``seed`` must be a non-negative integer
+    (``TypeError`` or ``ValueError`` otherwise, before the code is built).
     Random words, ML and a fixed word over an s with repeats build the code
     under ``limit``; worker processes receive its permutations only.
     """
+    seed = _check_seed(seed)
     decoders = tuple(decoders)
     if not decoders or any(d not in ("lp", "ml") for d in decoders):
         raise ValueError("decoders must be a nonempty subset of {'lp', 'ml'}")
@@ -211,14 +335,18 @@ def _ensemble_chunk(args) -> np.ndarray:
     """Histogram of each sampled system's solutions by displaced positions (weight)."""
     n, m, seed, indices = args
     out = np.zeros((len(indices), n + 1), dtype=np.int64)
-    for row, k in enumerate(indices):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        out[row] = _pair_weight_histogram(sample_ensemble(n, m, rng).rows, n)
+    rng = np.random.Generator(np.random.PCG64())  # each sample sets its state
+    for start in range(0, len(indices), _CHUNK):
+        states = _pcg64_states((seed,), indices[start : start + _CHUNK])
+        for row, state in enumerate(states, start):
+            rng.bit_generator.state = state
+            out[row] = _pair_weight_histogram(sample_ensemble(n, m, rng).rows, n)
     return out
 
 
 def _ensemble_histograms(n, m, num_samples, seed, threads) -> np.ndarray:
     """``_ensemble_chunk`` over samples 0..num_samples-1, fanned out to workers."""
+    seed = _check_seed(seed)
     if num_samples < 1:
         raise ValueError("need at least one sample")
     if n > _COUNTER_MAX_DEGREE:

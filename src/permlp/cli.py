@@ -170,7 +170,9 @@ def _cmd_decode(args) -> int:
     blocks: list[list[str]] = [[] for _ in ys]
     failed = False
     if args.decoder in ("lp", "both"):
-        for lines, res in zip(blocks, lp_decode_batch(spec.cs, np.asarray(spec.s), ys)):
+        with _input_errors():
+            results = lp_decode_batch(spec.cs, np.asarray(spec.s), ys)
+        for lines, res in zip(blocks, results):
             if res.is_codeword:
                 lines.append("lp: " + " ".join(_fmt(v) for v in res.word))
             else:
@@ -183,7 +185,8 @@ def _cmd_decode(args) -> int:
         if len(code) == 0:
             raise InfeasibleCodeError("the code is empty")
         for lines, y in zip(blocks, ys):
-            _, word, tie = ml_decode_detail(code, y)
+            with _input_errors():
+                _, word, tie = ml_decode_detail(code, y)
             lines.append("ml: " + " ".join(_fmt(v) for v in word))
             if tie:
                 lines.append("ml_tie: true")

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -669,20 +670,37 @@ class _Chunk(NamedTuple):
     ml: Optional[np.ndarray]
 
 
+def _check_scale(s: np.ndarray, ys: np.ndarray) -> None:
+    """Refuse non-finite entries, and magnitudes whose products can overflow.
+
+    Every objective and inner product the decoders form sums n terms
+    y_i s_j, so max|y| * max|s| * n bounds them.  Nothing is rescaled, so
+    every accepted input decodes with the same floats as before.
+    """
+    # Python floats: an overflow gives inf without a numpy warning, and a
+    # NaN or inf entry makes the bound NaN or inf too.
+    bound = float(np.abs(ys).max(initial=0.0)) * float(np.abs(s).max(initial=0.0)) * len(s)
+    if math.isfinite(bound):
+        return
+    if not (np.isfinite(s).all() and np.isfinite(ys).all()):
+        raise ValueError("initial vector and received vector must be finite")
+    raise ValueError("initial vector and received vector are too large: "
+                     "max|y| * max|s| * n overflows")
+
+
 def _decode_chunk(
     polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray, lp: bool, words: Optional[np.ndarray]
 ) -> _Chunk:
     """Decode each row of ys (at most ``_CHUNK`` rows) against the code (polytope, s).
 
-    Non-finite entries raise ``ValueError`` before anything runs.  The sort
-    certificate runs on every row.  With ``lp`` set, the rows it misses run
+    Inputs that ``_check_scale`` refuses raise ``ValueError`` before anything
+    runs.  The sort certificate runs on every row.  With ``lp`` set, the rows it misses run
     through phase two as one stack, the objective of row y being y s^T entry
     by entry as ``build_decoding_lp`` forms it.  With ``words``, a code's
     codeword array, they run through one ``_ml_scan``; a certified X* is the
     unique argmax of words @ y, so it is the ML answer too.
     """
-    if not (np.isfinite(s).all() and np.isfinite(ys).all()):
-        raise ValueError("initial vector and received vector must be finite")
+    _check_scale(s, ys)
     hit, perm = _sort_certificate(polytope, s, ys)
     misses = (~hit).nonzero()[0]
     ml = None
@@ -719,8 +737,8 @@ def lp_decode_batch(
     The rows run through ``_decode_chunk`` in slices of ``_CHUNK``: one
     certificate pass per slice, and one simplex stack of the rows it misses.
     Each result equals ``lp_decode(cs, s, y)`` of its row.  A row whose
-    simplex fails raises ``RuntimeError``; non-finite entries raise
-    ``ValueError``.
+    simplex fails raises ``RuntimeError``; non-finite entries, or entries so
+    large that max|y| * max|s| * n overflows, raise ``ValueError``.
     """
     n = cs.n
     s = np.asarray(s, dtype=float)
@@ -764,8 +782,9 @@ def lp_decode(cs: ConstraintSystem, s: Sequence[float], y: Sequence[float]) -> D
     phase two runs from the phase-one basis cached per constraint system,
     which gives the same result as ``solve(build_decoding_lp(cs, s, y))``.
     The two agree on every certified input too, up to the last bits of the
-    objective.  Non-finite entries in s or y raise ``ValueError``; a simplex
-    that hits its iteration cap or drifts raises ``RuntimeError``.
+    objective.  Non-finite entries in s or y, or entries so large that
+    max|y| * max|s| * n overflows, raise ``ValueError``; a simplex that hits
+    its iteration cap or drifts raises ``RuntimeError``.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (cs.n,):
@@ -780,7 +799,8 @@ def ml_decode_detail(code: Code, y: Sequence[float]) -> tuple[int, np.ndarray, b
     and the nearest codeword is the one with the largest inner product with y.
     Ties resolve to the lowest codeword index; the flag is set when another
     codeword is within 1e-12 in squared distance.  Non-finite entries in y or
-    s raise ``ValueError``.
+    s, or entries so large that max|y| * max|s| * n overflows, raise
+    ``ValueError``.
     """
     if len(code) == 0:
         raise ValueError("empty code")
@@ -788,8 +808,7 @@ def ml_decode_detail(code: Code, y: Sequence[float]) -> tuple[int, np.ndarray, b
     if y.shape != (code.n,):
         raise ValueError("received vector length does not match the code degree")
     # Every codeword is a rearrangement of s, so the first one stands for s.
-    if not (np.isfinite(y).all() and np.isfinite(code.codewords[0]).all()):
-        raise ValueError("received vector and initial vector must be finite")
+    _check_scale(code.codewords[0], y)
     g = code.codewords @ y
     k = int(np.argmax(g))
     tie = bool(np.count_nonzero(g >= g[k] - 0.5e-12) > 1)

@@ -281,7 +281,7 @@ def _point_words(spec, snr_db, point, trials, seed):
     sigma = sigma_from_snr_db(snr_db)
     sent, received = [], []
     for t in range(trials):
-        rng = channel._trial_rng(seed, point, t)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, point, t)))
         word = code.codewords[int(rng.integers(0, len(code)))]
         sent.append(word)
         received.append(awgn(word, sigma, rng))
@@ -475,6 +475,82 @@ def test_pools_start_no_more_workers_than_jobs(monkeypatch):
     res = ensemble_experiment(4, 3, 3, seed=17, threads=64)
     assert _PicklingPool.workers == [3] and len(_PicklingPool.blobs) == 3
     assert res == ensemble_experiment(4, 3, 3, seed=17)
+
+
+# Heads of SeedSequence keys: (seed, point) for simulate_bler, (seed,) for
+# the ensembles.  The seeds take one, two, three and four 32-bit words.
+_SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 5)
+
+
+def _kernel_heads():
+    gen = np.random.default_rng(2026)
+    heads = [(seed, point) for seed in _SEED_EDGES for point in (0, 2**32 + 1)]
+    heads += [(seed,) for seed in _SEED_EDGES]
+    while len(heads) < 50:
+        bits = int(gen.integers(1, 96))
+        heads.append((int(gen.integers(0, 2**63)) << 32 >> (96 - bits), int(gen.integers(0, 100))))
+    return heads
+
+
+# Per head: trial 0 and the next 99, trials 2**32 - 1 and 2**32 + 3, and a
+# run of 98 that straddles 2**32 (its tails take one word, then two).
+_KERNEL_TAILS = np.concatenate([
+    np.arange(100), [2**32 - 1, 2**32 + 3], np.arange(2**32 - 49, 2**32 + 49),
+]).astype(np.uint64)
+
+
+@pytest.mark.parametrize("head", _kernel_heads(), ids=str)
+def test_pcg64_states_match_numpy_seeding(head):
+    # 50 heads x 200 tails: 10^4 keys.  Each state must be the one numpy's
+    # own SeedSequence and PCG64 give, and so must the first draws from it.
+    states = channel._pcg64_states(head, _KERNEL_TAILS)
+    assert len(states) == len(_KERNEL_TAILS)
+    rng = np.random.Generator(np.random.PCG64())
+    for tail, state in zip(_KERNEL_TAILS.tolist(), states):
+        want = np.random.default_rng(np.random.SeedSequence((*head, tail)))
+        assert state == want.bit_generator.state, (head, tail)
+        rng.bit_generator.state = state
+        assert rng.integers(0, 1000) == want.integers(0, 1000)
+        assert np.array_equal(rng.normal(0.0, 1.0, 3), want.normal(0.0, 1.0, 3))
+
+
+def test_pcg64_states_in_any_tail_order():
+    # Ensemble chunks hand out sample indices strided and, in tests, shuffled.
+    tails = [5, 2**32 + 3, 0, 11, 2**32 - 1, 3]
+    states = channel._pcg64_states((17,), tails)
+    assert states == [np.random.default_rng(np.random.SeedSequence((17, t))).bit_generator.state
+                      for t in tails]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_seed_is_checked_before_any_work(monkeypatch, threads):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the seed was checked")
+
+    for name in ("build_code", "_pair_weight_histogram", "sample_ensemble", "ProcessPoolExecutor"):
+        monkeypatch.setattr(channel, name, forbidden)
+    spec = CodeSpec(4, derangement(4), (0.0, 1.0, 2.0, 3.0))
+    runs = [
+        lambda seed: simulate_bler(spec, [1.0, 3.0], 5, seed=seed, threads=threads),
+        lambda seed: ensemble_experiment(4, 3, 2, seed=seed, threads=threads),
+        lambda seed: ensemble_weight_experiment(4, 3, 2, seed=seed),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            run(-1)
+        for bad in (1.0, 2.5, "3", None, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                run(bad)
+
+
+def test_integer_seed_types_keep_working():
+    spec = CodeSpec(4, derangement(4), (0.0, 1.0, 2.0, 3.0))
+    want = simulate_bler(spec, [1.0, 3.0], 30, seed=1)
+    for seed in (True, np.int64(1), np.uint32(1)):
+        assert simulate_bler(spec, [1.0, 3.0], 30, seed=seed) == want
+        assert ensemble_experiment(4, 3, 5, seed=seed) == ensemble_experiment(4, 3, 5, seed=1)
+    big = 2**64 + 5
+    assert simulate_bler(spec, [1.0], 30, seed=big)[0].seed == big
 
 
 def test_simulate_rejects_empty_code():

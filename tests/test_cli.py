@@ -308,12 +308,19 @@ def test_bounds_and_simulate_match_words_alike(specs, capsys, word, accepted):
         ("bounds", "der4", "--snr", "four"),
         ("bounds", "der4", "--snr", "0:1e-10:1e-13"),
         ("simulate", "der4", "--snr", "0:0:5e-13", "--trials", "1"),
+        ("simulate", "der4", "--snr", "4", "--trials", "5", "--seed", "-1"),
+        ("ensemble", "--n", "4", "--m", "3", "--samples", "3", "--seed", "-1"),
+        ("decode", "der3", "-y=-1e308,2,1e308"),
+        ("decode", "der3", "-y=-1e308,2,1e308", "--decoder", "ml"),
+        ("decode", "huge_s", "-y", "0,1,2", "--decoder", "both"),
     ],
     ids=["trials0", "non_codeword", "samples0", "negative_m", "decode_nan", "decode_inf",
          "decode_minus_inf", "spec_nan_decode", "spec_infinity_bounds", "spec_nan_build",
          "snr_inf_stop_simulate", "snr_inf_stop_bounds", "snr_nan_stop", "snr_nan",
          "snr_grid_too_long", "snr_step_underflow", "snr_not_a_number",
-         "snr_step_below_rounding_bounds", "snr_step_below_rounding_simulate"],
+         "snr_step_below_rounding_bounds", "snr_step_below_rounding_simulate",
+         "simulate_negative_seed", "ensemble_negative_seed", "decode_overflow_y",
+         "decode_ml_overflow_y", "decode_overflow_s"],
 )
 def test_invalid_run_inputs_exit_three(specs, capsys, tmp_path, argv):
     # "der4" stands for the path of that spec file.  The "*_s" specs hold NaN
@@ -322,6 +329,10 @@ def test_invalid_run_inputs_exit_three(specs, capsys, tmp_path, argv):
     for name, bad in (("nan_s", float("nan")), ("infinity_s", float("inf"))):
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps({**DER4, "s": [0, bad, 2, 3]}))
+    # Degree 3, with s = 0, 1, 2 and with huge finite entries in s.
+    for name, s in (("der3", [0, 1, 2]), ("huge_s", [-1e308, 0, 1e308])):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps({**DER4, "n": 3, "s": s}))
     code, _, err = _run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err

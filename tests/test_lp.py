@@ -1,6 +1,7 @@
 """Simplex solver against scipy, plus the LP/ML decoders."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,27 @@ def test_decoders_reject_non_finite_input(bad, where):
         ml_decode_detail(code, y)
     with pytest.raises(ValueError, match="finite"):
         ml_decode(code, y)
+
+
+@pytest.mark.parametrize("s,y", [
+    ([0.0, 1.0, 2.0], [-1e308, 2.0, 1e308]),
+    ([-1e308, 0.0, 1e308], [0.0, 1.0, 2.0]),
+], ids=["huge_y", "huge_s"])
+def test_decoders_refuse_products_that_overflow(s, y):
+    # Finite entries whose products y_i s_j summed over n overflow: the LP
+    # objective used to hold +-inf, numpy warned and the simplex ran to its
+    # iteration cap (RuntimeError).  Now both decoders refuse up front.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            lp_decode(derangement(3), s, y)
+        with pytest.raises(ValueError, match="overflows"):
+            lp_decode_batch(derangement(3), s, np.array([[2.0, 0.0, 1.0], y]))
+        code = build_code(CodeSpec(3, derangement(3), tuple(s)))
+        with pytest.raises(ValueError, match="overflows"):
+            ml_decode_detail(code, y)
+    # Large but safe magnitudes still decode.
+    assert lp_decode(derangement(3), s, np.asarray(y) * 1e-10).is_codeword
 
 
 def test_ml_decode_matches_argmin():
