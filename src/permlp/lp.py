@@ -694,9 +694,9 @@ def _decode_chunk(
     """Decode each row of ys (at most ``_CHUNK`` rows) against the code (polytope, s).
 
     Inputs that ``_check_scale`` refuses raise ``ValueError`` before anything
-    runs.  The sort certificate runs on every row.  With ``lp`` set, the rows it misses run
-    through phase two as one stack, the objective of row y being y s^T entry
-    by entry as ``build_decoding_lp`` forms it.  With ``words``, a code's
+    runs.  The sort certificate runs on every row.  With ``lp`` set, the rows
+    it misses run through phase two as one stack, the objective of row y
+    being y s^T entry by entry as ``build_decoding_lp`` forms it.  With ``words``, a code's
     codeword array, they run through one ``_ml_scan``; a certified X* is the
     unique argmax of words @ y, so it is the ML answer too.
     """
