@@ -228,7 +228,9 @@ def _simulate_point(args) -> TrialRecord:
             if fixed is None:
                 picks[k] = rng.integers(0, len(code))
             noise[k] = rng.normal(0.0, sigma, n)
-        sent = code.codewords[picks] if fixed is None else np.broadcast_to(fixed, (size, n))
+        sent = np.empty((size, n)) if fixed is None else np.broadcast_to(fixed, (size, n))
+        if fixed is None:  # the picks' codewords, without building the whole codebook
+            np.put_along_axis(sent, code.perms[picks] - 1, s, axis=1)
         out = _decode_chunk(polytope, s, sent + noise, "lp" in decoders,
                             code.codewords if "ml" in decoders else None)
         if "lp" in decoders:
@@ -264,7 +266,7 @@ def _is_codeword(spec: CodeSpec, word: np.ndarray, code: Optional[Code]) -> bool
     """Whether word = X s for some X satisfying spec.cs; ``code`` is read only when s repeats."""
     s = np.asarray(spec.s, dtype=float)
     if len(set(spec.s)) < spec.n:
-        return word.shape == s.shape and bool((code.codewords == word).all(axis=1).any())
+        return code.index(word) is not None
     # Distinct entries: only the X matching sorted s to sorted word maps s
     # there, and the exact int64 rows of the sort certificate check it.
     order = s.argsort()

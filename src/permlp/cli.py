@@ -97,13 +97,6 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
-def _matrix_for_word(code: codebook.Code, word: np.ndarray) -> PermutationMatrix:
-    hits = np.flatnonzero((code.codewords == word).all(axis=1))
-    if hits.size == 0:
-        raise SpecFileError("the given word is not a codeword of this spec")
-    return code.matrix(int(hits[0]))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -229,7 +222,10 @@ def _cmd_bounds(args) -> int:
         if args.word is None
         else _parse_vector(args.word, sf.n, "transmitted word")
     )
-    x = _matrix_for_word(code, word)
+    k = code.index(word)
+    if k is None:
+        raise SpecFileError("the given word is not a codeword of this spec")
+    x = code.matrix(k)
     vs = enumerate_vertices(spec.cs, sf.n, max_bases=args.max_bases)
     # Every row is computed before the output opens, so a refusal leaves no file.
     rows = []

@@ -94,6 +94,12 @@ class Code:
         hits = np.flatnonzero((self.perms == np.asarray(x.perm, dtype=np.int8)).all(axis=1))
         return int(hits[0]) if hits.size else None
 
+    def index(self, word) -> Optional[int]:
+        """0-based row of the first codeword equal to ``word``, or None, also for a wrong shape."""
+        word = np.asarray(word, dtype=float)
+        match = word.shape == (self.n,) and (self.codewords == word).all(axis=1)
+        return int(np.argmax(match)) if np.any(match) else None
+
     def matrix(self, k: int) -> PermutationMatrix:
         """Matrix of row k (0-based)."""
         return PermutationMatrix(tuple(self.perms[k].tolist()))

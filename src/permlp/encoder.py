@@ -92,12 +92,10 @@ def codeword_rank(code: Code, word) -> int:
     """1-based index of a codeword in the code's deterministic ordering."""
     if code.singular:
         raise ValueError("ranking a singular code is ambiguous")
-    word = np.asarray(word, dtype=float)
-    if word.shape == (code.n,):
-        hits = np.flatnonzero((code.codewords == word).all(axis=1))
-        if hits.size:
-            return int(hits[0]) + 1
-    raise ValueError("vector is not a codeword")
+    k = code.index(word)
+    if k is None:
+        raise ValueError("vector is not a codeword")
+    return k + 1
 
 
 def codeword_unrank(code: Code, k: int) -> np.ndarray:

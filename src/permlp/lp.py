@@ -24,8 +24,9 @@ rows with zero rhs force to zero, merges the pairs that (c x_a - c x_b = 0)
 rows tie and drops rows that every x >= 0 satisfies, shrinking e.g. the
 degree-8 fixed-point-free involution LP from a 38x65 tableau to 9x29.  Phase
 two folds the objective onto the merged columns and expands the optimum back
-to every variable.  Vertex enumeration (``permlp.polytope``) starts from the
-same standard form: the presolved rows plus one slack per ``le`` row.
+to every variable.  ``_code_polytope`` compiles a constraint system with one
+presolve, and phase one and vertex enumeration (``permlp.polytope``) read its
+one standard form: the presolved rows plus one slack per ``le`` row.
 
 LP decoding maximizes trace(C^T X) with C = y s^T over the code polytope
 (Birkhoff rows plus the constraint system).  An integral optimum is the
@@ -291,15 +292,6 @@ def _pack(problem: LPProblem):
     return dense, rhs, eq
 
 
-def _pack_system(cs: ConstraintSystem):
-    """Dense rows of the code polytope: the Birkhoff rows, then cs.rows.
-
-    The order is ``build_decoding_lp``'s, so phase one pivots alike on both.
-    """
-    zeros = np.zeros(cs.n)
-    return _pack(build_decoding_lp(cs, zeros, zeros))
-
-
 def _presolve(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray):
     """Fix entries forced to zero, merge tied entries and drop redundant rows.
 
@@ -398,12 +390,11 @@ class _FeasibleTableau:
     eq: np.ndarray
 
 
-def _phase_one(rows: np.ndarray, rhs: np.ndarray, eq: np.ndarray) -> Optional[_FeasibleTableau]:
-    """A feasible basis of the presolved rows, or None when they are infeasible.
+def _phase_one(std, rows, rhs, eq) -> Optional[_FeasibleTableau]:
+    """A feasible basis of ``std``, the rows' standard form, or None when they are infeasible.
 
     Phase one never reads the objective.
     """
-    std = _standard_form(rows, rhs, eq)
     if std is None:
         return None
     columns, a, b, is_eq = std
@@ -500,7 +491,8 @@ def solve(problem: LPProblem) -> LPSolution:
     Phase two runs as a stack of one.  Raises ``RuntimeError`` when the
     simplex hits its iteration cap or its optimum fails the drift re-check.
     """
-    feasible = _phase_one(*_pack(problem))
+    packed = _pack(problem)
+    feasible = _phase_one(_standard_form(*packed), *packed)
     if feasible is None:
         return LPSolution(LPStatus.INFEASIBLE, None, float("nan"))
     x, run = _phase_two(feasible, problem.objective[None])
@@ -588,15 +580,21 @@ _ML_BLOCK = 1024
 
 @dataclass(frozen=True)
 class _CodePolytope:
-    """What LP decoding needs of a constraint system, whatever s and y are.
+    """A constraint system compiled by one presolve, for LP decoding and vertex enumeration.
 
-    ``feasible`` is phase one of the decoding LP (None when the polytope is
-    empty).  ``cube`` and ``bound`` hold the system's rows as exact int64
-    ``<=`` rows, each equality written as two of them: ``cube[i, j]`` is the
-    column of coefficients of entry (i, j), so checking a permutation matrix
-    is a gather of n entries and one comparison.
+    ``std`` is the standard form of the Birkhoff rows and cs.rows (None when
+    inconsistent), whose presolve fixed ``fixed`` entries at zero and merged
+    ``merged`` into another; ``method`` is how ``permlp.polytope`` walks its
+    vertices; ``feasible`` is phase one on ``std`` (None: empty polytope).
+    ``cube`` and ``bound`` hold cs.rows as exact int64 ``<=`` rows, an equality
+    as two, ``cube[i, j]`` holding entry (i, j)'s coefficients: checking a
+    permutation matrix is one gather and one comparison.  Arrays are read-only.
     """
 
+    std: Optional[tuple]
+    fixed: int
+    merged: int
+    method: str
     feasible: Optional[_FeasibleTableau]
     cube: np.ndarray
     bound: np.ndarray
@@ -613,16 +611,25 @@ class _CodePolytope:
 @functools.lru_cache(maxsize=64)
 def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
     n = cs.n
-    rows, rhs, eq = _pack_system(cs)
+    # build_decoding_lp's rows, Birkhoff first, so phase one pivots alike here and in solve.
+    rows, rhs, eq = _pack(build_decoding_lp(cs, np.zeros(n), np.zeros(n)))
+    std = _standard_form(rows, rhs, eq)
+    columns = np.arange(n * n) if std is None else std[0]  # None fixes and merges nothing
+    fixed = int(np.count_nonzero(columns < 0))
+    merged = n * n - fixed - (int(columns.max()) + 1)
+    # The 2n Birkhoff rows survive the presolve; with nothing merged and no row
+    # besides, the polytope is a Birkhoff face, and one more row cuts that face.
+    extra = None if std is None or merged else len(std[1]) - 2 * n
+    method = {0: "face", 1: "row"}.get(extra, "screen")
     # Phase one never reads the objective, so one basis serves every s and y.
-    feasible = _phase_one(rows, rhs, eq)
+    feasible = _phase_one(std, rows, rhs, eq)
     # The system's own rows follow the 2n Birkhoff rows; their entries are integers.
     rows, rhs, eq = rows[2 * n :].astype(np.int64), rhs[2 * n :].astype(np.int64), eq[2 * n :]
     bound = np.concatenate([rhs, -rhs[eq]])
     cube = np.ascontiguousarray(np.vstack([rows, -rows[eq]]).T.reshape(n, n, bound.size))
-    for a in (cube, bound):
+    for a in (cube, bound, *(std or ())):
         a.setflags(write=False)
-    return _CodePolytope(feasible, cube, bound)
+    return _CodePolytope(std, fixed, merged, method, feasible, cube, bound)
 
 
 def _sort_certificate(polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray):

@@ -1,10 +1,10 @@
 """Exact vertex enumeration of code polytopes.
 
 The code polytope is the set of doubly stochastic matrices satisfying the
-constraint rows.  The enumerator reads the LP layer's standard form
-(``permlp.lp``: the presolved rows plus one slack per <= row) and chooses
-its method from it.  All reported vertices are exact rationals, sorted by
-their row-major entries, and every method returns the same list.
+constraint rows.  The enumerator reads the compiled system that LP decoding
+reads too (``permlp.lp._code_polytope``): its standard form (the presolved
+rows plus one slack per <= row) and its method.  Vertices are exact rationals
+sorted by their row-major entries, and every method returns the same list.
 
 * Face: only the Birkhoff rows are left and nothing is merged.  The
   polytope is the face of the Birkhoff polytope whose fixed entries are
@@ -36,8 +36,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .constraints import ConstraintSystem, satisfies_mask
-from .lp import _pack_system, _standard_form
+from .constraints import ConstraintSystem
+from .lp import _code_polytope
 from .perm import PermutationMatrix
 
 # Prefilter tolerances.  Basis determinants are integers, so |det| >= 0.5
@@ -209,12 +209,6 @@ def _gauss_jordan(mat: list[list[int]], rhs: list[int]):
     return pivots, a
 
 
-def _presolve_counts(columns: np.ndarray, n: int) -> tuple[int, int]:
-    """Entries the presolve fixed at zero, and entries it merged into another."""
-    fixed = int((columns < 0).sum())
-    return fixed, n * n - fixed - (int(columns.max()) + 1)
-
-
 def enumerate_vertices(
     cs: ConstraintSystem, n: int, max_bases: int = DEFAULT_BASIS_BUDGET
 ) -> VertexSet:
@@ -227,13 +221,9 @@ def enumerate_vertices(
     """
     if cs.n != n:
         raise ValueError("constraint system degree does not match n")
-    std = _standard_form(*_pack_system(cs))
-    # The 2n Birkhoff rows always survive the presolve.  With nothing merged,
-    # no other row left is a face of the Birkhoff polytope, and one more row
-    # cuts such a face with a hyperplane or a halfspace.
-    extra = None if std is None or _presolve_counts(std[0], n)[1] else len(std[1]) - 2 * n
-    method = {0: "face", 1: "row"}.get(extra, "screen")
-    vertices, stats = (_screen if method == "screen" else _structured)(n, std, max_bases)
+    polytope = _code_polytope(cs)
+    method = polytope.method
+    vertices, stats = (_screen if method == "screen" else _structured)(n, polytope, max_bases)
     return VertexSet(n, vertices, {"method": method, **stats})
 
 
@@ -242,19 +232,19 @@ def _flat(vertex: RationalMatrix) -> tuple[Fraction, ...]:
     return tuple(itertools.chain.from_iterable(vertex.entries))
 
 
-def _screen(n: int, std, max_bases: int):
-    """Vertices of any standard form by a basis walk: ``(vertices, stats)``.
+def _screen(n: int, polytope, max_bases: int):
+    """Vertices of any code polytope by a basis walk of its standard form: ``(vertices, stats)``.
 
     Every C(width, rank) column basis is screened in floats, and each
     distinct candidate solution is re-solved exactly.
     """
-    stats = dict.fromkeys(("bases", "nonsingular", "feasible", "solved", "fixed", "merged"), 0)
-    if std is None:
+    stats = dict.fromkeys(("bases", "nonsingular", "feasible", "solved"), 0)
+    stats.update(fixed=polytope.fixed, merged=polytope.merged)
+    if polytope.std is None:
         return (), stats
     # The Birkhoff rows always survive the presolve, so the system keeps at
     # least one row and one column.  Its entries are integers.
-    columns, rows, rhs, _ = std
-    stats["fixed"], stats["merged"] = _presolve_counts(columns, n)
+    columns, rows, rhs, _ = polytope.std
     reduced = _gauss_jordan(rows.astype(np.int64).tolist(), rhs.astype(np.int64).tolist())
     if reduced is None:
         return (), stats
@@ -402,7 +392,7 @@ def _charge(work: int, max_bases: int) -> None:
         )
 
 
-def _structured(n: int, std, max_bases: int):
+def _structured(n: int, polytope, max_bases: int):
     """Vertices of a Birkhoff face cut by at most one row: ``(vertices, stats)``.
 
     The face's vertices are its permutation matrices (Birkhoff-von Neumann).
@@ -411,9 +401,8 @@ def _structured(n: int, std, max_bases: int):
     strictly on opposite sides.  Candidates are the face's permutations and
     the crossing edges; ``feasible`` counts those that are vertices.
     """
-    columns, rows, rhs, is_eq = std
-    fixed, merged = _presolve_counts(columns, n)
-    stats = {"candidates": 0, "pairs": 0, "feasible": 0, "fixed": fixed, "merged": merged}
+    columns, rows, rhs, is_eq = polytope.std
+    stats = dict(candidates=0, pairs=0, feasible=0, fixed=polytope.fixed, merged=polytope.merged)
     unit = n * n
     perms = _permutations((columns >= 0).reshape(n, n), max_bases // unit)
     if perms is None:
@@ -559,9 +548,11 @@ def min_pseudo_distance(vs: VertexSet, cs: ConstraintSystem, s: Sequence[float])
         raise ValueError("polytope has no integral vertices")
     if len(vs) < 2:
         raise ValueError("need at least two vertices")
-    # Column j of an integral vertex holds its one in row perm[j].
-    perms = vs.float_stack[vs.integral_mask].argmax(axis=1) + 1
-    if not satisfies_mask(cs, perms.astype(np.int8)).all():
+    if cs.n != vs.n:
+        raise ValueError("degree mismatch between constraint system and vertex set")
+    # Column j of an integral vertex holds its one in row rows[j].
+    rows = vs.float_stack[vs.integral_mask].argmax(axis=1)
+    if not _code_polytope(cs).admits(rows, np.arange(vs.n)).all():
         raise ValueError("integral vertex violates the constraint system")
     message = "two vertices share an image; pseudo distance undefined"
     starts = np.flatnonzero(vs.integral_mask)

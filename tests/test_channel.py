@@ -17,7 +17,7 @@ from permlp.channel import (
     sigma_from_snr_db,
     simulate_bler,
 )
-from permlp.codebook import CodeSpec, build_code
+from permlp.codebook import Code, CodeSpec, build_code
 from permlp.constraints import (
     _COUNTER_MAX_DEGREE,
     ConstraintRow,
@@ -97,6 +97,22 @@ def test_simulate_bler_record_fields():
 def test_simulate_bler_lp_only_skips_ml():
     (r,) = simulate_bler(_spec(), [4.0], 50, seed=3, decoders=("lp",))
     assert r.ml_errors is None
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lp_only_random_words_never_build_the_codebook(threads, monkeypatch):
+    # A chunk scatters s through its picks' permutations; 600 trials make a
+    # full chunk and a partial one.
+    spec = CodeSpec(6, derangement(6), tuple(float(v) for v in range(6)))
+    want = simulate_bler(spec, [1.0, 4.0], 600, seed=8, decoders=("lp",), threads=threads)
+
+    def forbidden(self):
+        raise AssertionError("an LP-only run built the float codebook")
+
+    monkeypatch.setattr(Code, "codewords", property(forbidden))
+    got = simulate_bler(spec, [1.0, 4.0], 600, seed=8, decoders=("lp",), threads=threads)
+    assert got == want
+    assert [r.lp_stats for r in got] == [r.lp_stats for r in want]
 
 
 def test_simulate_bler_quiet_at_high_snr():

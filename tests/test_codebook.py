@@ -272,6 +272,20 @@ def test_code_find_rejects_foreign_matrices():
         distance_enumerator(code, PermutationMatrix.identity(4))
 
 
+def test_code_index_finds_the_first_equal_codeword():
+    # Repeated entries: words repeat, so only the first equal row is returned.
+    code = build_code(_spec(4, derangement(4), s=(0.0, 0.0, 1.0, 1.0)))
+    words = code.codewords
+    assert code.singular
+    for word in words:
+        first = next(j for j in range(len(words)) if np.array_equal(words[j], word))
+        assert code.index(word) == code.index(tuple(word.tolist())) == first
+    assert code.index(words[0] + 1e-12) is None
+    assert code.index((0.0, 0.0, 0.0, 1.0)) is None  # not a rearrangement of s
+    for wrong in ((0.0, 0.0, 1.0), words[:2], words[0][:, None], 0.0):
+        assert code.index(wrong) is None
+
+
 def test_code_equality_hash_and_pickle():
     spec = _spec(5, derangement(5))
     a, b = build_code(spec), build_code(spec)

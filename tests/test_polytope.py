@@ -21,8 +21,8 @@ from permlp.constraints import (
     pure_involution,
     transposition,
 )
-from permlp import polytope
-from permlp.lp import LPProblem, LPStatus, _pack_system, _standard_form, birkhoff_rows, solve
+from permlp import lp, polytope
+from permlp.lp import LPProblem, LPStatus, _code_polytope, birkhoff_rows, lp_decode, solve
 from permlp.perm import PermutationMatrix, var_index
 from permlp.polytope import (
     BasisBudgetError,
@@ -42,7 +42,7 @@ def _trace_cs(n, value):
 
 def _screened(cs, n):
     """``(vertices, stats)`` of the basis-walk screen, the structured methods' oracle."""
-    return polytope._screen(n, _standard_form(*_pack_system(cs)), polytope.DEFAULT_BASIS_BUDGET)
+    return polytope._screen(n, _code_polytope(cs), polytope.DEFAULT_BASIS_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_vertex_set_float_stack_and_images():
 
 def _exact_basis_counts(cs):
     """(bases, nonsingular, feasible) over every column basis, solved in Fractions."""
-    _, rows, rhs, _ = _standard_form(*_pack_system(cs))
+    _, rows, rhs, _ = _code_polytope(cs).std
     a, b = rows.astype(np.int64), rhs.astype(np.int64).tolist()
     kept = sorted(r for r, _ in polytope._gauss_jordan(a.tolist(), b)[0])
     a, b = a[kept], [b[r] for r in kept]
@@ -498,6 +498,27 @@ def test_structured_stats_count_candidates_and_pairs():
     assert enumerate_vertices(_fixpair_cs(5), 5).stats == {
         "method": "row", "candidates": 414, "pairs": 468, "feasible": 330, "fixed": 0, "merged": 0}
     assert enumerate_vertices(pure_involution(6), 6).stats["method"] == "screen"
+
+
+@pytest.mark.parametrize("cs", [pure_involution(6), _fixpair_cs(5)],
+                         ids=["pure_involution6", "fixpair5"])
+def test_each_system_is_presolved_once(cs, monkeypatch):
+    # Decoding, vertex enumeration and the pseudo distance's membership check
+    # all read one compiled polytope.
+    calls = []
+    real = lp._presolve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_presolve", counted)
+    lp._code_polytope.cache_clear()
+    s = np.random.default_rng(5).normal(size=cs.n)
+    lp_decode(cs, s, s[::-1])
+    vs = enumerate_vertices(cs, cs.n)
+    assert min_pseudo_distance(vs, cs, s) > 0
+    assert len(calls) == 1
 
 
 def test_structured_work_is_charged_to_the_budget():
