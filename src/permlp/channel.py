@@ -218,6 +218,7 @@ def _simulate_point(args) -> TrialRecord:
     lp_right = lp_failures = ml_right = certified = solver_errors = 0
     lp_stats = {"pivots": 0, "degenerate": 0, "blands": 0} if "lp" in decoders else None
     rng = np.random.Generator(np.random.PCG64())  # each trial sets its state
+    count = None if fixed is not None else len(code)
     for start in range(0, trials, _CHUNK):
         size = min(_CHUNK, trials - start)
         noise = np.empty((size, n))
@@ -226,25 +227,25 @@ def _simulate_point(args) -> TrialRecord:
         for k, state in enumerate(_pcg64_states((seed, point_idx), tails)):
             rng.bit_generator.state = state
             if fixed is None:
-                picks[k] = rng.integers(0, len(code))
+                picks[k] = rng.integers(0, count)
             noise[k] = rng.normal(0.0, sigma, n)
         sent = np.empty((size, n)) if fixed is None else np.broadcast_to(fixed, (size, n))
         if fixed is None:  # the picks' codewords, without building the whole codebook
             np.put_along_axis(sent, code.perms[picks] - 1, s, axis=1)
         out = _decode_chunk(polytope, s, sent + noise, "lp" in decoders,
-                            code.codewords if "ml" in decoders else None)
+                            code if "ml" in decoders else None)
         if "lp" in decoders:
             lp_words = np.empty((size, n))
             np.put_along_axis(lp_words, out.perm, s, axis=1)
             certified += int(np.count_nonzero(out.hit))
             lp_failures += size - int(np.count_nonzero(out.codeword))
             lp_right += int(np.count_nonzero(out.codeword & (lp_words == sent).all(axis=1)))
-        if out.run is not None:
-            run = out.run
-            solver_errors += int(np.count_nonzero(run.status != _OPTIMAL))
-            lp_stats["pivots"] += int(run.pivots.sum())
-            lp_stats["degenerate"] += int(run.degenerate.sum())
-            lp_stats["blands"] += int(np.count_nonzero(run.blands))
+            if out.run is not None:
+                run = out.run
+                solver_errors += int(np.count_nonzero(run.status != _OPTIMAL))
+                lp_stats["pivots"] += int(run.pivots.sum())
+                lp_stats["degenerate"] += int(run.degenerate.sum())
+                lp_stats["blands"] += int(np.count_nonzero(run.blands))
         if out.ml is not None:
             ml_right += int(np.count_nonzero((out.ml == sent).all(axis=1)))
     return TrialRecord(
@@ -294,6 +295,16 @@ def simulate_bler(
     (``TypeError`` or ``ValueError`` otherwise, before the code is built).
     Random words, ML and a fixed word over an s with repeats build the code
     under ``limit``; worker processes receive its permutations only.
+
+    ML answers a sort-certificate miss from the LP whenever phase two runs on
+    it: with both decoders, or ML-only on a Birkhoff face (derangement(n)),
+    whose vertices are permutation matrices.  It takes the LP's word only
+    when the optimum is integral, a codeword, and ahead of every other
+    codeword by more than ``lp._CERT_MARGIN`` in the final tableau's reduced
+    costs, a margin that rules out a tie.  Every other miss is answered by
+    scanning the codebook, which keeps the lowest codeword index on ties; a
+    point builds the float codebook (``Code.codewords``) only when some word
+    is scanned.
     """
     seed = _check_seed(seed)
     decoders = tuple(decoders)

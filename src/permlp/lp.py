@@ -39,12 +39,15 @@ smallest entry of y) the unique maximizer over the whole Birkhoff polytope
 (Slepian, "Permutation modulation", 1965).  If X* satisfies the code's rows,
 it is the unique LP optimum and the ML codeword, so no simplex runs.
 Otherwise the decode falls through to the simplex.  The polytope depends on
-the constraint system alone, so phase one runs once per system and is
-cached.  One chunk decoder, ``_decode_chunk``, serves both ``lp_decode_batch``
-and the Monte-Carlo of ``permlp.channel``: it runs the certificate on up to
-``_CHUNK`` received words at once and sends the words it misses to phase two
-as one stack of copies of that feasible tableau and, given a codeword array,
-to one blocked ML scan.  ``lp_decode_batch`` runs it on slices of ``_CHUNK``
+the constraint system alone, so phase one runs at most once per system, when
+a simplex first needs it, and is cached.  One chunk decoder,
+``_decode_chunk``, serves both ``lp_decode_batch`` and the Monte-Carlo of
+``permlp.channel``: it runs the certificate on up to ``_CHUNK`` received
+words at once and sends the words it misses to phase two as one stack of
+copies of that feasible tableau.  Given a code, a miss takes
+phase two's word as its ML answer when the final tableau's reduced costs
+rule out every other codeword, and the remaining misses go to one blocked
+scan of the codebook.  ``lp_decode_batch`` runs it on slices of ``_CHUNK``
 rows, and ``lp_decode`` is a batch of one.  Phase one never reads the
 objective, and the kernel treats each problem of a stack alike, so a
 fall-through makes the same pivots, and returns the same result, as a cold
@@ -441,12 +444,16 @@ def _phase_one(std, rows, rhs, eq) -> Optional[_FeasibleTableau]:
     return _FeasibleTableau(tableau, basis, columns, nv, rows, rhs, eq)
 
 
-def _phase_two(feasible: _FeasibleTableau, objectives: np.ndarray) -> tuple[np.ndarray, _Simplex]:
+def _phase_two(
+    feasible: _FeasibleTableau, objectives: np.ndarray
+) -> tuple[np.ndarray, _Simplex, np.ndarray, np.ndarray]:
     """Optimize each row of ``objectives`` from the feasible basis, as one stack.
 
-    Returns each problem's x and the kernel's ``_Simplex``, whose status also
-    reads ``_DRIFTED`` for an optimum that fails the re-check; x is
-    meaningful only where the status is ``_OPTIMAL``.
+    Returns ``(x, run, tableau, basis)``: each problem's x, the kernel's
+    ``_Simplex``, whose status also reads ``_DRIFTED`` for an optimum that
+    fails the re-check, and the final (k, m+1, W) tableaux and (k, m) bases
+    that ``_reduced_cost_gap`` reads.  x is meaningful only where the status
+    is ``_OPTIMAL``.
     """
     size = len(objectives)
     nv = feasible.width
@@ -482,7 +489,20 @@ def _phase_two(feasible: _FeasibleTableau, objectives: np.ndarray) -> tuple[np.n
     np.abs(dev, out=dev, where=feasible.eq)
     drifted = (dev.max(axis=1, initial=-np.inf) > 1e-6) & (run.status == _OPTIMAL)
     run.status[drifted] = _DRIFTED
-    return x, run
+    return x, run, tableau, basis
+
+
+def _reduced_cost_gap(tableau: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Per final tableau of a phase-two stack: the least -d_j over its nonbasic columns j.
+
+    d is the cost row.  Every feasible point of the standard form scores the
+    optimum plus the sum of d_j times its entry j over the nonbasic j, so a
+    point with a nonbasic entry of at least 1 scores at least the gap below
+    the optimum.  inf when every column is basic.
+    """
+    cost = tableau[:, -1, :-1].copy()
+    np.put_along_axis(cost, basis, -np.inf, axis=1)
+    return -cost.max(axis=1, initial=-np.inf)
 
 
 def solve(problem: LPProblem) -> LPSolution:
@@ -495,7 +515,7 @@ def solve(problem: LPProblem) -> LPSolution:
     feasible = _phase_one(_standard_form(*packed), *packed)
     if feasible is None:
         return LPSolution(LPStatus.INFEASIBLE, None, float("nan"))
-    x, run = _phase_two(feasible, problem.objective[None])
+    x, run, _, _ = _phase_two(feasible, problem.objective[None])
     status = run.status[0]
     if status == _UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, float("nan"))
@@ -566,7 +586,8 @@ INTEGRALITY_TOL = 1e-6
 # exceeds this.  That product bounds from below how much worse than X* every
 # other permutation is, and it sits well above what the simplex's 1e-9
 # reduced-cost tolerance, summed over the n^2 entries, could let it miss, so
-# the simplex would stop at X* too.
+# the simplex would stop at X* too.  ``_decode_chunk`` holds the reduced-cost
+# gap of phase two's optimum to the same margin before taking it as ML.
 _CERT_MARGIN = 1e-6
 
 # ``_decode_chunk`` takes at most this many received words, which bounds a
@@ -585,7 +606,7 @@ class _CodePolytope:
     ``std`` is the standard form of the Birkhoff rows and cs.rows (None when
     inconsistent), whose presolve fixed ``fixed`` entries at zero and merged
     ``merged`` into another; ``method`` is how ``permlp.polytope`` walks its
-    vertices; ``feasible`` is phase one on ``std`` (None: empty polytope).
+    vertices; ``packed`` holds those rows as given (``_pack``'s arrays).
     ``cube`` and ``bound`` hold cs.rows as exact int64 ``<=`` rows, an equality
     as two, ``cube[i, j]`` holding entry (i, j)'s coefficients: checking a
     permutation matrix is one gather and one comparison.  Arrays are read-only.
@@ -595,9 +616,18 @@ class _CodePolytope:
     fixed: int
     merged: int
     method: str
-    feasible: Optional[_FeasibleTableau]
+    packed: tuple
     cube: np.ndarray
     bound: np.ndarray
+
+    @functools.cached_property
+    def feasible(self) -> Optional[_FeasibleTableau]:
+        """Phase one on ``std`` (None: empty polytope), run on first use.
+
+        Phase one never reads the objective, so one basis serves every s and
+        y.  Vertex enumeration and ML decoding without phase two never read it.
+        """
+        return _phase_one(self.std, *self.packed)
 
     def admits(self, rows: np.ndarray, cols: np.ndarray):
         """Whether the permutation matrix with ones at (rows[..., k], cols[..., k]) satisfies cs.
@@ -621,15 +651,14 @@ def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
     # besides, the polytope is a Birkhoff face, and one more row cuts that face.
     extra = None if std is None or merged else len(std[1]) - 2 * n
     method = {0: "face", 1: "row"}.get(extra, "screen")
-    # Phase one never reads the objective, so one basis serves every s and y.
-    feasible = _phase_one(std, rows, rhs, eq)
+    packed = (rows, rhs, eq)
     # The system's own rows follow the 2n Birkhoff rows; their entries are integers.
     rows, rhs, eq = rows[2 * n :].astype(np.int64), rhs[2 * n :].astype(np.int64), eq[2 * n :]
     bound = np.concatenate([rhs, -rhs[eq]])
     cube = np.ascontiguousarray(np.vstack([rows, -rows[eq]]).T.reshape(n, n, bound.size))
-    for a in (cube, bound, *(std or ())):
+    for a in (cube, bound, *packed, *(std or ())):
         a.setflags(write=False)
-    return _CodePolytope(std, fixed, merged, method, feasible, cube, bound)
+    return _CodePolytope(std, fixed, merged, method, packed, cube, bound)
 
 
 def _sort_certificate(polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray):
@@ -662,10 +691,14 @@ class _Chunk(NamedTuple):
     ``perm`` is the LP answer's column-to-row map (0-based), X* where ``hit``
     and phase two's rounded optimum elsewhere.  ``codeword`` is set where
     that map is an LP optimum within ``INTEGRALITY_TOL`` of a permutation
-    matrix that satisfies the code; ``perm`` means nothing elsewhere.  ``ml``
-    is each word's ML codeword.  Per miss, in word order: phase two's ``run``,
-    optimum ``x`` and ``objectives``, both over the n^2 entries.  The phase
-    two fields are None when it did not run, and ``ml`` without a codebook.
+    matrix that satisfies the code; ``perm`` means nothing elsewhere.  Per
+    miss, in word order: phase two's ``run``, optimum ``x`` and
+    ``objectives``, both over the n^2 entries; None when phase two did not
+    run.  ``ml`` is each word's ML codeword, None without a code: X* s where
+    ``hit``, the LP's word where phase two's answer is a codeword whose
+    reduced-cost gap exceeds ``_CERT_MARGIN`` (a margin that rules out a
+    tie), and ``_ml_scan``'s answer, the lowest codeword index among ties,
+    elsewhere.  The float codebook is built only when some word is scanned.
     """
 
     hit: np.ndarray
@@ -696,32 +729,40 @@ def _check_scale(s: np.ndarray, ys: np.ndarray) -> None:
 
 
 def _decode_chunk(
-    polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray, lp: bool, words: Optional[np.ndarray]
+    polytope: _CodePolytope, s: np.ndarray, ys: np.ndarray, lp: bool, code: Optional[Code]
 ) -> _Chunk:
     """Decode each row of ys (at most ``_CHUNK`` rows) against the code (polytope, s).
 
     Inputs that ``_check_scale`` refuses raise ``ValueError`` before anything
-    runs.  The sort certificate runs on every row.  With ``lp`` set, the rows
-    it misses run through phase two as one stack, the objective of row y
-    being y s^T entry by entry as ``build_decoding_lp`` forms it.  With ``words``, a code's
-    codeword array, they run through one ``_ml_scan``; a certified X* is the
-    unique argmax of words @ y, so it is the ML answer too.
+    runs.  The sort certificate runs on every row; a certified X* is the
+    unique argmax of codewords @ y, so it is the ML answer too.  The rows it
+    misses run through phase two as one stack, the objective of row y being
+    y s^T entry by entry as ``build_decoding_lp`` forms it, when ``lp`` is
+    set, or when ``code`` is given and the polytope is a Birkhoff face
+    (``polytope.method == "face"``), whose every vertex is a permutation
+    matrix (Birkhoff-von Neumann).
+
+    With ``code``, a miss takes the LP's word as its ML answer when phase
+    two's optimum is a codeword and every nonbasic reduced cost of its final
+    tableau lies more than ``_CERT_MARGIN`` below zero.  The rows and rhs are
+    integers, so any other codeword has a nonbasic entry of at least 1 (an
+    entry of X, or an integer slack) and scores at least that margin below
+    the optimum: the LP's word is the unique argmax, the one ``_ml_scan``
+    returns.  The other misses (fractional optima, failed solves and small
+    gaps, among them most misses over an s with repeats, where another
+    matrix of the code maps s to the same word and the gap is 0) run through
+    one ``_ml_scan`` of ``code.codewords``, which is built only then.
     """
     _check_scale(s, ys)
     hit, perm = _sort_certificate(polytope, s, ys)
     misses = (~hit).nonzero()[0]
-    ml = None
-    if words is not None:
-        ml = np.empty_like(ys)
-        np.put_along_axis(ml, perm, s, axis=1)
-        if len(misses):
-            ml[misses] = words[_ml_scan(words, ys[misses])]
     codeword = hit.copy()
+    known = hit  # the words whose ML answer is X s for X = perm
     run = x = objectives = None
-    if lp and len(misses):
+    if len(misses) and (lp or (code is not None and polytope.method == "face")):
         size, n = len(misses), len(s)
         objectives = (ys[misses, :, None] * s).reshape(size, n * n)
-        x, run = _phase_two(polytope.feasible, objectives)
+        x, run, tableau, basis = _phase_two(polytope.feasible, objectives)
         # The candidate matrix puts each column's 1 at its largest entry.  An
         # optimum within the tolerance of it rounds to it, and its rows are then
         # distinct: the drift re-check holds every row sum within 1e-6 of 1.
@@ -733,6 +774,16 @@ def _decode_chunk(
             & polytope.admits(found, np.arange(n))
         )
         perm[misses] = found
+        if code is not None:
+            known = codeword.copy()
+            known[misses] &= _reduced_cost_gap(tableau, basis) > _CERT_MARGIN
+    ml = None
+    if code is not None:
+        ml = np.empty_like(ys)
+        np.put_along_axis(ml, perm, s, axis=1)
+        scan = (~known).nonzero()[0]
+        if len(scan):
+            ml[scan] = code.codewords[_ml_scan(code.codewords, ys[scan])]
     return _Chunk(hit, perm, codeword, run, x, objectives, ml)
 
 

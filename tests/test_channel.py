@@ -361,12 +361,12 @@ def test_simulate_bler_counts_solver_errors(monkeypatch):
     calls = []  # one entry per objective that reached phase two
 
     def flaky(feasible, objectives):
-        x, run = real(feasible, objectives)
+        x, run, *final = real(feasible, objectives)
         first = len(calls)
         calls.extend([1] * len(objectives))
         if first < 40 + 7 <= len(calls):  # trial 7 of the second point fails alone
             run.status[40 + 7 - 1 - first] = lp._CAPPED
-        return x, run
+        return x, run, *final
 
     monkeypatch.setattr(lp, "_phase_two", flaky)
     got = simulate_bler(spec, [0.0, 20.0], 40, seed=4, decoders=("lp",))
@@ -405,7 +405,8 @@ def test_simulate_bler_ml_certificate_matches_full_scan(cs, monkeypatch):
 
 
 def test_simulate_bler_ml_scans_each_chunk_once(monkeypatch):
-    spec = CodeSpec(6, derangement(6), _RANGE6)
+    # block(6,3) is no Birkhoff face, so an ML-only run scans every miss.
+    spec = CodeSpec(6, block(6, 3), _RANGE6)
     trials = lp._CHUNK + 88
     sent, received = _point_words(spec, 0.0, 0, trials, 7)
     code = build_code(spec)
@@ -427,6 +428,52 @@ def test_simulate_bler_ml_scans_each_chunk_once(monkeypatch):
     # One scan per chunk, over that chunk's certificate misses only.
     assert len(scanned) == 2 and 0 < scanned[0] < lp._CHUNK and 0 < scanned[1] < 88
     assert rec.ml_errors == errors
+
+
+def test_simulate_bler_ml_on_a_face_takes_the_lp_answer(monkeypatch):
+    # derangement(6) is a Birkhoff face: every vertex is a permutation matrix,
+    # so each certificate miss takes phase two's word, and no row is scanned.
+    spec = CodeSpec(6, derangement(6), _RANGE6)
+    trials = lp._CHUNK + 88
+    sent, received = _point_words(spec, 0.0, 0, trials, 7)
+    code = build_code(spec)
+    want = np.array([lp.ml_decode_detail(code, y)[1] for y in received])
+    chunks = []
+    real = lp._decode_chunk
+
+    def spy(*args):
+        chunks.append(real(*args))
+        return chunks[-1]
+
+    def forbidden(*args):
+        raise AssertionError("an ML run on a face scanned the codebook")
+
+    monkeypatch.setattr(channel, "_decode_chunk", spy)
+    monkeypatch.setattr(lp, "_ml_scan", forbidden)
+    monkeypatch.setattr(Code, "codewords", property(forbidden))
+    (rec,) = simulate_bler(spec, [0.0], trials, seed=7, decoders=("ml",))
+    assert len(chunks) == 2 and all(0 < np.count_nonzero(~out.hit) for out in chunks)
+    assert np.array_equal(np.concatenate([out.ml for out in chunks]), want)
+    assert rec.ml_errors == np.count_nonzero((want != sent).any(axis=1))
+
+
+def test_simulate_bler_ml_equal_when_every_row_scans(monkeypatch):
+    # An infinite margin fails the sort certificate and the reduced-cost gap
+    # alike, so every word goes to the scan.
+    spec = CodeSpec(6, derangement(6), _RANGE6)
+    want = simulate_bler(spec, [0.0, 3.0, 6.0], 600, seed=9, decoders=("ml",))
+    scanned = []
+    real = lp._ml_scan
+
+    def spy(words, ys):
+        scanned.append(len(ys))
+        return real(words, ys)
+
+    monkeypatch.setattr(lp, "_ml_scan", spy)
+    monkeypatch.setattr(lp, "_CERT_MARGIN", np.inf)
+    got = simulate_bler(spec, [0.0, 3.0, 6.0], 600, seed=9, decoders=("ml",))
+    assert sum(scanned) == 3 * 600
+    assert got == want
 
 
 class _PicklingPool:

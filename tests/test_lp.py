@@ -453,6 +453,65 @@ def test_ml_scan_matches_ml_decode_detail(cs, count):
     assert np.count_nonzero((code.codewords[got] != sent).any(axis=1)) > count // 10
 
 
+@pytest.mark.parametrize(
+    "cs,use_lp",
+    [(derangement(6), False), (derangement(9), False), (block(6, 3), True),
+     (pure_involution(6), True)],
+    ids=["derangement6_ml", "derangement9_ml", "block6_3_both", "pure_involution6_both"],
+)
+def test_decode_chunk_ml_matches_codebook_argmax(cs, use_lp, monkeypatch):
+    # 10^4 noisy words, in chunks as the simulation sends them.  Misses take
+    # the LP's word on faces (ML only) and with both decoders; fractional
+    # optima on the other polytopes still scan.
+    s = np.arange(float(cs.n))
+    code = build_code(CodeSpec(cs.n, cs, tuple(s)))
+    words = code.codewords
+    rng = np.random.default_rng(31)
+    sent = words[rng.integers(len(code), size=10_000)]
+    sigma = rng.choice([1.0, 0.7, 0.5], size=(len(sent), 1))
+    ys = sent + sigma * rng.normal(size=sent.shape)
+    scanned = []
+    real = lp._ml_scan
+
+    def spy(words, ys):
+        scanned.append(len(ys))
+        return real(words, ys)
+
+    monkeypatch.setattr(lp, "_ml_scan", spy)
+    polytope = lp._code_polytope(cs)
+    got, misses = [], 0
+    for lo in range(0, len(ys), lp._CHUNK):
+        out = lp._decode_chunk(polytope, s, ys[lo : lo + lp._CHUNK], use_lp, code)
+        got.append(out.ml)
+        misses += np.count_nonzero(~out.hit)
+    # The codebook argmax (the lowest index on ties), 16 words at a time.
+    want = np.concatenate([words[np.argmax(ys[lo : lo + 16] @ words.T, axis=1)]
+                           for lo in range(0, len(ys), 16)])
+    assert np.array_equal(np.concatenate(got), want)
+    assert misses > 1000
+    if polytope.method == "face":
+        assert scanned == []
+    else:
+        assert 0 < sum(scanned) < misses // 4
+
+
+def test_ml_ties_on_a_face_keep_the_lowest_index():
+    # Integer s and half-integer y tie distinct codewords exactly.  The LP
+    # stops at one tied vertex, but its reduced-cost gap is then 0, so the
+    # word goes to the scan, which keeps the lowest index.
+    cs = derangement(5)
+    s = np.arange(5.0)
+    code = build_code(CodeSpec(5, cs, tuple(s)))
+    ys = np.random.default_rng(29).integers(-2, 12, size=(300, 5)) / 2.0
+    out = lp._decode_chunk(lp._code_polytope(cs), s, ys, False, code)
+    for ml, y in zip(out.ml, ys):
+        assert np.array_equal(ml, ml_decode_detail(code, y)[1])
+    lp_words = np.empty_like(ys)
+    np.put_along_axis(lp_words, out.perm, s, axis=1)
+    # Integral LP answers that are not the lowest tied index.
+    assert np.count_nonzero(out.codeword & (lp_words != out.ml).any(axis=1)) > 20
+
+
 @pytest.mark.parametrize("rows", [3, 7])
 def test_ml_scan_exact_ties_across_block_seams(rows, monkeypatch):
     monkeypatch.setattr(lp, "_ML_BLOCK", rows)

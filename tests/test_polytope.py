@@ -521,6 +521,30 @@ def test_each_system_is_presolved_once(cs, monkeypatch):
     assert len(calls) == 1
 
 
+def test_phase_one_runs_only_for_a_simplex(monkeypatch):
+    # Vertex enumeration and ML decoding off a face run no simplex, so the
+    # compiled polytope runs phase one only when an LP decode first needs it.
+    calls = []
+    real = lp._phase_one
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_phase_one", counted)
+    lp._code_polytope.cache_clear()
+    cs = pure_involution(6)
+    s = np.arange(6.0)
+    code = build_code(CodeSpec(6, cs, tuple(s)))
+    ys = code.codewords[np.arange(40) % len(code)] + np.random.default_rng(8).normal(size=(40, 6))
+    enumerate_vertices(cs, 6)
+    ml_only = lp._decode_chunk(_code_polytope(cs), s, ys, False, code)
+    assert calls == [] and not ml_only.hit.all()
+    lp_decode(cs, s, ys[0])
+    both = lp._decode_chunk(_code_polytope(cs), s, ys, True, code)
+    assert len(calls) == 1 and np.array_equal(both.ml, ml_only.ml)
+
+
 def test_structured_work_is_charged_to_the_budget():
     # n^2 = 25 units per candidate, one per pair tested.
     enumerate_vertices(derangement(5), 5, max_bases=44 * 25)
