@@ -298,10 +298,12 @@ def simulate_bler(
 
     ML answers a sort-certificate miss from the LP whenever phase two runs on
     it: with both decoders, or ML-only on a Birkhoff face (derangement(n)),
-    whose vertices are permutation matrices.  It takes the LP's word only
-    when the optimum is integral, a codeword, and ahead of every other
-    codeword by more than ``lp._CERT_MARGIN`` in the final tableau's reduced
-    costs, a margin that rules out a tie.  Every other miss is answered by
+    whose vertices are permutation matrices, when s has distinct entries
+    and the code has more than ``lp._ML_SCAN_MAX`` codewords (smaller
+    codebooks scan faster).  It takes the LP's word only when the optimum
+    is integral, a codeword, and ahead of every other codeword by more than
+    ``lp._CERT_MARGIN`` in the final tableau's reduced costs, a margin that
+    rules out a tie.  Every other miss is answered by
     scanning the codebook, which keeps the lowest codeword index on ties; a
     point builds the float codebook (``Code.codewords``) only when some word
     is scanned.

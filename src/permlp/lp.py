@@ -44,14 +44,14 @@ a simplex first needs it, and is cached.  One chunk decoder,
 ``_decode_chunk``, serves both ``lp_decode_batch`` and the Monte-Carlo of
 ``permlp.channel``: it runs the certificate on up to ``_CHUNK`` received
 words at once and sends the words it misses to phase two as one stack of
-copies of that feasible tableau.  Given a code, a miss takes
-phase two's word as its ML answer when the final tableau's reduced costs
-rule out every other codeword, and the remaining misses go to one blocked
-scan of the codebook.  ``lp_decode_batch`` runs it on slices of ``_CHUNK``
-rows, and ``lp_decode`` is a batch of one.  Phase one never reads the
-objective, and the kernel treats each problem of a stack alike, so a
-fall-through makes the same pivots, and returns the same result, as a cold
-two-phase solve.
+copies of that feasible tableau.  Given a code, a miss that ran through
+phase two takes its word as the ML answer when the final tableau's reduced
+costs rule out every other codeword, and the remaining misses go to one
+blocked scan of the codebook.  ``lp_decode_batch`` runs it on slices of
+``_CHUNK`` rows, and ``lp_decode`` is a batch of one.  Phase one never
+reads the objective, and the kernel treats each problem of a stack alike,
+so a fall-through makes the same pivots, and returns the same result, as a
+cold two-phase solve.
 """
 
 from __future__ import annotations
@@ -598,6 +598,14 @@ _CHUNK = 512
 # inner products with a chunk of ``_CHUNK`` received words stay at 4 MB.
 _ML_BLOCK = 1024
 
+# An ML-only decode on a Birkhoff face answers its certificate misses by a
+# scan when the code has at most this many codewords, and from phase two above
+# it.  ML-only runs at 0/4/8 dB on faces of degree 5 to 9 broke even between
+# 31,902 codewords (the scan 4% faster) and 37,203 (phase two 22% faster);
+# the scan was 1.3-2.4x faster on derangement(5) to derangement(8) and phase
+# two 2.5x faster on derangement(9) (one core of a shared Xeon).
+_ML_SCAN_MAX = 35_000
+
 
 @dataclass(frozen=True)
 class _CodePolytope:
@@ -695,10 +703,11 @@ class _Chunk(NamedTuple):
     miss, in word order: phase two's ``run``, optimum ``x`` and
     ``objectives``, both over the n^2 entries; None when phase two did not
     run.  ``ml`` is each word's ML codeword, None without a code: X* s where
-    ``hit``, the LP's word where phase two's answer is a codeword whose
-    reduced-cost gap exceeds ``_CERT_MARGIN`` (a margin that rules out a
-    tie), and ``_ml_scan``'s answer, the lowest codeword index among ties,
-    elsewhere.  The float codebook is built only when some word is scanned.
+    ``hit``, the LP's word where phase two ran and its answer is a codeword
+    whose reduced-cost gap exceeds ``_CERT_MARGIN`` (a margin that rules out
+    a tie), and ``_ml_scan``'s answer, the lowest codeword index among ties,
+    elsewhere.  Both rules give the same word.  The float codebook is built
+    only when some word is scanned.
     """
 
     hit: np.ndarray
@@ -738,9 +747,10 @@ def _decode_chunk(
     unique argmax of codewords @ y, so it is the ML answer too.  The rows it
     misses run through phase two as one stack, the objective of row y being
     y s^T entry by entry as ``build_decoding_lp`` forms it, when ``lp`` is
-    set, or when ``code`` is given and the polytope is a Birkhoff face
+    set.  Without ``lp`` they run through it only on a Birkhoff face
     (``polytope.method == "face"``), whose every vertex is a permutation
-    matrix (Birkhoff-von Neumann).
+    matrix (Birkhoff-von Neumann), over an s with distinct entries, and for
+    a code of more than ``_ML_SCAN_MAX`` codewords, which is slower to scan.
 
     With ``code``, a miss takes the LP's word as its ML answer when phase
     two's optimum is a codeword and every nonbasic reduced cost of its final
@@ -748,10 +758,11 @@ def _decode_chunk(
     integers, so any other codeword has a nonbasic entry of at least 1 (an
     entry of X, or an integer slack) and scores at least that margin below
     the optimum: the LP's word is the unique argmax, the one ``_ml_scan``
-    returns.  The other misses (fractional optima, failed solves and small
-    gaps, among them most misses over an s with repeats, where another
-    matrix of the code maps s to the same word and the gap is 0) run through
-    one ``_ml_scan`` of ``code.codewords``, which is built only then.
+    returns.  The other misses (no phase two, fractional optima, failed
+    solves and small gaps, among them most misses over an s with repeats,
+    where another matrix of the code maps s to the same word and the gap is
+    0) run through one ``_ml_scan`` of ``code.codewords``, which is built
+    only then; the scan keeps the lowest codeword index on ties.
     """
     _check_scale(s, ys)
     hit, perm = _sort_certificate(polytope, s, ys)
@@ -759,7 +770,11 @@ def _decode_chunk(
     codeword = hit.copy()
     known = hit  # the words whose ML answer is X s for X = perm
     run = x = objectives = None
-    if len(misses) and (lp or (code is not None and polytope.method == "face")):
+    # ML alone runs phase two only on a face over distinct s (repeats leave a
+    # gap of 0) whose codebook is too large to scan more cheaply.
+    ml_lp = (code is not None and polytope.method == "face" and len(set(s.tolist())) == len(s)
+             and len(code) > _ML_SCAN_MAX)
+    if len(misses) and (lp or ml_lp):
         size, n = len(misses), len(s)
         objectives = (ys[misses, :, None] * s).reshape(size, n * n)
         x, run, tableau, basis = _phase_two(polytope.feasible, objectives)

@@ -405,8 +405,7 @@ def test_simulate_bler_ml_certificate_matches_full_scan(cs, monkeypatch):
 
 
 def test_simulate_bler_ml_scans_each_chunk_once(monkeypatch):
-    # block(6,3) is no Birkhoff face, so an ML-only run scans every miss.
-    spec = CodeSpec(6, block(6, 3), _RANGE6)
+    spec = CodeSpec(6, derangement(6), _RANGE6)
     trials = lp._CHUNK + 88
     sent, received = _point_words(spec, 0.0, 0, trials, 7)
     code = build_code(spec)
@@ -431,8 +430,11 @@ def test_simulate_bler_ml_scans_each_chunk_once(monkeypatch):
 
 
 def test_simulate_bler_ml_on_a_face_takes_the_lp_answer(monkeypatch):
-    # derangement(6) is a Birkhoff face: every vertex is a permutation matrix,
-    # so each certificate miss takes phase two's word, and no row is scanned.
+    # derangement(6) is a Birkhoff face: every vertex is a permutation matrix.
+    # Its 265 codewords scan faster than phase two runs; with no scan limit,
+    # as on a large face, each certificate miss takes phase two's word, and no
+    # row is scanned.
+    monkeypatch.setattr(lp, "_ML_SCAN_MAX", 0)
     spec = CodeSpec(6, derangement(6), _RANGE6)
     trials = lp._CHUNK + 88
     sent, received = _point_words(spec, 0.0, 0, trials, 7)
@@ -458,10 +460,10 @@ def test_simulate_bler_ml_on_a_face_takes_the_lp_answer(monkeypatch):
 
 
 def test_simulate_bler_ml_equal_when_every_row_scans(monkeypatch):
-    # An infinite margin fails the sort certificate and the reduced-cost gap
-    # alike, so every word goes to the scan.
+    # With no scan limit, derangement(6)'s misses take phase two's word, as on
+    # a large face.  An infinite margin fails the sort certificate and the
+    # reduced-cost gap alike, so every word goes to the scan.
     spec = CodeSpec(6, derangement(6), _RANGE6)
-    want = simulate_bler(spec, [0.0, 3.0, 6.0], 600, seed=9, decoders=("ml",))
     scanned = []
     real = lp._ml_scan
 
@@ -470,10 +472,53 @@ def test_simulate_bler_ml_equal_when_every_row_scans(monkeypatch):
         return real(words, ys)
 
     monkeypatch.setattr(lp, "_ml_scan", spy)
+    monkeypatch.setattr(lp, "_ML_SCAN_MAX", 0)
+    want = simulate_bler(spec, [0.0, 3.0, 6.0], 600, seed=9, decoders=("ml",))
+    assert sum(scanned) == 0
     monkeypatch.setattr(lp, "_CERT_MARGIN", np.inf)
     got = simulate_bler(spec, [0.0, 3.0, 6.0], 600, seed=9, decoders=("ml",))
     assert sum(scanned) == 3 * 600
     assert got == want
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_simulate_bler_ml_on_a_face_runs_phase_two_past_the_scan_limit(n, monkeypatch):
+    # derangement(6) (265 codewords) scans its misses; derangement(9)
+    # (133,496) sends them to phase two and scans none.
+    spec = CodeSpec(n, derangement(n), tuple(float(v) for v in range(n)))
+    large = len(build_code(spec)) > lp._ML_SCAN_MAX
+    assert large == (n == 9)
+    rows = {"_phase_two": 0, "_ml_scan": 0}
+
+    def counted(name):
+        real = getattr(lp, name)
+
+        def spy(first, second):
+            rows[name] += len(second)
+            return real(first, second)
+
+        return spy
+
+    for name in rows:
+        monkeypatch.setattr(lp, name, counted(name))
+    got = simulate_bler(spec, [0.0, 6.0], 200, seed=13, decoders=("ml",))
+    assert (rows["_phase_two"] > 0, rows["_ml_scan"] > 0) == (large, not large)
+    monkeypatch.setattr(lp, "_CERT_MARGIN", np.inf)
+    assert got == simulate_bler(spec, [0.0, 6.0], 200, seed=13, decoders=("ml",))
+
+
+def test_simulate_bler_ml_over_repeated_s_runs_no_phase_two(monkeypatch):
+    # Over an s with repeats, another matrix of the code maps s to the LP's
+    # word, so the reduced-cost gap is 0 and phase two could not answer ML:
+    # an ML-only run on a face scans without it, whatever the code's size.
+    def forbidden(*args):
+        raise AssertionError("phase two ran for ML over an s with repeats")
+
+    monkeypatch.setattr(lp, "_ML_SCAN_MAX", 0)
+    monkeypatch.setattr(lp, "_phase_two", forbidden)
+    make, s, want = PINNED_ML_COUNTS["derangement6_singular"]
+    recs = simulate_bler(CodeSpec(6, make(), s), [0, 3, 6], 150, seed=21, decoders=("ml",))
+    assert [r.ml_errors for r in recs] == want
 
 
 class _PicklingPool:

@@ -454,15 +454,20 @@ def test_ml_scan_matches_ml_decode_detail(cs, count):
 
 
 @pytest.mark.parametrize(
-    "cs,use_lp",
-    [(derangement(6), False), (derangement(9), False), (block(6, 3), True),
-     (pure_involution(6), True)],
-    ids=["derangement6_ml", "derangement9_ml", "block6_3_both", "pure_involution6_both"],
+    "cs,use_lp,scan_max,scans",
+    [(derangement(6), False, None, "all"), (derangement(6), False, 0, "none"),
+     (derangement(9), False, None, "none"), (block(6, 3), True, None, "some"),
+     (pure_involution(6), True, None, "some")],
+    ids=["derangement6_ml", "derangement6_ml_no_scan_limit", "derangement9_ml",
+         "block6_3_both", "pure_involution6_both"],
 )
-def test_decode_chunk_ml_matches_codebook_argmax(cs, use_lp, monkeypatch):
+def test_decode_chunk_ml_matches_codebook_argmax(cs, use_lp, scan_max, scans, monkeypatch):
     # 10^4 noisy words, in chunks as the simulation sends them.  Misses take
-    # the LP's word on faces (ML only) and with both decoders; fractional
-    # optima on the other polytopes still scan.
+    # the LP's word with both decoders, and ML-only on faces past the scan
+    # limit; fractional optima on the other polytopes still scan, and so do
+    # the ML-only misses of a small face.
+    if scan_max is not None:
+        monkeypatch.setattr(lp, "_ML_SCAN_MAX", scan_max)
     s = np.arange(float(cs.n))
     code = build_code(CodeSpec(cs.n, cs, tuple(s)))
     words = code.codewords
@@ -489,16 +494,20 @@ def test_decode_chunk_ml_matches_codebook_argmax(cs, use_lp, monkeypatch):
                            for lo in range(0, len(ys), 16)])
     assert np.array_equal(np.concatenate(got), want)
     assert misses > 1000
-    if polytope.method == "face":
+    if scans == "none":
         assert scanned == []
+    elif scans == "all":
+        assert sum(scanned) == misses
     else:
         assert 0 < sum(scanned) < misses // 4
 
 
-def test_ml_ties_on_a_face_keep_the_lowest_index():
-    # Integer s and half-integer y tie distinct codewords exactly.  The LP
-    # stops at one tied vertex, but its reduced-cost gap is then 0, so the
-    # word goes to the scan, which keeps the lowest index.
+def test_ml_ties_on_a_face_keep_the_lowest_index(monkeypatch):
+    # Integer s and half-integer y tie distinct codewords exactly.  With no
+    # scan limit, ML-only misses run through phase two; the LP stops at one
+    # tied vertex, but its reduced-cost gap is then 0, so the word goes to the
+    # scan, which keeps the lowest index.
+    monkeypatch.setattr(lp, "_ML_SCAN_MAX", 0)
     cs = derangement(5)
     s = np.arange(5.0)
     code = build_code(CodeSpec(5, cs, tuple(s)))
