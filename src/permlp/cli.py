@@ -2,8 +2,8 @@
 
 Subcommands: build, encode, decode-message, decode, vertices, bounds,
 simulate, ensemble.  Exit codes: 0 success, 2 LP decoding failure, 3
-infeasible code or invalid spec file, 1 internal error.  All floating-point
-output uses 9 significant digits.
+infeasible code, invalid input or usage error (argparse's own 2 is mapped
+to 3), 1 internal error.  All floating-point output uses 9 significant digits.
 """
 
 from __future__ import annotations
@@ -325,6 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest degree whose n! permutations are enumerated: build, ML decoding, "
         f"bounds and random-word simulate (default {BRUTE_FORCE_LIMIT})",
     )
+    # argparse reads a value that starts with '-' as a flag unless '=' joins them.
+    snr_help = "SNR grid START:STOP:STEP in dB (a negative start: --snr=-2:0:2)"
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
 
@@ -351,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", parents=[common, out], help="decode a received vector")
     p.add_argument("specfile")
     p.add_argument("-y", "--received", required=True, action="append",
-                   help="received vector, comma-separated; repeat to decode several in one batch")
+                   help="received vector, comma-separated (a leading '-': -y=-0.5,1.2,2); "
+                   "repeat to decode several in one batch")
     p.add_argument("--decoder", choices=["lp", "ml", "both"], default="lp")
     p.set_defaults(handler=_cmd_decode)
 
@@ -365,8 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", parents=[common, out], help="union bound curves as CSV")
     p.add_argument("specfile")
-    p.add_argument("--snr", required=True, help="SNR grid START:STOP:STEP in dB")
-    p.add_argument("--word", default=None, help="transmitted codeword (default: first)")
+    p.add_argument("--snr", required=True, help=snr_help)
+    p.add_argument("--word", help="transmitted codeword (default: first; a leading '-': "
+                   "--word=-1,0,1)")
     p.add_argument(
         "--max-bases", type=int, default=polytope.DEFAULT_BASIS_BUDGET,
         help="vertex enumeration work budget: bases walked, or n^2 per candidate vertex",
@@ -375,10 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common, out], help="Monte-Carlo BLER as CSV")
     p.add_argument("specfile")
-    p.add_argument("--snr", required=True, help="SNR grid START:STOP:STEP in dB")
+    p.add_argument("--snr", required=True, help=snr_help)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--decoder", choices=["lp", "ml", "both"], default="both")
-    p.add_argument("--word", default=None, help="fixed transmitted word (default: uniform)")
+    p.add_argument("--word", help="fixed transmitted word (default: uniform; a leading '-': "
+                   "--word=-1,0,1)")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("ensemble", parents=[common, out], help="random pair-ensemble sizes")
@@ -392,7 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error after argparse's message
+        return 3 if exc.code else 0
     args.seed = getattr(args, "seed", 0)
     args.threads = getattr(args, "threads", 1)
     args.brute_force_cap = getattr(args, "brute_force_cap", BRUTE_FORCE_LIMIT)

@@ -46,12 +46,12 @@ a simplex first needs it, and is cached.  One chunk decoder,
 words at once and sends the words it misses to phase two as one stack of
 copies of that feasible tableau.  Given a code, a miss that ran through
 phase two takes its word as the ML answer when the final tableau's reduced
-costs rule out every other codeword, and the remaining misses go to one
-blocked scan of the codebook.  ``lp_decode_batch`` runs it on slices of
-``_CHUNK`` rows, and ``lp_decode`` is a batch of one.  Phase one never
-reads the objective, and the kernel treats each problem of a stack alike,
-so a fall-through makes the same pivots, and returns the same result, as a
-cold two-phase solve.
+costs rule out every other codeword, and the remaining misses take the
+codebook argmax, a block of them per product with the whole codebook.
+``lp_decode_batch`` runs it on slices of ``_CHUNK`` rows, and ``lp_decode``
+is a batch of one.  Phase one never reads the objective, and the kernel
+treats each problem of a stack alike, so a fall-through makes the same
+pivots, and returns the same result, as a cold two-phase solve.
 """
 
 from __future__ import annotations
@@ -594,16 +594,16 @@ _CERT_MARGIN = 1e-6
 # stack of phase-two tableaux to a few MB.
 _CHUNK = 512
 
-# ``_ml_scan`` walks the codebook this many rows at a time, so that one block's
-# inner products with a chunk of ``_CHUNK`` received words stay at 4 MB.
-_ML_BLOCK = 1024
+# ``_ml_scan`` multiplies as many received words at a time by the whole codebook
+# as keep one block's inner products within this many entries (8 MB).
+_ML_SCORES = 1 << 20
 
 # An ML-only decode on a Birkhoff face answers its certificate misses by a
 # scan when the code has at most this many codewords, and from phase two above
-# it.  ML-only runs at 0/4/8 dB on faces of degree 5 to 9 broke even between
-# 31,902 codewords (the scan 4% faster) and 37,203 (phase two 22% faster);
-# the scan was 1.3-2.4x faster on derangement(5) to derangement(8) and phase
-# two 2.5x faster on derangement(9) (one core of a shared Xeon).
+# it.  ML-only at 0/4/8 dB (2,000 trials per point, medians of five calls in
+# three processes, one core of a shared Xeon), the scan ran 1.2-1.7x phase
+# two's trials/s on derangement(5), 1.7-2.1x on (6) to (8), and 0.5-0.6x on
+# derangement(9), where a scanning call also builds 11-19 ms of float codebook.
 _ML_SCAN_MAX = 35_000
 
 
@@ -703,11 +703,8 @@ class _Chunk(NamedTuple):
     miss, in word order: phase two's ``run``, optimum ``x`` and
     ``objectives``, both over the n^2 entries; None when phase two did not
     run.  ``ml`` is each word's ML codeword, None without a code: X* s where
-    ``hit``, the LP's word where phase two ran and its answer is a codeword
-    whose reduced-cost gap exceeds ``_CERT_MARGIN`` (a margin that rules out
-    a tie), and ``_ml_scan``'s answer, the lowest codeword index among ties,
-    elsewhere.  Both rules give the same word.  The float codebook is built
-    only when some word is scanned.
+    ``hit``, the LP's word where ``_decode_chunk`` rules out every other
+    codeword, and the codebook argmax (``_ml_scan``) elsewhere.
     """
 
     hit: np.ndarray
@@ -761,8 +758,8 @@ def _decode_chunk(
     returns.  The other misses (no phase two, fractional optima, failed
     solves and small gaps, among them most misses over an s with repeats,
     where another matrix of the code maps s to the same word and the gap is
-    0) run through one ``_ml_scan`` of ``code.codewords``, which is built
-    only then; the scan keeps the lowest codeword index on ties.
+    0) take the codebook argmax, the lowest index on ties, from one
+    ``_ml_scan`` of ``code.codewords``, which is built only then.
     """
     _check_scale(s, ys)
     hit, perm = _sort_certificate(polytope, s, ys)
@@ -891,22 +888,15 @@ def ml_decode_detail(code: Code, y: Sequence[float]) -> tuple[int, np.ndarray, b
 def _ml_scan(words: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """For each row of ys, the index of the row of words with the largest inner product.
 
-    ``words`` is a code's codeword array and ys is finite.  The scan takes
-    ``_ML_BLOCK`` rows of words at a time, one matrix product against all of
-    ys per block, and keeps the lowest index on exact ties, as
+    ``words`` is a code's codeword array and ys is finite.  Each product
+    takes as many rows of ys as keep its scores within ``_ML_SCORES``
+    entries; ``argmax`` keeps the lowest index on exact ties, as
     ``ml_decode_detail`` does (0-based here).
     """
-    cols = np.arange(len(ys))
-    best = np.full(len(ys), -np.inf)
-    at = np.zeros(len(ys), dtype=np.intp)
-    for lo in range(0, len(words), _ML_BLOCK):
-        g = words[lo : lo + _ML_BLOCK] @ ys.T
-        k = g.argmax(axis=0)
-        top = g[k, cols]
-        # Strictly greater: a later block's tie leaves the earlier index.
-        better = top > best
-        best[better] = top[better]
-        at[better] = k[better] + lo
+    at = np.empty(len(ys), dtype=np.intp)
+    step = max(1, _ML_SCORES // len(words))
+    for lo in range(0, len(ys), step):
+        at[lo : lo + step] = (ys[lo : lo + step] @ words.T).argmax(axis=1)
     return at
 
 

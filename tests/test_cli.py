@@ -1,10 +1,15 @@
 """Command-line interface: output formats, exit codes, flag handling."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permlp.cli import _MAX_SNR_POINTS, _parse_snr_grid, main
 from permlp.specfile import SpecFileError
@@ -414,3 +419,106 @@ def test_derangement_10_vertices_exit_three_on_the_work_budget(tmp_path, capsys)
     code, out, err = _run(capsys, "vertices", _derangement_spec(tmp_path, 10))
     assert code == 3 and out == ""
     assert err.startswith("error: over 60000 permutations") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decode", "der4", "-y", "-0.5,1.2,2,3"),
+        ("simulate", "der4", "--snr", "4", "--trials", "5", "--word", "-1,0,3,2"),
+        ("bounds", "der4", "--snr", "-2:4:2"),
+        ("decode", "der4"),
+        ("simulate", "der4", "--snr", "4", "--trials", "x"),
+    ],
+    ids=["negative_y", "negative_word", "negative_snr", "missing_y", "trials_not_int"],
+)
+def test_usage_errors_exit_three(specs, capsys, argv):
+    # argparse's own exit code, 2, is the one reserved for a fractional optimum.
+    code, out, err = _run(capsys, *(specs.get(a, a) for a in argv))
+    assert code == 3 and out == ""
+    assert err.startswith("usage: permlp ") and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = _run(capsys, "decode", "--help")
+    assert code == 0 and "--received" in out and err == ""
+
+
+def test_values_that_start_with_minus_follow_an_equals_sign(specs, capsys):
+    code, out, _ = _run(capsys, "decode", specs["der4"], "-y=-0.5,1.2,2,3")
+    assert code == 0 and out.startswith("lp: ")
+    code, out, _ = _run(capsys, "simulate", specs["der4"], "--snr=-2:0:2", "--trials", "3")
+    assert code == 0
+    assert [row["snr_db"] for row in csv.DictReader(io.StringIO(out))] == ["-2", "0"]
+
+
+@st.composite
+def _spec_docs(draw):
+    """Spec documents of every family at n = 1..5, s with repeats allowed."""
+    n = draw(st.integers(1, 5))
+    family = draw(st.sampled_from(["derangement", "involution", "pure_involution",
+                                   "transposition", "cyclic", "repetition", "block"]))
+    divisor = st.sampled_from([d for d in range(1, n + 1) if n % d == 0])
+    params = {
+        "transposition": {"with_symmetry": st.booleans()},
+        "repetition": {"eta": divisor},
+        "block": {"nu": divisor, "redundant": st.booleans()},
+    }.get(family, {})
+    s = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    constraints = {"family": family}
+    if params:
+        constraints["params"] = {k: draw(v) for k, v in params.items()}
+    return {"n": n, "s": s, "constraints": constraints}
+
+
+def _vector_texts(doc):
+    """Comma-separated words: permutations of s, and wrong, non-finite, huge or empty ones."""
+    n = doc["n"]
+    entries = st.floats(-4, 4).map(repr)
+    special = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308"])
+    right = st.lists(entries, min_size=n, max_size=n)
+    return st.one_of(
+        st.permutations([repr(float(v)) for v in doc["s"]]).map(",".join),
+        right.map(",".join),
+        st.tuples(right, st.integers(0, n - 1), special).map(
+            lambda t: ",".join(t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :])),
+        st.lists(entries, min_size=1, max_size=n + 2).filter(lambda v: len(v) != n).map(",".join),
+        st.just(""),
+    )
+
+
+def _option(flag, value, equals):
+    # Without '=', a value that starts with '-' is a usage error (exit 3).
+    return [f"{flag}={value}"] if equals else [flag, value]
+
+
+@st.composite
+def _decode_and_simulate_runs(draw):
+    doc = draw(_spec_docs())
+    decoder = draw(st.sampled_from(["lp", "ml", "both"]))
+    if draw(st.booleans()):
+        argv = ["decode", None, "--decoder", decoder]
+        for _ in range(draw(st.integers(1, 2))):
+            argv += _option("-y", draw(_vector_texts(doc)), draw(st.booleans()))
+    else:
+        start, step = draw(st.integers(-4, 8)), draw(st.integers(1, 4))
+        argv = ["simulate", None, "--decoder", decoder, "--trials", str(draw(st.integers(1, 5)))]
+        argv += _option("--snr", f"{start}:{start + step}:{step}", draw(st.booleans()))
+        if draw(st.booleans()):
+            argv += _option("--word", draw(_vector_texts(doc)), draw(st.booleans()))
+    return doc, argv
+
+
+@given(_decode_and_simulate_runs())
+def test_decode_and_simulate_keep_the_exit_code_contract(run):
+    doc, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        argv[1] = os.path.join(tmp, "spec.json")
+        with open(argv[1], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code != 2 or "lp: FAILURE" in out.getvalue()

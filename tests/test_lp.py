@@ -521,21 +521,22 @@ def test_ml_ties_on_a_face_keep_the_lowest_index(monkeypatch):
     assert np.count_nonzero(out.codeword & (lp_words != out.ml).any(axis=1)) > 20
 
 
-@pytest.mark.parametrize("rows", [3, 7])
-def test_ml_scan_exact_ties_across_block_seams(rows, monkeypatch):
-    monkeypatch.setattr(lp, "_ML_BLOCK", rows)
+@pytest.mark.parametrize("rows", [1, 7])
+def test_ml_scan_exact_ties_in_row_blocks(rows, monkeypatch):
     code = build_code(CodeSpec(5, derangement(5), (0.0, 0.0, 1.0, 1.0, 2.0)))
+    # A budget of rows * len(code) scores gives row blocks of that many words.
+    monkeypatch.setattr(lp, "_ML_SCORES", rows * len(code))
     rng = np.random.default_rng(29)
     # Half-integer y against integer s: every inner product is exact.
     ys = rng.integers(-2, 12, size=(300, 5)) / 2.0
     got = lp._ml_scan(code.codewords, ys)
-    seams = 0
+    ties = 0
     for k, y in zip(got.tolist(), ys):
         g = code.codewords @ y
         tied = np.flatnonzero(g == g.max())
         assert k == tied[0] == ml_decode_detail(code, y)[0] - 1
-        seams += tied[-1] // rows > tied[0] // rows
-    assert seams > 100
+        ties += len(tied) > 1
+    assert ties > 100
 
 
 # ---------------------------------------------------------------------------
