@@ -6,13 +6,19 @@ so results are bit-identical regardless of worker count or execution order.
 That contract is per trial; ``_pcg64_states`` only computes the generator
 states of a whole chunk of trials at once, and one generator takes each
 trial's state in turn.  Ensemble sample k draws from ``SeedSequence((seed,
-k))`` the same way.  The SNR of the unit-energy-free convention used
-throughout is SNR_dB = 10 log10(1 / sigma^2).
+k))`` the same way, and is counted exactly without building a code: up to
+degree 7 a chunk of samples at once with bitsets over S_n, above it one
+sample at a time by a dynamic program that builds no n! table (see the
+constraints module).  Worker processes never outnumber the cores, and
+seeded results do not depend on ``threads``.  The SNR of the
+unit-energy-free convention used throughout is SNR_dB = 10 log10(1 / sigma^2).
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +28,13 @@ import numpy as np
 
 from . import bounds
 from .codebook import Code, CodeSpec, build_code
-from .constraints import _COUNTER_MAX_DEGREE, _pair_weight_histogram, sample_ensemble
+from .constraints import (
+    _BITSET_MAX_DEGREE,
+    _COUNTER_MAX_DEGREE,
+    _bitset_weight_histograms,
+    _pair_weight_histogram,
+    sample_ensemble,
+)
 from .lp import _CHUNK, _OPTIMAL, _code_polytope, _decode_chunk
 from .perm import BRUTE_FORCE_LIMIT, BruteForceLimitError
 
@@ -74,13 +86,23 @@ class TrialRecord:
     seconds: Optional[float] = field(default=None, compare=False)  # wall time of the point
 
 
-def _fan_out(fn, jobs: list, threads: int) -> list:
-    """[fn(job) for job in jobs] on min(threads, len(jobs)) worker processes.
+def _workers(threads: int, jobs: int) -> int:
+    """Worker processes for ``jobs`` jobs: ``threads``, at most one per job and per core.
 
-    One worker or fewer runs the jobs in this process.  Never more workers
-    than jobs: the fork start method launches every worker at the first submit.
+    Never more workers than jobs: the fork start method launches every
+    worker at the first submit.  Never more than ``os.cpu_count()``: seeded
+    results are the same at every ``threads``, and extra workers only
+    compete for the cores.
     """
-    workers = min(threads, len(jobs))
+    return min(threads, jobs, os.cpu_count() or 1)
+
+
+def _fan_out(fn, jobs: list, threads: int) -> list:
+    """[fn(job) for job in jobs] on ``_workers(threads, len(jobs))`` worker processes.
+
+    One worker or fewer runs the jobs in this process.
+    """
+    workers = _workers(threads, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -294,7 +316,9 @@ def simulate_bler(
     trial's stream unchanged.  ``seed`` must be a non-negative integer
     (``TypeError`` or ``ValueError`` otherwise, before the code is built).
     Random words, ML and a fixed word over an s with repeats build the code
-    under ``limit``; worker processes receive its permutations only.
+    under ``limit``; worker processes receive its permutations only.  The
+    points run on ``threads`` worker processes, at most one per point and
+    per core (``os.cpu_count()``); the records do not depend on ``threads``.
 
     ML answers a sort-certificate miss from the LP whenever phase two runs on
     it: with both decoders, or ML-only on a Birkhoff face (derangement(n)),
@@ -346,27 +370,65 @@ class EnsembleResult:
     formula_value: float
 
 
+# Largest m and num_samples the ensemble experiments accept, checked before
+# any sampling.  At these caps one run peaked at 127 MB RSS (n = 3, m = 2**19,
+# one sample: the sampler's pair tuples) and 119 MB (n = 6, m = 1, 2**19
+# samples); each doubling about doubles the part above the 46 MB of a
+# one-sample run.
+_MAX_ENSEMBLE_ROWS = 1 << 19
+_MAX_ENSEMBLE_SAMPLES = 1 << 19
+# An ensemble chunk draws at most this many pairs (and at most lp._CHUNK
+# samples) before it counts them.
+_CHUNK_PAIRS = 1 << 16
+
+
 def _ensemble_chunk(args) -> np.ndarray:
-    """Histogram of each sampled system's solutions by displaced positions (weight)."""
+    """Histogram of each sampled system's solutions by displaced positions (weight).
+
+    Samples are drawn a chunk at a time.  Up to degree
+    ``constraints._BITSET_MAX_DEGREE`` one bitset kernel call counts the
+    whole chunk; above it the dynamic program counts each sample.
+    """
     n, m, seed, indices = args
     out = np.zeros((len(indices), n + 1), dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64())  # each sample sets its state
-    for start in range(0, len(indices), _CHUNK):
-        states = _pcg64_states((seed,), indices[start : start + _CHUNK])
-        for row, state in enumerate(states, start):
+    step = min(_CHUNK, max(1, _CHUNK_PAIRS // max(m, 1)))
+    for start in range(0, len(indices), step):
+        part = indices[start : start + step]
+        # The chunk keeps its pair values, not each sample's tuples: those
+        # added 0.6 MB to the peak RSS at 512 samples of m = 10.
+        flat: list[int] = []
+        for i, state in enumerate(_pcg64_states((seed,), part), start):
             rng.bit_generator.state = state
-            out[row] = _pair_weight_histogram(sample_ensemble(n, m, rng).rows, n)
+            rows = sample_ensemble(n, m, rng).rows
+            if n <= _BITSET_MAX_DEGREE:
+                flat += itertools.chain.from_iterable(rows)
+            else:
+                out[i] = _pair_weight_histogram(rows, n)
+        if n <= _BITSET_MAX_DEGREE:
+            pairs = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(len(part), m, 2)
+            out[start : start + len(part)] = _bitset_weight_histograms(pairs, n)
     return out
 
 
 def _ensemble_histograms(n, m, num_samples, seed, threads) -> np.ndarray:
-    """``_ensemble_chunk`` over samples 0..num_samples-1, fanned out to workers."""
+    """``_ensemble_chunk`` over samples 0..num_samples-1, fanned out to workers.
+
+    Refuses, before any work, a bad seed, ``num_samples`` outside
+    [1, ``_MAX_ENSEMBLE_SAMPLES``] and ``m`` above ``_MAX_ENSEMBLE_ROWS``
+    (``ValueError``), and a degree above ``_COUNTER_MAX_DEGREE``
+    (``BruteForceLimitError``).
+    """
     seed = _check_seed(seed)
     if num_samples < 1:
         raise ValueError("need at least one sample")
+    if num_samples > _MAX_ENSEMBLE_SAMPLES:
+        raise ValueError(f"num_samples {num_samples} exceeds the cap {_MAX_ENSEMBLE_SAMPLES}")
+    if m > _MAX_ENSEMBLE_ROWS:
+        raise ValueError(f"m {m} exceeds the cap {_MAX_ENSEMBLE_ROWS}")
     if n > _COUNTER_MAX_DEGREE:
         raise BruteForceLimitError(f"degree {n} exceeds the counter ceiling {_COUNTER_MAX_DEGREE}")
-    parts = max(1, min(threads, num_samples))
+    parts = max(1, _workers(threads, num_samples))
     chunks = [list(range(k, num_samples, parts)) for k in range(parts)]
     hist = np.empty((num_samples, n + 1), dtype=np.int64)
     jobs = [(n, m, seed, chunk) for chunk in chunks]
@@ -389,7 +451,15 @@ def ensemble_experiment(
     seed: int,
     threads: int = 1,
 ) -> EnsembleResult:
-    """Sample satisfying-set sizes of random pair ensembles."""
+    """Sample satisfying-set sizes of random pair ensembles.
+
+    Sample k draws m pairs from ``SeedSequence((seed, k))``.  ``m`` and
+    ``num_samples`` are capped at ``_MAX_ENSEMBLE_ROWS`` and
+    ``_MAX_ENSEMBLE_SAMPLES`` (2**19 each), and n at ``_COUNTER_MAX_DEGREE``
+    (16), before any sample is drawn.  The samples run on ``threads`` worker
+    processes, at most one per core (``os.cpu_count()``); the samples do
+    not depend on ``threads``.
+    """
     counts = _ensemble_histograms(n, m, num_samples, seed, threads).sum(axis=1)
     mean, se = _moments(counts)
     return EnsembleResult(
@@ -424,7 +494,8 @@ def ensemble_weight_experiment(
 
     Weights are measured from the initial arrangement itself; with distinct
     initial entries the weight of a satisfying permutation is its degree minus
-    its fixed-point count, so no explicit vector is needed.
+    its fixed-point count, so no explicit vector is needed.  Samples and caps
+    are those of :func:`ensemble_experiment`.
     """
     means, ses = _moments(_ensemble_histograms(n, m, num_samples, seed, 1))
     formula = tuple(bounds.expected_weight(n, m, w) for w in range(n + 1))

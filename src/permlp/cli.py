@@ -316,7 +316,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=argparse.SUPPRESS, help="RNG seed (default 0)"
     )
     common.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS, help="worker processes (default 1)"
+        "--threads",
+        type=int,
+        default=argparse.SUPPRESS,
+        help="worker processes, at most one per core; seeded results do not depend on it "
+        "(default 1)",
     )
     common.add_argument(
         "--brute-force-cap",

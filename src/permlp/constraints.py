@@ -377,8 +377,10 @@ def theta(a: SparseBinaryMatrix, n: int) -> ConstraintSystem:
     return ConstraintSystem(n, rows)
 
 
-# Largest degree the ensembles count. The slowest of 36 samples over m = 5..60 took
-# 0.24 s at n = 14 and 3.2 s with 131 MB peak RSS at n = 16 (2-core Xeon, numpy 2.4).
+# Largest degree the ensembles count.  Above _BITSET_MAX_DEGREE the dynamic
+# program (_pair_weight_histogram) counts them: the slowest of 36 samples over
+# m = 5..60 took 0.24 s at n = 14 and 3.2 s with 131 MB peak RSS at n = 16
+# (2-core Xeon, numpy 2.4).
 _COUNTER_MAX_DEGREE = 16
 
 
@@ -461,3 +463,79 @@ def _pair_weight_histogram(pairs: Iterable[tuple[int, int]], n: int) -> list[int
     packed = levels[n].get((top << n) - 1, 0)
     field = (1 << width) - 1
     return [(packed >> (w * width)) & field for w in range(n + 1)]
+
+
+# Largest degree whose pair ensembles are counted a chunk at a time with
+# bitsets over S_n (_bitset_weight_histograms); larger degrees take the
+# dynamic program.  Per sample, kernel alone against the dynamic program,
+# 512-sample chunks, m = 10..150 (2-core Xeon, numpy 2.4, median of five):
+# n = 5..7 win at every m, 1.1 against 50 us at n = 6, m = 10 and 29
+# against 140 us at n = 7, m = 150; n = 8 loses from m = 80 on (144 against
+# 102 us).  The degree-7 tables take 31 KB and 1.3 ms to build.
+_BITSET_MAX_DEGREE = 7
+
+# Set bits of each byte value, for a popcount on a uint8 view
+# (np.bitwise_count needs numpy 2, and the package supports numpy 1.24).
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+# _bitset_weight_histograms XORs up to this many (sample, pair) bitset rows
+# at once.  A chunk of S samples holds at most 2**16 pairs, so at large m it
+# has few samples, and one numpy call per pair would lose to the dynamic
+# program.  Per sample, kernel alone, one call per pair / blocks of 512 rows /
+# dynamic program (2-core Xeon, numpy 2.4, median of seven): n = 7, S = 1,
+# m = 2**16: 247 / 8.0 / 31 ms; S = 5, m = 900: 768 / 127 / 411 us; S = 100,
+# m = 40: 9.0 / 8.4 / 33 us; S = 512, m = 10: 4.0 / 4.6 / 128 us; S = 512,
+# m = 128: 18 / 25 / 85 us.  n = 6 reads the same way.
+_BITSET_BLOCK = 512
+
+
+@functools.lru_cache(maxsize=8)
+def _bitset_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry bitsets over S_n for :func:`_bitset_weight_histograms`.
+
+    Returns ``(ones, starts, sizes)``.  Each permutation of
+    ``permutation_table(n)`` owns one bit of a packed uint64 row, and the
+    permutations that displace w positions own the bits of bytes
+    ``starts[w]`` up to ``starts[w + 1]``; ``sizes[w]`` counts them.  Row
+    ``ones[e]`` has the bits of the permutations whose matrix has a 1 at
+    0-based entry e = i*n + j.  Every weight class starts on a byte and
+    takes at least one, so a byte range is never empty; unowned bits are 0
+    in every row.  Contiguous classes let one popcount pass and one
+    ``reduceat`` give the whole histogram, instead of one masked pass per
+    weight (1.1 against 2.7 us per sample at n = 6, m = 10; 4 against 16 us
+    at n = 7).
+    """
+    tab = permutation_table(n)
+    weights = (tab != np.arange(1, n + 1)).sum(axis=1)
+    sizes = np.bincount(weights, minlength=n + 1)
+    nbytes = np.maximum(-(-sizes // 8), 1)
+    starts = np.cumsum(nbytes) - nbytes
+    order = np.argsort(weights, kind="stable")
+    tab, weights = tab[order], weights[order]
+    # Sorted row r of class w is bit r - (rows before class w) + 8 * starts[w].
+    bits = np.arange(len(tab)) + (8 * starts - (np.cumsum(sizes) - sizes))[weights]
+    hits = np.zeros((n * n, 64 * -(-int(nbytes.sum()) // 8)), dtype=bool)
+    hits[(tab - 1) * n + np.arange(n), bits[:, None]] = True
+    ones = np.packbits(hits, axis=1, bitorder="little").view(np.uint64)
+    return ones, starts, sizes
+
+
+def _bitset_weight_histograms(pairs: np.ndarray, n: int) -> np.ndarray:
+    """:func:`_pair_weight_histogram` of many pair systems at once.
+
+    ``pairs`` is an (S, m, 2) integer array: S systems of m 1-based position
+    pairs each.  Row k of the (S, n + 1) int64 result is the weight
+    histogram of system k.  A permutation breaks the tie p1 == p2 exactly
+    where the bitsets of p1 and p2 differ, so the OR of those XORs over a
+    system's pairs marks every permutation it rules out, and entry w is
+    ``sizes[w]`` less the marked bits of weight class w.
+    """
+    ones, starts, sizes = _bitset_tables(n)
+    first, second = pairs[..., 0] - 1, pairs[..., 1] - 1
+    broken = np.zeros((len(pairs), ones.shape[1]), dtype=np.uint64)
+    step = max(1, _BITSET_BLOCK // len(pairs))
+    for k in range(0, pairs.shape[1], step):
+        x = ones[first[:, k : k + step]] ^ ones[second[:, k : k + step]]
+        broken |= np.bitwise_or.reduce(x, axis=1)
+    marked = np.add.reduceat(_POPCOUNT[broken.view(np.uint8)], starts, axis=1, dtype=np.int64)
+    return sizes - marked

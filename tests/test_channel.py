@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import os
 import pickle
 
 import numpy as np
@@ -546,6 +547,7 @@ class _PicklingPool:
 
 
 def test_simulate_bler_jobs_ship_permutations_only(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     spec = CodeSpec(6, derangement(6), _RANGE6)
     built = []
 
@@ -575,6 +577,7 @@ def test_simulate_bler_jobs_ship_permutations_only(monkeypatch):
 def test_pools_start_no_more_workers_than_jobs(monkeypatch):
     # Under fork, a pool starts all max_workers processes at the first submit.
     monkeypatch.setattr(channel, "ProcessPoolExecutor", _PicklingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     spec = CodeSpec(4, derangement(4), (0.0, 1.0, 2.0, 3.0))
     _PicklingPool.workers = []
     simulate_bler(spec, [1.0, 3.0], 5, seed=5, threads=64)
@@ -583,6 +586,25 @@ def test_pools_start_no_more_workers_than_jobs(monkeypatch):
     res = ensemble_experiment(4, 3, 3, seed=17, threads=64)
     assert _PicklingPool.workers == [3] and len(_PicklingPool.blobs) == 3
     assert res == ensemble_experiment(4, 3, 3, seed=17)
+
+
+@pytest.mark.parametrize("cores", [3, 1, None])
+def test_pools_start_no_more_workers_than_cores(monkeypatch, cores):
+    # The pool stand-in records max_workers and runs every job in this
+    # process, so no worker process is started at any --threads.
+    monkeypatch.setattr(channel, "ProcessPoolExecutor", _PicklingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    workers = [] if cores in (1, None) else [cores]  # one worker runs inline
+    spec = CodeSpec(4, derangement(4), (0.0, 1.0, 2.0, 3.0))
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0]
+    _PicklingPool.workers, _PicklingPool.blobs = [], []
+    records = simulate_bler(spec, grid, 5, seed=5, threads=5000)
+    assert _PicklingPool.workers == workers and len(_PicklingPool.blobs) == len(grid) * bool(workers)
+    _PicklingPool.workers, _PicklingPool.blobs = [], []
+    res = ensemble_experiment(4, 3, 50, seed=17, threads=5000)
+    assert _PicklingPool.workers == workers and len(_PicklingPool.blobs) == sum(workers)
+    assert records == simulate_bler(spec, grid, 5, seed=5)
+    assert res == ensemble_experiment(4, 3, 50, seed=17)
 
 
 # Heads of SeedSequence keys: (seed, point) for simulate_bler, (seed,) for
@@ -791,7 +813,8 @@ def test_ensembles_refuse_degree_above_cap_before_any_work(monkeypatch, threads)
     def forbidden(*args, **kwargs):
         raise AssertionError("called above the degree cap")
 
-    for name in ("_pair_weight_histogram", "sample_ensemble", "ProcessPoolExecutor"):
+    for name in ("_pair_weight_histogram", "_bitset_weight_histograms", "sample_ensemble",
+                 "ProcessPoolExecutor"):
         monkeypatch.setattr(channel, name, forbidden)
     monkeypatch.setattr(perm, "_TABLE_CACHE", {})
     n = _COUNTER_MAX_DEGREE + 1
@@ -800,6 +823,52 @@ def test_ensembles_refuse_degree_above_cap_before_any_work(monkeypatch, threads)
     with pytest.raises(BruteForceLimitError, match=f"counter ceiling {_COUNTER_MAX_DEGREE}"):
         ensemble_weight_experiment(n, 3, 2, seed=1)
     assert perm._TABLE_CACHE == {}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensembles_refuse_large_counts_before_any_work(monkeypatch, threads):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called above a count cap")
+
+    for name in ("_pair_weight_histogram", "_bitset_weight_histograms", "sample_ensemble",
+                 "ProcessPoolExecutor"):
+        monkeypatch.setattr(channel, name, forbidden)
+    rows, samples = channel._MAX_ENSEMBLE_ROWS, channel._MAX_ENSEMBLE_SAMPLES
+    for n, m, count in ((3, rows + 1, 1), (3, 10**11, 1), (12, rows + 1, 2)):
+        with pytest.raises(ValueError, match=f"m {m} exceeds the cap {rows}"):
+            ensemble_experiment(n, m, count, seed=1, threads=threads)
+        with pytest.raises(ValueError, match=f"m {m} exceeds the cap {rows}"):
+            ensemble_weight_experiment(n, m, count, seed=1)
+    for count in (samples + 1, 10**12):
+        with pytest.raises(ValueError, match=f"num_samples {count} exceeds the cap {samples}"):
+            ensemble_experiment(3, 2, count, seed=1, threads=threads)
+        with pytest.raises(ValueError, match=f"num_samples {count} exceeds the cap {samples}"):
+            ensemble_weight_experiment(3, 2, count, seed=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_bitset_and_dynamic_program_histograms_agree(monkeypatch, threads):
+    # The same seeded samples counted by bitsets and, with the degree limit
+    # at 0, by the dynamic program; chunks of few samples include m = 900.
+    cases = [(2, 3, 40), (3, 0, 9), (4, 5, 120), (5, 6, 300), (6, 10, 600), (7, 12, 50),
+             (7, 900, 5), (6, 1, 2)]
+    fast = [channel._ensemble_histograms(n, m, count, 2026, threads) for n, m, count in cases]
+    monkeypatch.setattr(channel, "_BITSET_MAX_DEGREE", 0)
+    for (n, m, count), want in zip(cases, fast):
+        assert np.array_equal(channel._ensemble_histograms(n, m, count, 2026, threads), want)
+
+
+def test_ensembles_count_with_bitsets_up_to_the_degree_limit(monkeypatch):
+    calls = []
+    for name in ("_pair_weight_histogram", "_bitset_weight_histograms"):
+        real = getattr(channel, name)
+        monkeypatch.setattr(channel, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    ensemble_experiment(channel._BITSET_MAX_DEGREE, 12, 600, seed=3)
+    assert calls == ["_bitset_weight_histograms"] * 2  # one call per 512-sample chunk
+    calls.clear()
+    ensemble_experiment(channel._BITSET_MAX_DEGREE + 1, 12, 3, seed=3)
+    assert calls == ["_pair_weight_histogram"] * 3
 
 
 def test_ensembles_at_degree_12_match_the_closed_forms(monkeypatch):

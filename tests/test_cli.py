@@ -343,6 +343,20 @@ def test_invalid_run_inputs_exit_three(specs, capsys, tmp_path, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "3", "--m", "100000000000", "--samples", "1"),
+     ("--n", "3", "--m", "2", "--samples", "1000000000000")],
+    ids=["m_too_large", "samples_too_large"],
+)
+def test_ensemble_counts_past_the_caps_exit_three(tmp_path, capsys, argv):
+    target = tmp_path / "sizes.csv"
+    code, out, err = _run(capsys, "ensemble", *argv, "--out", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "exceeds the cap" in err and "Traceback" not in err
+    assert not target.exists()
+
+
 def _derangement_spec(tmp_path, n):
     path = tmp_path / f"der{n}.json"
     path.write_text(json.dumps({"n": n, "s": list(range(n)), "constraints": {"family": "derangement"}}))

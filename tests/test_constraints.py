@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlp import constraints
@@ -357,24 +357,92 @@ def _chain(n, *cells):
     return [tuple(sorted(p)) for p in zip(ps, ps[1:])]
 
 
-@pytest.mark.parametrize(
-    "n,pairs",
-    [
-        *[(n, []) for n in range(1, 8)],
-        (4, _chain(4, (1, 1), (1, 2))),  # one row: both entries zero
-        (4, _chain(4, (1, 3), (4, 3))),  # one column
-        (5, _chain(5, (1, 2), (2, 3), (3, 4))),  # a chain placed whole
-        (5, _chain(5, (1, 2), (2, 3), (3, 2))),  # a chain closing on a used column
-        (4, _chain(4, (1, 2), (2, 3), (3, 4), (4, 1))),  # one group across every column
-        (4, _chain(4, (1, 1), (2, 2), (3, 3), (4, 4))),  # the identity or a derangement
-        # A cycle in the union-find: the third pair joins one group again.
-        (5, _chain(5, (2, 1), (3, 4), (5, 2)) + [tuple(_entries(5, (2, 1), (5, 2)))]),
-        (5, [tuple(_entries(5, (1, 2), (2, 1)))] * 3),  # a repeated pair
-        # A group whose first column comes from its later pair, beside a blocked one.
-        (6, _chain(6, (1, 5), (2, 6), (3, 1)) + _chain(6, (4, 4), (4, 5))),
-        (7, _chain(7, (1, 7), (7, 1)) + _chain(7, (2, 6), (6, 2)) + _chain(7, (3, 3), (5, 5))),
-    ],
-    ids=str,
-)
+_HAND_CASES = [
+    *[(n, []) for n in range(1, 8)],
+    (4, _chain(4, (1, 1), (1, 2))),  # one row: both entries zero
+    (4, _chain(4, (1, 3), (4, 3))),  # one column
+    (5, _chain(5, (1, 2), (2, 3), (3, 4))),  # a chain placed whole
+    (5, _chain(5, (1, 2), (2, 3), (3, 2))),  # a chain closing on a used column
+    (4, _chain(4, (1, 2), (2, 3), (3, 4), (4, 1))),  # one group across every column
+    (4, _chain(4, (1, 1), (2, 2), (3, 3), (4, 4))),  # the identity or a derangement
+    # A cycle in the union-find: the third pair joins one group again.
+    (5, _chain(5, (2, 1), (3, 4), (5, 2)) + [tuple(_entries(5, (2, 1), (5, 2)))]),
+    (5, [tuple(_entries(5, (1, 2), (2, 1)))] * 3),  # a repeated pair
+    # A group whose first column comes from its later pair, beside a blocked one.
+    (6, _chain(6, (1, 5), (2, 6), (3, 1)) + _chain(6, (4, 4), (4, 5))),
+    (7, _chain(7, (1, 7), (7, 1)) + _chain(7, (2, 6), (6, 2)) + _chain(7, (3, 3), (5, 5))),
+]
+
+
+@pytest.mark.parametrize("n,pairs", _HAND_CASES, ids=str)
 def test_pair_counter_hand_cases(n, pairs):
     assert constraints._pair_weight_histogram(pairs, n) == _table_weight_histogram(pairs, n)
+
+
+# ---------------------------------------------------------------------------
+# Bitset counter against the dynamic program and the table filter
+# ---------------------------------------------------------------------------
+
+
+def _bitset_rows(systems, n):
+    """The bitset kernel on equal-length pair systems, as lists of ints."""
+    m = len(systems[0])
+    pairs = np.array(systems, dtype=np.intp).reshape(len(systems), m, 2)
+    out = constraints._bitset_weight_histograms(pairs, n)
+    assert out.shape == (len(systems), n + 1) and out.dtype == np.int64
+    return out.tolist()
+
+
+@st.composite
+def _pair_batches(draw):
+    """One degree and up to four pair systems of one length, the first from _pair_sets."""
+    n, pairs = draw(_pair_sets())
+    pair = st.lists(st.integers(1, n * n), min_size=2, max_size=2, unique=True).map(sorted)
+    system = st.lists(pair.map(tuple), min_size=len(pairs), max_size=len(pairs))
+    return n, [pairs, *draw(st.lists(system, max_size=3))]
+
+
+@settings(max_examples=200)
+@given(_pair_batches())
+def test_bitset_counter_matches_dp_and_table_filter(case):
+    n, systems = case
+    got = _bitset_rows(systems, n)
+    for pairs, row in zip(systems, got):
+        assert row == constraints._pair_weight_histogram(pairs, n)
+        assert row == _table_weight_histogram(pairs, n)
+
+
+def test_bitset_counter_hand_cases_as_batches():
+    # One kernel call per degree and per empty or nonempty system; each
+    # system repeats its own pairs up to the longest one of its batch, which
+    # leaves its ties unchanged.
+    batches = {}
+    for n, pairs in _HAND_CASES:
+        batches.setdefault((n, bool(pairs)), []).append(pairs)
+    for (n, _), systems in batches.items():
+        m = max(len(pairs) for pairs in systems)
+        padded = [(pairs * m)[:m] for pairs in systems]
+        for pairs, row in zip(systems, _bitset_rows(padded, n)):
+            assert row == constraints._pair_weight_histogram(pairs, n)
+            assert row == _table_weight_histogram(pairs, n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bitset_tables_group_s_n_by_weight(n):
+    ones, starts, sizes = constraints._bitset_tables(n)
+    table = permutation_table(n)
+    weights = (table != np.arange(1, n + 1)).sum(axis=1)
+    assert sizes.tolist() == np.bincount(weights, minlength=n + 1).tolist()
+    owned = np.zeros(ones.shape[1] * 64, dtype=bool)
+    for w in range(n + 1):
+        owned[8 * starts[w] : 8 * starts[w] + sizes[w]] = True
+    bits = np.unpackbits(ones.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    for i in range(n):
+        # Each matrix row holds one 1, so row i's entries split S_n between them.
+        rows = bits[i * n : (i + 1) * n]
+        assert (rows.sum(axis=0) == owned).all()
+    for e, row in enumerate(bits):
+        want = table[:, e % n] == e // n + 1
+        for w in range(n + 1):
+            got = row[8 * starts[w] : 8 * starts[w] + sizes[w]]
+            assert got.sum() == want[weights == w].sum()
