@@ -5,18 +5,26 @@ stream of ``default_rng(SeedSequence((seed, snr point index, trial index)))``,
 so results are bit-identical regardless of worker count or execution order.
 That contract is per trial; ``_pcg64_states`` only computes the generator
 states of a whole chunk of trials at once, and one generator takes each
-trial's state in turn.  Ensemble sample k draws from ``SeedSequence((seed,
-k))`` the same way, and is counted exactly without building a code: up to
-degree 7 a chunk of samples at once with bitsets over S_n, above it one
-sample at a time by a dynamic program that builds no n! table (see the
-constraints module).  Worker processes never outnumber the cores, and
+trial's state in turn.  Ensemble sample k holds the pairs that
+``sample_ensemble`` draws from ``default_rng(SeedSequence((seed, k)))``.
+A chunk's draws are replayed from PCG64 in one vectorized pass, identical
+to ``sample_ensemble``'s; a sample that the pass cannot finish (a draw
+that Lemire's rule rejects, or redraws past the replayed stream) is drawn
+by ``sample_ensemble`` itself.  At n = 6, m = 10 a sample costs about
+1.3 us to draw and 2.6 us end to end (best of three 2,000-sample calls,
+2-core Xeon, numpy 2.4), against 14 us and 18 us with a
+``sample_ensemble`` call per sample.  Each sample is counted exactly
+without building a code: up to degree 7 a chunk at once with bitsets over
+S_n, above it one sample at a time by a dynamic program that builds no n!
+table (see the constraints module).  Worker processes never outnumber the cores, and
 seeded results do not depend on ``threads``.  The SNR of the
 unit-energy-free convention used throughout is SNR_dB = 10 log10(1 / sigma^2).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 import operator
 import os
 import time
@@ -175,12 +183,13 @@ def _words32(x: int) -> list[int]:
     return [x >> shift & _MASK32 for shift in range(0, max(x.bit_length(), 1), 32)]
 
 
-def _pcg64_states(head: Sequence[int], tails) -> list[dict]:
-    """The bit-generator state of ``default_rng(SeedSequence((*head, tail)))`` for each tail.
+def _seed_words(head: Sequence[int], tails) -> np.ndarray:
+    """The PCG64 seed words of ``SeedSequence((*head, tail))`` for each tail.
 
     ``head`` holds non-negative ints of any size; ``tails`` holds
-    non-negative ints below 2**64.  The entropy of every tail is mixed at
-    once, one (4, len(tails)) uint32 step per entropy word.
+    non-negative ints below 2**64.  Returns a (len(tails), 4) uint64 array
+    of the words (a, b, c, d) that PCG64 seeds from.  The entropy of every
+    tail is mixed at once, one (4, len(tails)) uint32 step per entropy word.
     """
     tails = np.asarray(tails, dtype=np.uint64)
     words = [w for x in head for w in _words32(x)]
@@ -200,8 +209,13 @@ def _pcg64_states(head: Sequence[int], tails) -> list[dict]:
         # A tail below 2**32 is one word long, so its entropy has no high word.
         pool = np.where(high != 0, mixed, pool) if row == last else mixed
     drawn = _hash(pool, _DRAW).transpose(2, 0, 1).astype("<u4", order="C").reshape(-1, 2 * _POOL)
+    return drawn.view("<u8").astype(np.uint64, copy=False)
+
+
+def _pcg64_states(head: Sequence[int], tails) -> list[dict]:
+    """The bit-generator state of ``default_rng(SeedSequence((*head, tail)))`` for each tail."""
     states = []
-    for a, b, c, d in drawn.view("<u8").tolist():
+    for a, b, c, d in _seed_words(head, tails).tolist():
         # PCG64 seeds from (a:b, c:d): inc = (c:d) << 1 | 1, then one step
         # from inc + (a:b).
         inc = (c << 65 | d << 1 | 1) & _MASK128
@@ -209,6 +223,97 @@ def _pcg64_states(head: Sequence[int], tails) -> list[dict]:
         states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                        "has_uint32": 0, "uinteger": 0})
     return states
+
+
+# ---------------------------------------------------------------------------
+# PCG64 streams of a chunk of seeds
+# ---------------------------------------------------------------------------
+
+# A 128-bit integer is a (hi, lo) pair of uint64 arrays, and every operation
+# wraps mod 2**128.  Products are formed from 32-bit limbs, so that no
+# uint64 product overflows; the constants are numpy scalars, because a
+# Python-int operand turns a uint64 array into float64 under numpy < 2.
+_LOW32 = np.uint64(_MASK32)
+_U1, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 32, 58, 63, 64))
+_PCG64_STEP = (np.array([_PCG64_MULT >> 64], dtype=np.uint64),
+               np.array([_PCG64_MULT & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+# A stream is drawn in blocks of at most this many 64-bit outputs over all
+# of a chunk's samples, so that its temporaries stay bounded at any m.
+_STREAM_BLOCK = 1 << 14
+
+
+def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 128-bit product x * y of uint64 values."""
+    x0, x1, y0, y1 = x & _LOW32, x >> _U32, y & _LOW32, y >> _U32
+    cross, cross2 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> _U32) + (cross & _LOW32) + (cross2 & _LOW32)
+    return x1 * y1 + (cross >> _U32) + (cross2 >> _U32) + (mid >> _U32)
+
+
+def _mul128(x, y):
+    (xh, xl), (yh, yl) = x, y
+    return _mulhi64(xl, yl) + xl * yh + xh * yl, xl * yl
+
+
+def _add128(x, y):
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < x[1]), lo
+
+
+def _pcg64_seeded(words: np.ndarray):
+    """The PCG64 (state, inc) that ``_seed_words``' rows seed, as 128-bit pairs.
+
+    As ``_pcg64_states`` computes them: inc = (c:d) << 1 | 1, then one LCG
+    step from inc + (a:b).
+    """
+    a, b, c, d = words.T
+    inc = (c << _U1 | d >> _U63, d << _U1 | _U1)
+    return _add128(_mul128(_add128(inc, (a, b)), _PCG64_STEP), inc), inc
+
+
+@functools.lru_cache(maxsize=None)
+def _lcg_jumps(count: int):
+    """(A_k, C_k) for k = 1..count, as 128-bit pairs of (count,) arrays.
+
+    k PCG64 steps take a state s to A_k s + C_k inc.  The table doubles
+    from k = 1: A_{k+i} = A_i A_k and C_{k+i} = A_i C_k + C_i.
+    """
+    jump, offset = _PCG64_STEP, (np.zeros(1, np.uint64), np.ones(1, np.uint64))
+    while len(jump[0]) < count:
+        last_jump, last_offset = (jump[0][-1:], jump[1][-1:]), (offset[0][-1:], offset[1][-1:])
+        more_jump = _mul128(jump, last_jump)
+        more_offset = _add128(_mul128(jump, last_offset), offset)
+        jump = tuple(np.concatenate(p) for p in zip(jump, more_jump))
+        offset = tuple(np.concatenate(p) for p in zip(offset, more_offset))
+    return tuple(v[:count] for v in jump), tuple(v[:count] for v in offset)
+
+
+def _uint32_stream(state, inc, count: int) -> np.ndarray:
+    """The first ``count`` ``next_uint32`` draws of each PCG64 stream.
+
+    ``state`` and ``inc`` are 128-bit pairs of (S,) arrays, the generators'
+    states before their first draw (``has_uint32`` clear).  Each 64-bit
+    output is one LCG step and the XSL-RR output function, and is split
+    into two draws, its low half first, as numpy's ``next_uint32`` does.
+    The steps of a block are jumps from the block's first state.  Returns
+    an (S, count) uint32 array.
+    """
+    size = len(state[0])
+    steps = -(-count // 2)
+    cols = max(1, min(steps, _STREAM_BLOCK // max(size, 1)))
+    jump, offset = _lcg_jumps(1 << (cols - 1).bit_length())
+    inc = (inc[0][:, None], inc[1][:, None])
+    out = np.empty((size, 2 * steps), dtype="<u4")
+    for start in range(0, steps, cols):
+        k = min(cols, steps - start)
+        base = (state[0][:, None], state[1][:, None])
+        hi, lo = _add128(_mul128(base, (jump[0][:k], jump[1][:k])),
+                         _mul128(inc, (offset[0][:k], offset[1][:k])))
+        x, rot = hi ^ lo, hi >> _U58
+        words = x >> rot | x << ((_U64 - rot) & _U63)
+        out[:, 2 * start : 2 * (start + k)] = words.astype("<u8", copy=False).view("<u4")
+        state = (hi[:, -1], lo[:, -1])
+    return out[:, :count]
 
 
 def _check_seed(seed) -> int:
@@ -371,10 +476,11 @@ class EnsembleResult:
 
 
 # Largest m and num_samples the ensemble experiments accept, checked before
-# any sampling.  At these caps one run peaked at 127 MB RSS (n = 3, m = 2**19,
-# one sample: the sampler's pair tuples) and 119 MB (n = 6, m = 1, 2**19
-# samples); each doubling about doubles the part above the 46 MB of a
-# one-sample run.
+# any sampling.  At these caps one run peaked at 65 MB RSS in 0.07-0.10 s
+# (n = 3, m = 2**19, one sample: its replayed draws and pair array) and
+# 113 MB in 0.9-1.1 s (n = 6, m = 1, 2**19 samples: the histograms and
+# counts); n = 12, m = 2**19 peaked at 91 MB, the dynamic program's pair
+# lists (2-core Xeon, numpy 2.4).
 _MAX_ENSEMBLE_ROWS = 1 << 19
 _MAX_ENSEMBLE_SAMPLES = 1 << 19
 # An ensemble chunk draws at most this many pairs (and at most lp._CHUNK
@@ -382,44 +488,100 @@ _MAX_ENSEMBLE_SAMPLES = 1 << 19
 _CHUNK_PAIRS = 1 << 16
 
 
+def _redraw_spare(m: int, width: int) -> int:
+    """Draws past the first 2m that a chunk replays for each sample's redraws.
+
+    A pair is equal with probability 1/width, so a sample redraws about
+    mean = m / (width - 1) times, with a standard deviation below
+    sqrt(2 mean); the spare adds four of those and a few draws more.  A
+    sample that needs more is drawn by ``sample_ensemble``.
+    """
+    mean = -(-m // (width - 1))
+    return mean + 4 * math.isqrt(2 * mean) + 6
+
+
+def _ensemble_pairs(n: int, m: int, seed: int, indices) -> np.ndarray:
+    """The pairs that ``sample_ensemble`` draws for each sample, as one (S, m, 2) array.
+
+    Sample k's generator is ``default_rng(SeedSequence((seed, k)))``.  Its
+    ``next_uint32`` draws are replayed from PCG64 for all samples at once
+    and mapped to 1..width by Lemire's rule, as numpy's ``integers`` does:
+    1 + (u * width >> 32).  The first 2m draws fill the pairs row by row,
+    and the second entry of each equal pair is redrawn from the draws that
+    follow, in row order, until no pair is equal.  A sample whose used draws
+    include one that Lemire's rule rejects (its low 32 bits of u * width
+    below (2**32 - width) % width), or that needs more draws than were
+    replayed, is drawn again by ``sample_ensemble`` from its own state.
+    """
+    width, size = n * n, len(indices)
+    seeded = _pcg64_seeded(_seed_words((seed,), indices))
+    stream = _uint32_stream(*seeded, 2 * m + _redraw_spare(m, width))
+    scaled = stream.astype(np.uint64) * np.uint64(width)
+    values = (scaled >> _U32).astype(np.intp) + 1
+    rejected = (scaled & _LOW32) < np.uint64((2**32 - width) % width)
+    drawn = values.shape[1]
+    pairs = values[:, : 2 * m].reshape(size * m, 2)
+    used = np.full(size, 2 * m)
+    bad = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    while bad.size:
+        sample = bad // m
+        rank = np.arange(len(bad)) - np.searchsorted(sample, sample)
+        pos = used[sample] + rank
+        used += np.bincount(sample, minlength=size)
+        inside = pos < drawn
+        bad, pos = bad[inside], pos[inside]
+        pairs[bad, 1] = values[bad // m, pos]
+        bad = bad[pairs[bad, 0] == pairs[bad, 1]]
+    pairs.sort(axis=1)
+    pairs = pairs.reshape(size, m, 2)
+    first_rejected = np.where(rejected.any(axis=1), rejected.argmax(axis=1), drawn)
+    redo = np.flatnonzero((used > drawn) | (first_rejected < used))
+    if redo.size:
+        rng = np.random.Generator(np.random.PCG64())
+        tails = np.asarray(indices, dtype=np.uint64)[redo]
+        for k, state in zip(redo.tolist(), _pcg64_states((seed,), tails)):
+            rng.bit_generator.state = state
+            pairs[k] = np.array(sample_ensemble(n, m, rng).rows, dtype=np.intp).reshape(m, 2)
+    return pairs
+
+
 def _ensemble_chunk(args) -> np.ndarray:
     """Histogram of each sampled system's solutions by displaced positions (weight).
 
-    Samples are drawn a chunk at a time.  Up to degree
+    Samples are drawn a chunk at a time by ``_ensemble_pairs``, which
+    replays their PCG64 draws in one pass and gives the pairs that
+    ``sample_ensemble`` would.  Up to degree
     ``constraints._BITSET_MAX_DEGREE`` one bitset kernel call counts the
-    whole chunk; above it the dynamic program counts each sample.
+    whole chunk; above it the dynamic program counts each sample.  At
+    n = 6, m = 10, 512-sample chunks cost about 2.6 us per sample: 1.3 us
+    drawing and 1.0 us counting (2-core Xeon, numpy 2.4).
     """
     n, m, seed, indices = args
     out = np.zeros((len(indices), n + 1), dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64())  # each sample sets its state
     step = min(_CHUNK, max(1, _CHUNK_PAIRS // max(m, 1)))
     for start in range(0, len(indices), step):
-        part = indices[start : start + step]
-        # The chunk keeps its pair values, not each sample's tuples: those
-        # added 0.6 MB to the peak RSS at 512 samples of m = 10.
-        flat: list[int] = []
-        for i, state in enumerate(_pcg64_states((seed,), part), start):
-            rng.bit_generator.state = state
-            rows = sample_ensemble(n, m, rng).rows
-            if n <= _BITSET_MAX_DEGREE:
-                flat += itertools.chain.from_iterable(rows)
-            else:
-                out[i] = _pair_weight_histogram(rows, n)
+        pairs = _ensemble_pairs(n, m, seed, indices[start : start + step])
         if n <= _BITSET_MAX_DEGREE:
-            pairs = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(len(part), m, 2)
-            out[start : start + len(part)] = _bitset_weight_histograms(pairs, n)
+            out[start : start + len(pairs)] = _bitset_weight_histograms(pairs, n)
+        else:
+            for i, rows in enumerate(pairs.tolist(), start):
+                out[i] = _pair_weight_histogram(rows, n)
     return out
 
 
 def _ensemble_histograms(n, m, num_samples, seed, threads) -> np.ndarray:
     """``_ensemble_chunk`` over samples 0..num_samples-1, fanned out to workers.
 
-    Refuses, before any work, a bad seed, ``num_samples`` outside
-    [1, ``_MAX_ENSEMBLE_SAMPLES``] and ``m`` above ``_MAX_ENSEMBLE_ROWS``
-    (``ValueError``), and a degree above ``_COUNTER_MAX_DEGREE``
-    (``BruteForceLimitError``).
+    Refuses, before any work, a bad seed, n < 2, m < 0, ``num_samples``
+    outside [1, ``_MAX_ENSEMBLE_SAMPLES``] and ``m`` above
+    ``_MAX_ENSEMBLE_ROWS`` (``ValueError``), and a degree above
+    ``_COUNTER_MAX_DEGREE`` (``BruteForceLimitError``).
     """
     seed = _check_seed(seed)
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1 and m >= 0, got n = {n} and m = {m}")
+    if n == 1:  # as sample_ensemble refuses it
+        raise ValueError("need at least two positions to draw a pair")
     if num_samples < 1:
         raise ValueError("need at least one sample")
     if num_samples > _MAX_ENSEMBLE_SAMPLES:

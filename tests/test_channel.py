@@ -893,3 +893,153 @@ def test_ensemble_experiments_reject_no_samples():
         ensemble_experiment(4, 3, 0, seed=1)
     with pytest.raises(ValueError, match="at least one sample"):
         ensemble_weight_experiment(4, 3, 0, seed=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensembles_refuse_small_degrees_and_negative_m_before_any_work(monkeypatch, threads):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the inputs were checked")
+
+    for name in ("_pair_weight_histogram", "_bitset_weight_histograms", "sample_ensemble",
+                 "_ensemble_pairs", "ProcessPoolExecutor"):
+        monkeypatch.setattr(channel, name, forbidden)
+    for n, m in ((-2, 3), (-1, 3), (0, 3), (0, 0), (4, -1), (-2, -1)):
+        with pytest.raises(ValueError, match=f"need n >= 1 and m >= 0, got n = {n} and m = {m}"):
+            ensemble_experiment(n, m, 3, seed=1, threads=threads)
+        with pytest.raises(ValueError, match="need n >= 1 and m >= 0"):
+            ensemble_weight_experiment(n, m, 3, seed=1)
+    for m in (0, 3):
+        with pytest.raises(ValueError, match="need at least two positions to draw a pair"):
+            ensemble_experiment(1, m, 3, seed=1, threads=threads)
+        with pytest.raises(ValueError, match="need at least two positions to draw a pair"):
+            ensemble_weight_experiment(1, m, 3, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# A chunk's ensemble pairs, replayed from PCG64 against sample_ensemble
+# ---------------------------------------------------------------------------
+
+_EDGES_128 = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**127, 2**128 - 1)
+
+
+def _split128(values):
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (2**64 - 1) for v in values], dtype=np.uint64))
+
+
+def _join128(pair):
+    return [hi << 64 | lo for hi, lo in zip(pair[0].tolist(), pair[1].tolist())]
+
+
+def test_128_bit_arithmetic_matches_python_ints():
+    gen = np.random.default_rng(11)
+    randoms = [int(gen.integers(0, 2**63)) << 65 ^ int(gen.integers(0, 2**63)) << 1
+               ^ int(gen.integers(0, 2)) for _ in range(500)]
+    xs = [x for x in _EDGES_128 for _ in _EDGES_128] + randoms
+    ys = [y for _ in _EDGES_128 for y in _EDGES_128] + randoms[::-1]
+    x, y = _split128(xs), _split128(ys)
+    with np.errstate(over="raise"):
+        assert _join128(channel._mul128(x, y)) == [a * b % 2**128 for a, b in zip(xs, ys)]
+        assert _join128(channel._add128(x, y)) == [(a + b) % 2**128 for a, b in zip(xs, ys)]
+        assert channel._mulhi64(x[1], y[1]).tolist() == [
+            (a % 2**64) * (b % 2**64) >> 64 for a, b in zip(xs, ys)]
+    # k LCG steps are the jump A_k s + C_k inc.
+    jump, offset = channel._lcg_jumps(40)
+    mult = channel._PCG64_MULT
+    assert _join128(jump) == [pow(mult, k, 2**128) for k in range(1, 41)]
+    assert _join128(offset) == [sum(pow(mult, i, 2**128) for i in range(k)) % 2**128
+                                for k in range(1, 41)]
+
+
+@pytest.mark.parametrize("block", [channel._STREAM_BLOCK, 7 * len(_KERNEL_TAILS)])
+@pytest.mark.parametrize("head", [(0,), (2026,), (2**64 + 5,)], ids=str)
+def test_uint32_stream_is_the_pcg64_output_low_half_first(head, block, monkeypatch):
+    # The small block makes a stream of 57 outputs take 9 blocks.
+    monkeypatch.setattr(channel, "_STREAM_BLOCK", block)
+    seeded = channel._pcg64_seeded(channel._seed_words(head, _KERNEL_TAILS))
+    states = channel._pcg64_states(head, _KERNEL_TAILS)
+    assert _join128(seeded[0]) == [s["state"]["state"] for s in states]
+    assert _join128(seeded[1]) == [s["state"]["inc"] for s in states]
+    for count in (0, 1, 2, 113):
+        stream = channel._uint32_stream(*seeded, count)
+        assert stream.shape == (len(_KERNEL_TAILS), count) and stream.dtype == np.uint32
+        for row, state in zip(stream, states):
+            bits = np.random.PCG64()
+            bits.state = state
+            raw = bits.random_raw(-(-count // 2))
+            halves = np.stack([raw & np.uint64(0xFFFFFFFF), raw >> np.uint64(32)], axis=1)
+            assert np.array_equal(row, halves.reshape(-1)[:count]), (head, count)
+
+
+def _sampled_rows(n, m, seed, indices):
+    want = np.empty((len(indices), m, 2), dtype=np.intp)
+    for row, k in zip(want, indices):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        row[:] = np.array(sample_ensemble(n, m, rng).rows, dtype=np.intp).reshape(m, 2)
+    return want
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 10, 12])
+def test_ensemble_pairs_equal_sample_ensemble(n):
+    # 6 degrees x 5 m x 2 seeds x 170 samples: 10,200 keys.  n = 2 has four
+    # positions, so a quarter of its pairs are redrawn at least once.
+    indices = [*range(150), *range(2**32 - 10, 2**32 + 10)]
+    for m in (0, 1, 10, 40, 900):
+        for seed in (3, 2**40 + 7):
+            pairs = channel._ensemble_pairs(n, m, seed, indices)
+            assert pairs.shape == (len(indices), m, 2)
+            assert np.array_equal(pairs, _sampled_rows(n, m, seed, indices)), (n, m, seed)
+
+
+def _counting_sampler(monkeypatch):
+    calls = []
+    real = channel.sample_ensemble
+    monkeypatch.setattr(channel, "sample_ensemble",
+                        lambda *a: calls.append(a[:2]) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("spare", [0, 1, 3])
+def test_ensemble_pairs_past_the_replayed_draws_fall_back(monkeypatch, spare):
+    # With no spare draws every sample that redraws runs past its stream:
+    # at m = 1 a quarter of them, at m = 40 all.  With one or three, some
+    # samples use up the last replayed draw and do not fall back.
+    calls = _counting_sampler(monkeypatch)
+    monkeypatch.setattr(channel, "_redraw_spare", lambda m, width: spare)
+    indices = list(range(200))
+    for m, most in ((1, 100), (10, 200), (40, 200)):
+        calls.clear()
+        pairs = channel._ensemble_pairs(2, m, 5, indices)
+        assert np.array_equal(pairs, _sampled_rows(2, m, 5, indices))
+        assert spare or 20 < len(calls) <= most
+
+
+def test_ensemble_pairs_with_a_rejected_draw_fall_back(monkeypatch):
+    # At n = 3 Lemire's rule rejects a used draw u whose leftover
+    # u * 9 mod 2**32 is below 2**32 % 9 = 4.  Sample 1 gets u = 0 on its
+    # first draw.  Of three samples whose first 20 draws hold no equal pair,
+    # one gets u = 0 just past them and one on the last replayed draw, which
+    # they do not use, and one gets a first draw of leftover 4, which is
+    # kept: only sample 1 falls back.
+    calls = _counting_sampler(monkeypatch)
+    real = channel._uint32_stream
+    kept = 4 * pow(9, -1, 2**32) % 2**32
+    clean = []
+
+    def stream(*args):
+        out = real(*args).copy()
+        values = (out[:, :20].astype(np.uint64) * np.uint64(9) >> np.uint64(32)).reshape(-1, 10, 2)
+        clean[:] = [k for k in np.flatnonzero((values[..., 0] != values[..., 1]).all(axis=1))
+                    if k != 1][:3]
+        out[1, 0] = out[clean[0], 20] = out[clean[1], -1] = 0
+        out[clean[2], 0] = kept
+        return out
+
+    monkeypatch.setattr(channel, "_uint32_stream", stream)
+    indices = list(range(40))
+    pairs = channel._ensemble_pairs(3, 10, 5, indices)
+    want = _sampled_rows(3, 10, 5, indices)
+    assert calls == [(3, 10)]
+    assert (kept * 9 >> 32) + 1 in pairs[clean[2], 0]
+    assert np.array_equal(pairs[clean[2], 1:], want[clean[2], 1:])
+    assert np.array_equal(np.delete(pairs, clean[2], axis=0), np.delete(want, clean[2], axis=0))

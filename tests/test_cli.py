@@ -8,10 +8,12 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlp.channel import _MAX_ENSEMBLE_ROWS, _MAX_ENSEMBLE_SAMPLES
 from permlp.cli import _MAX_SNR_POINTS, _parse_snr_grid, main
+from permlp.constraints import _BITSET_MAX_DEGREE, _COUNTER_MAX_DEGREE
 from permlp.specfile import SpecFileError
 
 DER4 = {"n": 4, "s": [0, 1, 2, 3], "constraints": {"family": "derangement"}}
@@ -536,3 +538,36 @@ def test_decode_and_simulate_keep_the_exit_code_contract(run):
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert code != 2 or "lp: FAILURE" in out.getvalue()
+
+
+@st.composite
+def _ensemble_runs(draw):
+    """``permlp ensemble`` arguments around every refusal: degrees, counts and seeds.
+
+    Degrees 13 up to the counter ceiling are left out, so that no accepted
+    run takes the slow dynamic program of n = 16, and an m near its cap
+    takes a degree that the bitset kernel counts.
+    """
+    # The last values of each range stand for values at and past the caps.
+    m = draw(st.integers(-1, 63))
+    m = {61: _MAX_ENSEMBLE_ROWS - 1, 62: _MAX_ENSEMBLE_ROWS, 63: _MAX_ENSEMBLE_ROWS + 1}.get(m, m)
+    top = 12 if m <= 60 else _BITSET_MAX_DEGREE
+    n = draw(st.integers(-2, top + 2))
+    n = {top + 1: _COUNTER_MAX_DEGREE + 1, top + 2: 18}.get(n, n)
+    samples = draw(st.integers(-1, 5))
+    samples = _MAX_ENSEMBLE_SAMPLES + 1 if samples == 5 else samples
+    seed = draw(st.integers(-2, 9))
+    return ["ensemble", f"--n={n}", f"--m={m}", f"--samples={samples}", f"--seed={seed}"]
+
+
+@settings(max_examples=60)
+@given(_ensemble_runs())
+def test_ensemble_keeps_the_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "sizes.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", target])
+        assert code in (0, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert code == 0 or (err.getvalue().startswith("error: ") and not os.path.exists(target))
