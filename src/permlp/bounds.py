@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .codebook import Code
+from .lp import _check_scale
 from .perm import PermutationMatrix
 from .polytope import RationalMatrix, VertexSet, _lp_spectra, _pair_spectra
 
@@ -67,13 +68,16 @@ def _report(kind: str, sigma: float, spectra: Iterable, arg: Callable) -> BoundR
     Own pairs index the slot past the keys, whose argument is inf (Q = 0).
     max_pair is the first largest term.
     """
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ValueError("sigma must be positive")
     values: list[float] = []
     worst = (0.0, (1, 1))
     q: dict[float, float] = {}  # chunks of one code share most of their distances
     for keys, inverse in spectra:
-        distinct, index = np.unique(np.append(arg(*keys), np.inf), return_inverse=True)
+        # A tiny sigma overflows an argument to inf, or (below 2.5e-312, with
+        # d >= 1e-12) sends sigma d to 0 and b / 0 to inf: Q = 0 either way.
+        with np.errstate(over="ignore", divide="ignore"):
+            distinct, index = np.unique(np.append(arg(*keys), np.inf), return_inverse=True)
         args = distinct.tolist()
         for a in args:
             if a not in q:
@@ -95,6 +99,7 @@ def _lp_report(vs: VertexSet, s: Sequence[float], sigma: float, starts: np.ndarr
 
 def _ml_report(code: Code, sigma: float, starts: np.ndarray) -> BoundReport:
     """ML terms Q(d / (2 sigma)) from codewords starts; a singular code's twins add Q(0)."""
+    _check_scale(code.spec.s)
     spectra = _pair_spectra(code, None, code.codewords, starts, with_b=False)
     return _report("ml", sigma, spectra, lambda d: d / (2.0 * sigma))
 

@@ -231,8 +231,9 @@ def _cmd_bounds(args) -> int:
     rows = []
     for db in grid:
         sigma = channel.sigma_from_snr_db(db)
-        lpb = bounds_mod.lp_union_bound(x, vs, spec.s, sigma)
-        mlb = bounds_mod.ml_union_bound(x, code, sigma)
+        with _input_errors():
+            lpb = bounds_mod.lp_union_bound(x, vs, spec.s, sigma)
+            mlb = bounds_mod.ml_union_bound(x, code, sigma)
         rows.append([_fmt(v) for v in (db, sigma, lpb, min(lpb, 1.0), mlb, min(mlb, 1.0))])
     with _open_out(args.out) as fh:
         writer = csv.writer(fh)

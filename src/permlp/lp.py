@@ -716,18 +716,29 @@ class _Chunk(NamedTuple):
     ml: Optional[np.ndarray]
 
 
-def _check_scale(s: np.ndarray, ys: np.ndarray) -> None:
+def _check_scale(s: np.ndarray, ys: Optional[np.ndarray] = None) -> None:
     """Refuse non-finite entries, and magnitudes whose products can overflow.
 
     Every objective and inner product the decoders form sums n terms
     y_i s_j, so max|y| * max|s| * n bounds them.  Nothing is rescaled, so
-    every accepted input decodes with the same floats as before.
+    every accepted input decodes with the same floats as before.  Without
+    ys, s is checked for the pair terms of its images (the polytope's
+    pseudo distances and union bounds): every image entry lies within
+    max|s| of zero, so |x|^2, v.x and |v - x|^2 are at most 4 n max|s|^2.
     """
     # Python floats: an overflow gives inf without a numpy warning, and a
     # NaN or inf entry makes the bound NaN or inf too.
-    bound = float(np.abs(ys).max(initial=0.0)) * float(np.abs(s).max(initial=0.0)) * len(s)
+    top = float(np.abs(s).max(initial=0.0))
+    if ys is None:
+        bound = 4.0 * len(s) * top * top
+    else:
+        bound = float(np.abs(ys).max(initial=0.0)) * top * len(s)
     if math.isfinite(bound):
         return
+    if ys is None:
+        if not math.isfinite(top):
+            raise ValueError("initial vector must be finite")
+        raise ValueError("initial vector is too large: 4 n max|s|^2 overflows")
     if not (np.isfinite(s).all() and np.isfinite(ys).all()):
         raise ValueError("initial vector and received vector must be finite")
     raise ValueError("initial vector and received vector are too large: "

@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .constraints import ConstraintSystem
-from .lp import _code_polytope
+from .lp import _check_scale, _code_polytope
 from .perm import PermutationMatrix
 
 # Prefilter tolerances.  Basis determinants are integers, so |det| >= 0.5
@@ -55,7 +55,13 @@ _SCREEN_CHUNK = 4096
 # Permutation pairs tested for adjacency per vectorized batch.
 _EDGE_CHUNK = 1 << 16
 
-# Start rows times images per pairwise_terms chunk: about 2 MB of float arrays at n = 8.
+# Start rows times images per pairwise_terms chunk.  The kernel holds a chunk
+# in (rows, images) float arrays of 128 KB each at any n: d, one column of
+# differences and, for LP spectra, b; the sorts that follow add a few more.
+# Spectrum times on a shared 2-core Xeon, best of seven, at 4,096 / 16,384 /
+# 32,768 / 65,536: 5.8 / 4.4 / 4.5 / 4.6 ms for the 384-word block(8, 2,
+# redundant) ML spectrum, 101 / 87 / 86 / 88 ms for the LP spectrum of the
+# 6,456 vertices of X11 + X66 = 1 at n = 6.
 _PAIR_CHUNK = 16_384
 
 # Pairs whose spectra one code or vertex set keeps: an index of one byte each
@@ -64,6 +70,20 @@ _PAIR_CHUNK = 16_384
 _MEMO_PAIRS = 1 << 22
 
 DEFAULT_BASIS_BUDGET = 6_000_000
+
+
+def _as_floats(entries: list[Fraction]) -> np.ndarray:
+    """Entries in [0, 1] as a float array, each equal to float(entry).
+
+    float(Fraction) rounds numerator / denominator once, as numpy's division
+    does while both convert to floats exactly, that is, up to 2^53; an entry
+    in [0, 1] has its numerator at most its denominator.  Past that, the
+    entries convert one by one.
+    """
+    den = [e.denominator for e in entries]
+    if max(den, default=1) > 1 << 53:
+        return np.array([float(e) for e in entries], dtype=float)
+    return np.array([e.numerator for e in entries], dtype=float) / np.array(den, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -110,7 +130,7 @@ class RationalMatrix:
         return PermutationMatrix.from_dense(self.to_float().astype(np.int8))
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries], dtype=float)
+        return _as_floats([e for row in self.entries for e in row]).reshape(self.n, self.n)
 
     def image(self, s: Sequence[float]) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -145,7 +165,8 @@ class VertexSet:
     @cached_property
     def float_stack(self) -> np.ndarray:
         """(len, n, n) float array of the vertices, built on first use."""
-        return np.array([v.to_float() for v in self.vertices]).reshape(-1, self.n, self.n)
+        entries = [e for v in self.vertices for row in v.entries for e in row]
+        return _as_floats(entries).reshape(-1, self.n, self.n)
 
     @property
     def integral(self) -> tuple[RationalMatrix, ...]:
@@ -468,6 +489,7 @@ def pseudo_distance(x, x_other, s: Sequence[float]) -> float:
     om = _as_rational(x_other)
     if xm.n != om.n:
         raise ValueError("degree mismatch")
+    _check_scale(s)
     xs = xm.image(s)
     os_ = om.image(s)
     denom = float(np.linalg.norm(os_ - xs))
@@ -476,45 +498,64 @@ def pseudo_distance(x, x_other, s: Sequence[float]) -> float:
     return float((xs @ xs - os_ @ xs) / denom)
 
 
-def pairwise_terms(images: np.ndarray, starts: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+def pairwise_terms(images: np.ndarray, starts: np.ndarray,
+                   with_b: bool) -> Iterator[tuple[Optional[np.ndarray], np.ndarray]]:
     """Pseudo distance parts from images[starts] to every image, in chunks of starts.
 
-    Yields (b, d, own) per chunk; row r is one start x = images[starts[k]], and with v =
-    images[t], b[r, t] = |x|^2 - v.x, d[r, t] = |v - x| and own[r, t] = (t == starts[k]).
+    Yields (b, d) per chunk; row r is one start x = images[starts[k]], and with
+    v = images[t], d[r, t] = |v - x| and, with_b, b[r, t] = |x|^2 - v.x (else b
+    is None).  Own pairs (t == starts[k]) read +inf in both, which no other pair
+    reads once lp._check_scale(s) has passed.  The squared differences add up
+    one column at a time in d, with no (rows, len(images), n) temporary.
     """
     m = len(images)
+    columns = np.ascontiguousarray(images.T)
     step = max(1, _PAIR_CHUNK // m)
     for lo in range(0, len(starts), step):
         idx = starts[lo : lo + step]
         x = images[idx]
-        diff = images[None, :, :] - x[:, None, :]
-        b = np.einsum("rj,rj->r", x, x)[:, None] - x @ images.T
-        yield b, np.sqrt(np.einsum("rtj,rtj->rt", diff, diff)), np.arange(m) == idx[:, None]
+        own = (np.arange(len(idx)), idx)
+        d = np.square(columns[0] - x[:, :1])
+        diff = np.empty_like(d)
+        for column, xj in zip(columns[1:], x.T[1:, :, None]):
+            np.subtract(column, xj, out=diff)
+            d += np.square(diff, out=diff)
+        np.sqrt(d, out=d)
+        d[own] = np.inf
+        b = None
+        if with_b:
+            b = np.einsum("rj,rj->r", x, x)[:, None] - x @ images.T
+            b[own] = np.inf
+        yield b, d
 
 
-def _chunk_spectrum(b: np.ndarray, d: np.ndarray, own: np.ndarray, with_b: bool):
+def _chunk_spectrum(b: Optional[np.ndarray], d: np.ndarray):
     """The sigma-free part of one pairwise_terms chunk: ``(keys, inverse)``.
 
-    ``keys`` holds the distinct d (or, with_b, the distinct (b, d) pairs) over
-    the pairs that are not own, as a tuple of arrays; ``inverse`` has the
-    chunk's shape and indexes a pair's key, or the slot past the last key on
-    own pairs, in the smallest unsigned type that fits.
+    ``keys`` holds the distinct d (or, with b, the distinct (b, d) pairs in
+    lexicographic order) over the pairs that are not own, as a tuple of arrays;
+    ``inverse`` has the chunk's shape and indexes a pair's key, or the slot
+    past the last key on own pairs, in the smallest unsigned type that fits.
+    Own pairs read +inf, so their key sorts last and is dropped.
     """
-    other = ~own
-    if with_b:
-        # One complex per pair sorts in one pass; (b, d) pairs along axis=0 sort 8x slower.
-        values = np.empty(np.count_nonzero(other), dtype=complex)
-        values.real, values.imag = b[other], d[other]
+    if b is None:
+        d_keys, inverse = np.unique(d, return_inverse=True)
+        keys = (d_keys[:-1],)
     else:
-        values = d[other]
-    keys, index = np.unique(values, return_inverse=True)
-    inverse = np.full(own.shape, len(keys), dtype=np.min_scalar_type(len(keys)))
-    inverse[other] = index.reshape(-1)
-    return ((keys.real, keys.imag) if with_b else (keys,)), inverse
+        # Ranks of b, of d, then of one int64 code per pair, which orders the
+        # pairs as (b, d) does.  A float or int64 sort of a 12,912-pair chunk
+        # takes 250-400 us against 1.7-2.0 ms for one sort of complex (b, d).
+        b_keys, b_rank = np.unique(b, return_inverse=True)
+        d_keys, d_rank = np.unique(d, return_inverse=True)
+        codes, inverse = np.unique(b_rank * len(d_keys) + d_rank, return_inverse=True)
+        b_index, d_index = np.divmod(codes[:-1], len(d_keys))
+        keys = (b_keys[b_index], d_keys[d_index])
+    # numpy 1.x flattens np.unique's inverse of a 2-D array; numpy 2 keeps its shape.
+    return keys, inverse.reshape(d.shape).astype(np.min_scalar_type(len(keys[0])))
 
 
 def _pair_spectra(owner, key, images: np.ndarray, starts: np.ndarray, with_b: bool):
-    """Chunk spectra of pairwise_terms(images, starts), memoized on owner.
+    """Chunk spectra of pairwise_terms(images, starts, with_b), memoized on owner.
 
     The memo sits in owner's ``__dict__`` beside its cached properties, so it
     is never pickled.  It is keyed by (key, chunk size, starts), where key
@@ -524,7 +565,7 @@ def _pair_spectra(owner, key, images: np.ndarray, starts: np.ndarray, with_b: bo
     memo = vars(owner).setdefault("_pair_spectra", {})
     key = (key, _PAIR_CHUNK, starts.tobytes())
     if key not in memo:
-        spectra = (_chunk_spectrum(*terms, with_b) for terms in pairwise_terms(images, starts))
+        spectra = (_chunk_spectrum(*terms) for terms in pairwise_terms(images, starts, with_b))
         held = sum(inverse.size for chunks in memo.values() for _, inverse in chunks)
         if held + len(starts) * len(images) > _MEMO_PAIRS:
             yield from spectra
@@ -535,6 +576,7 @@ def _pair_spectra(owner, key, images: np.ndarray, starts: np.ndarray, with_b: bo
 
 def _lp_spectra(vs: VertexSet, s: Sequence[float], starts: np.ndarray, message: str):
     """(b, d) pair spectra of vs's images under s; SharedImageError(message) on a shared one."""
+    _check_scale(s)
     key = np.asarray(s, dtype=float).tobytes()
     for (b, d), inverse in _pair_spectra(vs, key, vs.images(s), starts, with_b=True):
         if (d < 1e-12).any():

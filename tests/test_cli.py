@@ -377,6 +377,18 @@ def test_bounds_shared_image_exits_three_and_writes_nothing(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_bounds_huge_finite_s_exits_three_and_writes_nothing(tmp_path, capsys):
+    # |x|^2 overflows for this s, which would put NaN in every LP column.
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({**DER4, "s": [0, 1, 2, 1e308]}))
+    target = tmp_path / "f.csv"
+    code, out, err = _run(capsys, "bounds", str(spec), "--snr", "0:8:2", "--out", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "too large" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not target.exists()
+
+
 def test_lp_fixed_word_and_ensembles_run_past_the_table_cap(tmp_path, capsys):
     word = ",".join(str(v) for v in [11] + list(range(11)))
     code, out, _ = _run(capsys, "simulate", _derangement_spec(tmp_path, 12), "--snr", "0:6:3",

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,8 +40,14 @@ from permlp.constraints import (
     satisfies,
     transposition,
 )
-from permlp.perm import var_index
-from permlp.polytope import RationalMatrix, enumerate_vertices, min_pseudo_distance
+from permlp.perm import PermutationMatrix, var_index
+from permlp.polytope import (
+    RationalMatrix,
+    VertexSet,
+    enumerate_vertices,
+    min_pseudo_distance,
+    pseudo_distance,
+)
 
 # ---------------------------------------------------------------------------
 # Loop oracles
@@ -267,7 +274,7 @@ def test_singular_code_keeps_q0_terms_and_lp_errors(monkeypatch):
     assert rep.max_pair != (1, 1)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -0.5])
+@pytest.mark.parametrize("sigma", [0.0, -0.5, math.nan])
 def test_every_bound_rejects_nonpositive_sigma(sigma):
     cs, vs = _instance("derangement4")
     s = (0.0, 1.0, 2.0, 3.0)
@@ -280,6 +287,56 @@ def test_every_bound_rejects_nonpositive_sigma(sigma):
     ]:
         with pytest.raises(ValueError, match="sigma must be positive"):
             fn(*args)
+
+
+def test_a_tiny_sigma_gives_zero_terms_without_warnings():
+    # At 1e-308 most arguments d / (2 sigma) and b / (sigma d) overflow to
+    # inf; at the smallest subnormal sigma every one does, and under the
+    # scaled s, whose d go down to 0.14, sigma d underflows to 0.  Warnings
+    # are errors under pytest.
+    cs, vs = _instance("derangement4")
+    s = (0.0, 1.0, 2.0, 3.0)
+    for scale, sigma in ((1.0, 1e-308), (1.0, 5e-324), (0.1, 5e-324)):
+        scaled = tuple(scale * v for v in s)
+        lp_report = lp_bound_report(vs, scaled, sigma)
+        ml_report = ml_bound_report(build_code(CodeSpec(4, cs, scaled)), sigma)
+        assert not any(lp_report.values) and not any(ml_report.values), sigma
+        assert lp_report.max_pair == ml_report.max_pair == (1, 1)
+    code = build_code(CodeSpec(4, cs, s))
+    _assert_same(lp_bound_report(vs, s, 1e-308), oracle_lp_bound_report(vs, s, 1e-308), "lp")
+    _assert_same(ml_bound_report(code, 1e-308), oracle_ml_bound_report(code, 1e-308), "ml")
+    # The twins of a singular code still add Q(0) = 1/2 each.
+    singular = build_code(CodeSpec(4, cs, SINGULAR_S))
+    assert ml_bound_report(singular, 5e-324) == oracle_ml_bound_report(singular, 5e-324)
+
+
+def test_huge_finite_s_is_refused_before_the_kernel(monkeypatch):
+    # |x|^2 of s = (0, 1, 2, 1e308) overflows, so b would be inf - inf = NaN.
+    cs, vs = _instance("derangement4")
+    s = (0.0, 1.0, 2.0, 1e308)
+    code = build_code(CodeSpec(4, cs, s))
+    calls = _count_kernel_calls(monkeypatch)
+    x = vs.integral[0]
+    for fn, args in [
+        (min_pseudo_distance, (vs, cs, s)),
+        (pseudo_distance, (x, vs.integral[1], s)),
+        (lp_union_bound, (x, vs, s, 0.5)),
+        (ml_union_bound, (code.matrix(0), code, 0.5)),
+        (lp_bound_report, (vs, s, 0.5)),
+        (ml_bound_report, (code, 0.5)),
+    ]:
+        with pytest.raises(ValueError, match="initial vector is too large"):
+            fn(*args)
+    assert not calls
+    # Just inside 4 n max|s|^2 < inf every term stays finite; just past it,
+    # where n max|s|^2 is still finite, s is refused.
+    top = math.sqrt(np.finfo(float).max / 16)
+    edge = (-top * (1 - 1e-12), 0.0, 1.0, top * (1 - 1e-12))
+    report = ml_bound_report(build_code(CodeSpec(4, cs, edge)), 0.5)
+    assert all(math.isfinite(v) for v in report.values)
+    assert math.isfinite(min_pseudo_distance(vs, cs, edge))
+    with pytest.raises(ValueError, match="initial vector is too large"):
+        min_pseudo_distance(vs, cs, (-top * 1.01, 0.0, 1.0, top * 1.01))
 
 
 def test_bounds_cli_csv_matches_oracles(tmp_path, capsys):
@@ -340,9 +397,9 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = polytope.pairwise_terms
 
-    def counted(images, starts):
+    def counted(images, starts, with_b):
         calls.append((images.shape, tuple(starts.tolist())))
-        return kernel(images, starts)
+        return kernel(images, starts, with_b)
 
     monkeypatch.setattr(polytope, "pairwise_terms", counted)
     return calls
@@ -423,3 +480,120 @@ def test_bounds_cli_runs_the_kernel_once_per_object(tmp_path, capsys, monkeypatc
     # One start, the first codeword, against the 44 vertex images and then
     # against the 44 codewords.
     assert [(shape, len(starts)) for shape, starts in calls] == [((44, 5), 1), ((44, 5), 1)]
+
+
+# ---------------------------------------------------------------------------
+# The memo against the formulas it replaced: the (rows, m, n) difference array
+# and one complex np.unique per LP chunk
+# ---------------------------------------------------------------------------
+
+
+def _reference_spectra(images, starts, with_b):
+    """Chunk spectra by the (rows, m, n) difference array and complex np.unique.
+
+    On integer images this is the former kernel bit for bit: every squared
+    distance is an exact integer, so einsum's sum, whose order follows the
+    machine's SIMD width, is the new kernel's sum.  On fractional images the
+    two sums can differ in the last bit, so there d adds the squares column by
+    column, as the new kernel does, and only the (b, d) deduplication is the
+    former one; d itself is pinned there by the loop oracles at 1e-12.
+    """
+    m = len(images)
+    step = max(1, polytope._PAIR_CHUNK // m)
+    integer = np.array_equal(images, np.round(images))
+    for lo in range(0, len(starts), step):
+        idx = starts[lo : lo + step]
+        x = images[idx]
+        diff = images[None, :, :] - x[:, None, :]
+        b = np.einsum("rj,rj->r", x, x)[:, None] - x @ images.T
+        if integer:
+            d = np.sqrt(np.einsum("rtj,rtj->rt", diff, diff))
+        else:
+            d = np.sqrt(functools.reduce(np.add, np.moveaxis(diff * diff, 2, 0)))
+        other = np.arange(m) != idx[:, None]
+        if with_b:
+            values = np.empty(np.count_nonzero(other), dtype=complex)
+            values.real, values.imag = b[other], d[other]
+        else:
+            values = d[other]
+        keys, index = np.unique(values, return_inverse=True)
+        inverse = np.full(other.shape, len(keys), dtype=np.min_scalar_type(len(keys)))
+        inverse[other] = index.reshape(-1)
+        yield ((keys.real, keys.imag) if with_b else (keys,)), inverse
+
+
+def _assert_same_spectra(got, want, where):
+    got, want = list(got), list(want)
+    assert len(got) == len(want), where
+    for k, ((got_keys, got_inv), (want_keys, want_inv)) in enumerate(zip(got, want)):
+        assert len(got_keys) == len(want_keys), (where, k)
+        for g, w in zip(got_keys, want_keys):
+            assert g.dtype == w.dtype and g.tobytes() == np.ascontiguousarray(w).tobytes(), (where, k)
+        assert got_inv.dtype == want_inv.dtype and np.array_equal(got_inv, want_inv), (where, k)
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 150])
+@pytest.mark.parametrize("name", [*INSTANCES, "derangement4_singular"])
+def test_memo_equals_the_difference_array_reference(name, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(polytope, "_PAIR_CHUNK", chunk)
+    singular = name.endswith("_singular")
+    cs, vs = _instance(name.removesuffix("_singular"))
+    s = SINGULAR_S if singular else tuple(float(v) for v in range(cs.n))
+    code = build_code(CodeSpec(cs.n, cs, s))
+    vs = _fresh(vs)
+    images = vs.images(s)
+    for owner, imgs, starts, with_b in [
+        (vs, images, np.flatnonzero(vs.integral_mask), True),
+        (vs, images, np.flatnonzero(vs.integral_mask)[-1:], True),
+        (code, code.codewords, np.arange(len(code)), False),
+        (code, code.codewords, np.arange(len(code))[:1], False),
+    ]:
+        got = polytope._pair_spectra(owner, "pin", imgs, starts, with_b)
+        where = (name, chunk, with_b, len(starts))
+        _assert_same_spectra(got, _reference_spectra(imgs, starts, with_b), where)
+
+
+def test_spectra_keep_their_shape_when_unique_flattens_the_inverse(monkeypatch):
+    # numpy 1.x returns np.unique's inverse of a 2-D array flattened.
+    cs, vs = _instance("fixpair5")
+    s = tuple(float(v) for v in range(cs.n))
+    code = build_code(CodeSpec(cs.n, cs, s))
+    want = (lp_bound_report(_fresh(vs), s, 0.7), ml_bound_report(_fresh(code), 0.7))
+    unique = np.unique
+
+    def flat_unique(values, *args, **kwargs):
+        out = unique(values, *args, **kwargs)
+        if kwargs.get("return_inverse"):
+            out = (*out[:-1], out[-1].reshape(-1))
+        return out
+
+    monkeypatch.setattr(np, "unique", flat_unique)
+    assert (lp_bound_report(_fresh(vs), s, 0.7), ml_bound_report(_fresh(code), 0.7)) == want
+
+
+def _float_stack_by_entry(vs):
+    return np.array([[float(e) for row in v.entries for e in row] for v in vs.vertices],
+                    dtype=float).reshape(-1, vs.n, vs.n)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_float_stack_equals_float_of_each_fraction(name):
+    _, vs = _instance(name)
+    got = _fresh(vs).float_stack
+    assert got.tobytes() == _float_stack_by_entry(vs).tobytes()
+    for v, m in zip(vs.vertices, got):
+        assert v.to_float().tobytes() == m.tobytes()
+
+
+def test_float_stack_past_two_to_the_53_converts_entry_by_entry():
+    p = (1 << 53) + 1
+    a, b = Fraction(1, p), Fraction(p - 1, p)
+    v = RationalMatrix(((a, b), (b, a)))
+    vs = VertexSet(2, (RationalMatrix.from_permutation(PermutationMatrix((1, 2))), v))
+    want = _float_stack_by_entry(vs)
+    # Dividing the rounded numerator by the rounded denominator is off here.
+    assert float(a.numerator) / float(a.denominator) != float(a)
+    assert float(b.numerator) / float(b.denominator) != float(b)
+    assert vs.float_stack.tobytes() == want.tobytes()
+    assert v.to_float().tobytes() == want[1].tobytes()
