@@ -34,15 +34,22 @@ def lp_union_bound(
     sigma: float,
 ) -> float:
     """Union bound on LP block error for transmitted matrix x over all vertices."""
-    xr = x if isinstance(x, RationalMatrix) else RationalMatrix.from_permutation(x)
-    try:
-        k = vs.vertices.index(xr)
-    except ValueError:
-        k = None
-    if k is None or not xr.is_integral:
-        raise ValueError("transmitted matrix is not an integral vertex of the polytope")
     message = "vertex shares the transmitted image; bound undefined"
-    return _lp_report(vs, s, sigma, np.array([k]), message).values[0]
+    return _lp_report(vs, s, sigma, np.array([_vertex_index(x, vs)]), message).values[0]
+
+
+def _vertex_index(x: PermutationMatrix | RationalMatrix, vs: VertexSet) -> int:
+    """Position of x among the vertices; ValueError unless it is an integral one."""
+    absent = "transmitted matrix is not an integral vertex of the polytope"
+    fractional = isinstance(x, RationalMatrix) and not x.is_integral
+    dense = x.to_float() if isinstance(x, RationalMatrix) else x.dense()
+    if fractional or dense.shape != (vs.n, vs.n):
+        raise ValueError(absent)
+    # Integral vertices hold exact 0/1 floats, so one float match finds x.
+    hits = np.flatnonzero(vs.integral_mask & (vs.float_stack == dense).all(axis=(1, 2)))
+    if not hits.size:
+        raise ValueError(absent)
+    return int(hits[0])
 
 
 def ml_union_bound(x: PermutationMatrix, code: Code, sigma: float) -> float:

@@ -8,6 +8,7 @@ every constraint row in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,17 +127,27 @@ def permutation_table(n: int, limit: int = BRUTE_FORCE_LIMIT) -> np.ndarray:
         raise ValueError("degree must be nonnegative")
     tab = _TABLE_CACHE.get(n)
     if tab is None:
-        # Degree d from degree d - 1: block k is k followed by the previous
-        # table with every entry >= k shifted up by one, which maps it in
-        # order onto the permutations of {1..d} minus k.
-        tab = np.zeros((1, 0), dtype=np.int8)
+        # Built in place, one degree at a time.  Degree d's table fills the
+        # first d! rows and the last d columns.  Its block k is k followed by
+        # degree d - 1's table with every entry >= k shifted up by one, which
+        # maps that table in order onto the permutations of {1..d} minus k.
+        # Degree d - 1's table is block 1 before its shift, so blocks d..2
+        # are written from it first: each block takes the comparison with k,
+        # then adds the previous table, both over whole contiguous rows (the
+        # leading columns hold nothing yet and are written at later degrees).
+        # Then block 1 shifts in place and one strided fill writes column
+        # n - d.
+        tab = np.empty((math.factorial(n), n), dtype=np.int8)
         for d in range(1, n + 1):
-            prev, rows = tab, len(tab)
-            tab = np.empty((rows * d, d), dtype=np.int8)
-            for k in range(1, d + 1):
-                part = tab[(k - 1) * rows : k * rows]
-                part[:, 0] = k
-                np.add(prev, prev >= k, out=part[:, 1:])
+            rows = math.factorial(d - 1)
+            prev = tab[:rows]
+            for k in range(d, 1, -1):
+                block = tab[(k - 1) * rows : k * rows]
+                np.greater_equal(prev, k, out=block)
+                block += prev
+            prev += 1
+            lead = tab[: d * rows, n - d].reshape(d, rows)
+            lead[...] = np.arange(1, d + 1, dtype=np.int8)[:, None]
         tab.setflags(write=False)
         _TABLE_CACHE[n] = tab
     return tab

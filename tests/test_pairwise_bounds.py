@@ -10,6 +10,7 @@ the same errors, for every chunk size.
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import pickle
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permlp import cli, polytope
+from permlp import bounds, cli, polytope
 from permlp.bounds import (
     BoundReport,
     lp_bound_report,
@@ -272,6 +273,38 @@ def test_singular_code_keeps_q0_terms_and_lp_errors(monkeypatch):
     rep = want[f"ml_bound_report@{SIGMAS[0]}"]
     assert all(v % 0.5 == 0 for v in rep.values) and max(rep.values) >= 0.5, rep
     assert rep.max_pair != (1, 1)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_vertex_index_matches_tuple_scan(name):
+    cs, vs = _instance(name)
+    s = tuple(float(v) for v in range(cs.n))
+    for x in vs.integral:
+        k = vs.vertices.index(x)
+        assert bounds._vertex_index(x, vs) == k
+        assert bounds._vertex_index(x.to_permutation(), vs) == k
+    for v in vs.fractional:
+        with pytest.raises(ValueError, match="not an integral vertex"):
+            lp_union_bound(v, vs, s, 0.5)
+    outsiders = [p for p in map(PermutationMatrix, itertools.permutations(range(1, cs.n + 1)))
+                 if not satisfies(cs, p)]
+    for p in outsiders[:3] + [PermutationMatrix.identity(cs.n + 1)]:
+        with pytest.raises(ValueError, match="not an integral vertex"):
+            lp_union_bound(p, vs, s, 0.5)
+
+
+def test_vertex_index_skips_fractional_vertices_with_integral_floats():
+    # 1 - 10^-400 and 10^-400 round to the floats 1 and 0, so this fractional
+    # vertex reads as the identity in the float stack.
+    eps = Fraction(1, 10**400)
+    v = RationalMatrix(((1 - eps, eps), (eps, 1 - eps)))
+    vs = VertexSet(2, (v, RationalMatrix.from_permutation(PermutationMatrix((2, 1)))))
+    assert (vs.float_stack[0] == np.eye(2)).all()
+    identity = PermutationMatrix.identity(2)
+    for x in (v, identity, RationalMatrix.from_permutation(identity)):
+        with pytest.raises(ValueError, match="not an integral vertex"):
+            bounds._vertex_index(x, vs)
+    assert bounds._vertex_index(PermutationMatrix((2, 1)), vs) == 1
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.5, math.nan])
