@@ -25,6 +25,12 @@ class Relation(enum.Enum):
     LE = "le"
 
 
+# A row's absolute coefficient sum and |rhs| stay below 2^53.  The compiled
+# rows are float64 (lp._pack) and are cast to int64 for membership and vertex
+# enumeration; below the cap every subset sum of a row is an exact float.
+_MAGNITUDE_CAP = 1 << 53
+
+
 @dataclass(frozen=True)
 class ConstraintRow:
     """One sparse row: sum of coeff * vec(X)[pos] compared against rhs."""
@@ -45,6 +51,9 @@ class ConstraintRow:
             raise ValueError("zero coefficient in constraint row")
         if list(self.coeffs) != sorted(self.coeffs):
             raise ValueError("coefficients must be sorted by position")
+        if sum(abs(c) for _, c in self.coeffs) >= _MAGNITUDE_CAP or abs(self.rhs) >= _MAGNITUDE_CAP:
+            raise ValueError("a constraint row's absolute coefficient sum and |rhs| "
+                             "must stay below 2^53")
 
     @classmethod
     def make(cls, coeffs: Mapping[int, int], relation: Relation, rhs: int) -> "ConstraintRow":

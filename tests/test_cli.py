@@ -389,6 +389,22 @@ def test_bounds_huge_finite_s_exits_three_and_writes_nothing(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("coeffs", [{"1": 2**53 + 1, "4": -(2**53)}, {"1": 2**63 + 5}],
+                         ids=["past_float64", "past_int64"])
+def test_rows_reaching_2_53_exit_three_and_write_nothing(tmp_path, capsys, coeffs):
+    # Float64 rows would round the first away from the identity it holds at;
+    # the second would overflow the int64 membership rows.
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"n": 2, "s": [0, 1], "constraints": {
+        "rows": [{"coeffs": coeffs, "rel": "eq", "rhs": 1}]}}))
+    for argv in (("build",), ("vertices",), ("decode", "-y", "0,1")):
+        target = tmp_path / "f.out"
+        code, out, err = _run(capsys, argv[0], str(spec), *argv[1:], "--out", str(target))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "2^53" in err and "Traceback" not in err
+        assert not target.exists()
+
+
 def test_lp_fixed_word_and_ensembles_run_past_the_table_cap(tmp_path, capsys):
     word = ",".join(str(v) for v in [11] + list(range(11)))
     code, out, _ = _run(capsys, "simulate", _derangement_spec(tmp_path, 12), "--snr", "0:6:3",

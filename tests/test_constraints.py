@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlp import constraints
+from permlp.codebook import CodeSpec, build_code
 from permlp.constraints import (
     ConstraintRow,
     ConstraintSystem,
@@ -33,7 +34,9 @@ from permlp.constraints import (
     theta,
     transposition,
 )
+from permlp.lp import _code_polytope
 from permlp.perm import PermutationMatrix, permutation_table, var_entry, var_index
+from permlp.polytope import DEFAULT_BASIS_BUDGET, _screen, enumerate_vertices
 
 
 def _matrices(n):
@@ -293,6 +296,43 @@ def test_constraint_row_validation():
         ConstraintRow.make({1: 0}, Relation.EQ, 0)
     with pytest.raises(ValueError):
         ConstraintSystem(2, (ConstraintRow.make({5: 1}, Relation.EQ, 0),))
+
+
+def test_constraint_rows_refuse_magnitudes_reaching_2_53():
+    cap = constraints._MAGNITUDE_CAP
+    assert cap == 2**53
+    # (2^53 + 1) X11 - 2^53 X22 = 1 holds at the identity in integers, but its
+    # float64 rows round to 2^53 X11 - 2^53 X22 = 1, which no matrix meets.
+    for coeffs, rhs in (
+        ({1: cap + 1, 4: -cap}, 1),
+        ({1: 2**63 + 5}, 0),  # past int64 too
+        ({1: cap // 2, 4: -cap // 2}, 0),  # an absolute sum of exactly 2^53
+        ({1: 1}, cap),
+        ({1: 1}, -cap),
+    ):
+        for relation in Relation:
+            with pytest.raises(ValueError, match="below 2\\^53"):
+                ConstraintRow.make(coeffs, relation, rhs)
+
+
+def test_rows_just_under_the_magnitude_cap_agree_everywhere():
+    # Absolute sum 2^53 - 1: the code filter, the compiled membership rows and
+    # the vertex enumerator (its structured method and the screen) agree.
+    half = 2**52
+    for coeffs, rhs in (({1: half, 4: -(half - 1)}, 1), ({1: half, 2: half - 1}, half),
+                        ({1: half, 4: half - 1}, 2**53 - 1)):
+        for relation in Relation:
+            cs = ConstraintSystem(2, (ConstraintRow.make(coeffs, relation, rhs),))
+            code = build_code(CodeSpec(2, cs, (0.0, 1.0)))
+            polytope = _code_polytope(cs)
+            table = permutation_table(2)
+            admitted = polytope.admits(table - 1, np.arange(2))
+            assert code.perms.tolist() == table[admitted].tolist()
+            assert admitted.tolist() == [satisfies(cs, PermutationMatrix(tuple(p))) for p in table]
+            assert admitted[0]  # the identity meets every one of these rows
+            vs = enumerate_vertices(cs, 2)
+            assert sorted(list(v.to_permutation().perm) for v in vs.integral) == code.perms.tolist()
+            assert vs.vertices == _screen(2, polytope, DEFAULT_BASIS_BUDGET)[0]
 
 
 def test_theta_system_shape():

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.optimize import linprog
 
 from permlp.codebook import CodeSpec, build_code
 from permlp.constraints import (
+    _MAGNITUDE_CAP,
     ConstraintRow,
     ConstraintSystem,
     Relation,
@@ -336,16 +338,47 @@ def test_vertex_set_float_stack_and_images():
     assert empty.float_stack.shape == (0, 3, 3) and empty.integral_mask.shape == (0,)
 
 
+def _fraction_gauss_jordan(mat, rhs):
+    """Gauss-Jordan elimination of mat @ x = rhs in Fraction arithmetic: the kernel's oracle.
+
+    It pivots as ``polytope._gauss_jordan`` does, on the first nonzero row at
+    or below the pivots so far, swapped up, and divides each pivot row by its
+    pivot.  Returns ``(pivots, rows, 1)``: the rows are Fractions whose common
+    denominator is 1, so the screen reads them as it reads the kernel's.
+    Returns None when a row left without a pivot has a nonzero rhs.
+    """
+    a = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    origin = list(range(len(a)))
+    pivots = []
+    for col in range(len(mat[0])):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[k], a[piv] = a[piv], a[k]
+        origin[k], origin[piv] = origin[piv], origin[k]
+        pv = a[k][col]
+        a[k] = [x / pv for x in a[k]]
+        for i in range(len(a)):
+            if i != k and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        pivots.append((origin[k], col))
+    if any(row[-1] != 0 for row in a[len(pivots):]):
+        return None
+    return pivots, a, 1
+
+
 def _exact_basis_counts(cs):
     """(bases, nonsingular, feasible) over every column basis, solved in Fractions."""
     _, rows, rhs, _ = _code_polytope(cs).std
     a, b = rows.astype(np.int64), rhs.astype(np.int64).tolist()
-    kept = sorted(r for r, _ in polytope._gauss_jordan(a.tolist(), b)[0])
+    kept = sorted(r for r, _ in _fraction_gauss_jordan(a.tolist(), b)[0])
     a, b = a[kept], [b[r] for r in kept]
     counts = [0, 0, 0]
     for cols in itertools.combinations(range(a.shape[1]), len(kept)):
         counts[0] += 1
-        solved = polytope._gauss_jordan(a[:, cols].tolist(), b)
+        solved = _fraction_gauss_jordan(a[:, cols].tolist(), b)
         if solved is not None and len(solved[0]) == len(kept):
             counts[1] += 1
             counts[2] += all(row[-1] >= 0 for row in solved[1])
@@ -581,23 +614,29 @@ def _low_rank(rng, rows, cols, rank):
     return (left @ right).tolist()
 
 
+# The fraction-free kernel and its Fraction oracle, each tested on its own.
+_ELIMINATIONS = (polytope._gauss_jordan, _fraction_gauss_jordan)
+
+
 def test_gauss_jordan_keeps_independent_rows():
     rng = np.random.default_rng(3)
     for _ in range(60):
         rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         mat = _low_rank(rng, rows, cols, int(rng.integers(1, min(rows, cols) + 1)))
         rhs = (np.array(mat) @ rng.integers(0, 3, size=cols)).tolist()  # consistent
-        pivots, _ = polytope._gauss_jordan(mat, rhs)
-        kept = sorted(r for r, _ in pivots)
-        assert len(set(kept)) == len(kept) == np.linalg.matrix_rank(np.array(mat))
-        assert np.linalg.matrix_rank(np.array(mat)[kept]) == len(kept)
-        assert [c for _, c in pivots] == sorted({c for _, c in pivots})
+        for eliminate in _ELIMINATIONS:
+            pivots, _, _ = eliminate(mat, rhs)
+            kept = sorted(r for r, _ in pivots)
+            assert len(set(kept)) == len(kept) == np.linalg.matrix_rank(np.array(mat))
+            assert np.linalg.matrix_rank(np.array(mat)[kept]) == len(kept)
+            assert [c for _, c in pivots] == sorted({c for _, c in pivots})
 
 
 def test_gauss_jordan_rejects_an_inconsistent_dependent_row():
     mat = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]  # row 2 = row 0 + row 1
-    assert polytope._gauss_jordan(mat, [1, 2, 3]) is not None
-    assert polytope._gauss_jordan(mat, [1, 2, 4]) is None
+    for eliminate in _ELIMINATIONS:
+        assert eliminate(mat, [1, 2, 3]) is not None
+        assert eliminate(mat, [1, 2, 4]) is None
 
 
 def test_gauss_jordan_solves_square_systems_exactly():
@@ -609,12 +648,11 @@ def test_gauss_jordan_solves_square_systems_exactly():
         if round(np.linalg.det(np.array(mat, dtype=float))) == 0:
             continue
         rhs = rng.integers(-5, 6, size=r).tolist()
-        pivots, reduced = polytope._gauss_jordan(mat, rhs)
-        assert sorted(c for _, c in pivots) == list(range(r))
-        x = [Fraction(0)] * r
-        for (_, col), row in zip(pivots, reduced):
-            x[col] = row[-1]
-        assert [sum(a * v for a, v in zip(row, x)) for row in mat] == rhs
+        for eliminate in _ELIMINATIONS:
+            pivots, reduced, den = eliminate(mat, rhs)
+            assert sorted(c for _, c in pivots) == list(range(r))
+            x = [Fraction(row[-1]) / den for row in reduced]  # pivot k in column k
+            assert [sum(a * v for a, v in zip(row, x)) for row in mat] == rhs
         solved += 1
 
 
@@ -624,5 +662,91 @@ def test_gauss_jordan_leaves_a_singular_column_without_pivot():
         r = int(rng.integers(2, 6))
         mat = _low_rank(rng, r, r, r - 1)
         rhs = (np.array(mat) @ rng.integers(0, 3, size=r)).tolist()
-        pivots, _ = polytope._gauss_jordan(mat, rhs)
-        assert len(pivots) < r
+        for eliminate in _ELIMINATIONS:
+            pivots, _, _ = eliminate(mat, rhs)
+            assert len(pivots) < r
+
+
+@st.composite
+def _integer_systems(draw):
+    """Integer systems, up to 6 x 6: rank-deficient, inconsistent, with zero columns and
+    negative entries, some with entries just under the constraint rows' magnitude cap."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top = draw(st.sampled_from([3, _MAGNITUDE_CAP - 1]))
+    entries = st.integers(-top, top)
+    if draw(st.booleans()):  # rank at most r: r rows combined with small multipliers
+        r = draw(st.integers(0, min(rows, cols)))
+        basis = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                              min_size=r, max_size=r))
+        mat = []
+        for _ in range(rows):
+            mix = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+            mat.append([sum(m * b[j] for m, b in zip(mix, basis)) for j in range(cols)])
+    else:
+        mat = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                            min_size=rows, max_size=rows))
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):  # all-zero columns
+        for row in mat:
+            row[j] = 0
+    if draw(st.booleans()):  # consistent: the rhs of an integer point
+        x = draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in mat]
+    else:
+        rhs = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return mat, rhs
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_integer_systems())
+@example(([[1, 2, 0], [0, 1, 1], [1, 3, 1]], [1, 2, 4]))  # inconsistent dependent row
+@example(([[0, 0], [0, 0]], [0, 0]))  # no pivot at all
+@example(([[0, 2, -4], [0, -3, 6]], [2, -3]))  # zero column, rank one
+@example(([[_MAGNITUDE_CAP - 1, -(_MAGNITUDE_CAP - 1)], [_MAGNITUDE_CAP - 2, 1]], [1, -1]))
+def test_gauss_jordan_matches_the_fraction_oracle(system):
+    # Same pivots, the same reduced rows as Fractions (so the same solution),
+    # and None on the same inputs.  Every division of the kernel is a floor
+    # division, so agreement also shows that each one was exact.
+    mat, rhs = system
+    got, want = polytope._gauss_jordan(mat, rhs), _fraction_gauss_jordan(mat, rhs)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    (pivots, rows, den), (want_pivots, want_rows, _) = got, want
+    assert pivots == want_pivots
+    assert type(den) is int and den != 0
+    assert all(type(v) is int for row in rows for v in row)
+    assert [[Fraction(v, den) for v in row] for row in rows] == want_rows
+
+
+def _vertex_strings(vs):
+    return [[str(e) for row in v.entries for e in row] for v in vs]
+
+
+def _oracle_screen(run, *args):
+    """run(*args) with the screen's eliminations done by the Fraction oracle."""
+    with mock.patch.object(polytope, "_gauss_jordan", _fraction_gauss_jordan):
+        return run(*args)
+
+
+@pytest.mark.parametrize(
+    "cs",
+    [involution(4), block(4, 2), block(4, 2, redundant=True), pure_involution(6)],
+    ids=["involution4", "block4", "block4_2r", "pinv6"],
+)
+def test_screen_vertices_equal_those_of_the_fraction_oracle(cs):
+    # The acceptance instances that take the screen: the same entry strings,
+    # in the same order, and the same stats.
+    vs = enumerate_vertices(cs, cs.n)
+    want = _oracle_screen(enumerate_vertices, cs, cs.n)
+    assert vs.stats["method"] == "screen"
+    assert _vertex_strings(vs.vertices) == _vertex_strings(want.vertices)
+    assert vs.stats == want.stats
+
+
+@settings(max_examples=40, derandomize=True)
+@given(_small_systems())
+def test_screen_on_random_systems_equals_the_fraction_oracle(cs):
+    vertices, stats = _screened(cs, cs.n)
+    want, want_stats = _oracle_screen(_screened, cs, cs.n)
+    assert _vertex_strings(vertices) == _vertex_strings(want)
+    assert stats == want_stats
