@@ -62,7 +62,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-n", type=int, default=8, help="largest (even) degree")
     ap.add_argument(
-        "--vertex-max-n", type=int, default=6,
+        "--vertex-max-n", type=int, default=8,
         help="largest degree for exact vertex enumeration",
     )
     args = ap.parse_args()

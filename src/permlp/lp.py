@@ -614,7 +614,9 @@ class _CodePolytope:
     ``std`` is the standard form of the Birkhoff rows and cs.rows (None when
     inconsistent), whose presolve fixed ``fixed`` entries at zero and merged
     ``merged`` into another; ``method`` is how ``permlp.polytope`` walks its
-    vertices; ``packed`` holds those rows as given (``_pack``'s arrays).
+    vertices: "face" (only the Birkhoff rows left, nothing merged), "row"
+    (one row more), "symmetric" (see ``_is_symmetric``) or "screen" (any
+    other); ``packed`` holds those rows as given (``_pack``'s arrays).
     ``cube`` and ``bound`` hold cs.rows as exact int64 ``<=`` rows, an equality
     as two, ``cube[i, j]`` holding entry (i, j)'s coefficients: checking a
     permutation matrix is one gather and one comparison.  Arrays are read-only.
@@ -646,6 +648,26 @@ class _CodePolytope:
         return (self.cube[rows, cols].sum(axis=-2) <= self.bound).all(axis=-1)
 
 
+def _is_symmetric(columns: np.ndarray, n: int) -> bool:
+    """Whether a presolve's ``columns`` map leaves the symmetric doubly stochastic matrices.
+
+    Every off-diagonal entry shares its reduced column with its transpose
+    and with no other entry, and the diagonal is either all fixed at zero or
+    all free, each entry in a column of its own.  With only the Birkhoff rows
+    left over those columns, the polytope is the symmetric doubly stochastic
+    matrices, with a zero diagonal where it is fixed.
+    """
+    grid = columns.reshape(n, n)
+    off = grid[~np.eye(n, dtype=bool)]
+    diag = np.diagonal(grid)
+    if (off < 0).any() or not np.array_equal(grid, grid.T):
+        return False
+    if (diag < 0).any() and not (diag < 0).all():
+        return False
+    entries = np.bincount(columns[columns >= 0])
+    return bool((entries[off] == 2).all() and (entries[diag[diag >= 0]] == 1).all())
+
+
 @functools.lru_cache(maxsize=64)
 def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
     n = cs.n
@@ -657,8 +679,11 @@ def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
     merged = n * n - fixed - (int(columns.max()) + 1)
     # The 2n Birkhoff rows survive the presolve; with nothing merged and no row
     # besides, the polytope is a Birkhoff face, and one more row cuts that face.
-    extra = None if std is None or merged else len(std[1]) - 2 * n
-    method = {0: "face", 1: "row"}.get(extra, "screen")
+    extra = None if std is None else len(std[1]) - 2 * n
+    if not merged:
+        method = {0: "face", 1: "row"}.get(extra, "screen")
+    else:
+        method = "symmetric" if extra == 0 and _is_symmetric(columns, n) else "screen"
     packed = (rows, rhs, eq)
     # The system's own rows follow the 2n Birkhoff rows; their entries are integers.
     rows, rhs, eq = rows[2 * n :].astype(np.int64), rhs[2 * n :].astype(np.int64), eq[2 * n :]

@@ -15,6 +15,14 @@ sorted by their row-major entries, and every method returns the same list.
   ends lie strictly on opposite sides.  P and Q span an edge iff P^-1 Q is
   a single cycle (Brualdi & Gibson, "Convex polyhedra of doubly stochastic
   matrices I", J. Combin. Theory A, 1977).
+* Symmetric: only the Birkhoff rows are left, and the presolve merged each
+  off-diagonal entry with its transpose only, with the diagonal all free or
+  all fixed at zero (involution, pure involution).  The polytope is the
+  symmetric doubly stochastic matrices, whose vertices are (P + P^T) / 2
+  over the permutations P whose cycles have length 2 or odd length, one
+  matrix per pair of orientations of a cycle, with fixed points only where
+  the diagonal is free (Katz, "On the extreme points of a certain convex
+  polytope", J. Combin. Theory, 1970; Balinski, 1965, for the zero diagonal).
 * Screen: every other system.  Its independent rows are kept and every
   column basis is walked; the basic feasible solutions are the vertices.
 
@@ -147,13 +155,14 @@ class VertexSet:
     """All vertices of one code polytope, deterministically ordered.
 
     ``stats`` records the work of :func:`enumerate_vertices`: the ``method``
-    that ran ("face", "row" or "screen") and the entries its presolve fixed
-    at zero and merged into another.  The screen adds column bases in total,
-    nonsingular and feasible in floats, and solved exactly.  The structured
-    methods add the candidates counted (the face's permutations plus the
-    crossing edges), the permutation pairs tested for an edge, and the
-    candidates that are vertices (``feasible``).  It is None for a set built
-    by hand.
+    that ran ("face", "row", "symmetric" or "screen") and the entries its
+    presolve fixed at zero and merged into another.  The screen adds column
+    bases in total, nonsingular and feasible in floats, and solved exactly.
+    The face and row methods add the candidates counted (the face's
+    permutations plus the crossing edges), the permutation pairs tested for
+    an edge, and the candidates that are vertices (``feasible``).  The
+    symmetric method adds the vertices its generating function ``counted``.
+    It is None for a set built by hand.
     """
 
     n: int
@@ -252,14 +261,16 @@ def enumerate_vertices(
 
     ``max_bases`` bounds the work; past it BasisBudgetError is raised before
     the work starts.  The screen charges one unit per column basis.  The
-    structured methods charge n^2 per candidate vertex plus one per
-    permutation pair tested, and check before they build any Fraction.
+    face and row methods charge n^2 per candidate vertex plus one per
+    permutation pair tested, the symmetric method n^2 per vertex it counts,
+    and they check before they build any Fraction.
     """
     if cs.n != n:
         raise ValueError("constraint system degree does not match n")
     polytope = _code_polytope(cs)
     method = polytope.method
-    vertices, stats = (_screen if method == "screen" else _structured)(n, polytope, max_bases)
+    walk = {"screen": _screen, "symmetric": _symmetric}.get(method, _structured)
+    vertices, stats = walk(n, polytope, max_bases)
     return VertexSet(n, vertices, {"method": method, **stats})
 
 
@@ -288,11 +299,35 @@ def _combinations(width: int, rank: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _solve_batch(mats: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sols, refused)``: mats[k] @ sols[k] = b in floats, and where LAPACK refused.
+
+    The batch is solved in one call.  Should LAPACK call one of its matrices
+    singular, which it can do to a matrix whose float determinant passed
+    ``_DET_TOL`` when the row entries are large, the batch is solved one
+    matrix at a time instead, and each refused matrix's row reads NaN.
+    """
+    refused = np.zeros(len(mats), dtype=bool)
+    try:
+        sols = np.linalg.solve(mats, np.broadcast_to(b[:, None], (*mats.shape[:2], 1)).copy())
+        return sols[:, :, 0], refused
+    except np.linalg.LinAlgError:
+        pass
+    sols = np.full(mats.shape[:2], np.nan)
+    for k, mat in enumerate(mats):
+        try:
+            sols[k] = np.linalg.solve(mat, b)
+        except np.linalg.LinAlgError:
+            refused[k] = True
+    return sols, refused
+
+
 def _screen(n: int, polytope, max_bases: int):
     """Vertices of any code polytope by a basis walk of its standard form: ``(vertices, stats)``.
 
     Every C(width, rank) column basis is screened in floats, and each
-    distinct candidate solution is re-solved exactly in integers.
+    distinct candidate solution is re-solved exactly in integers, as is each
+    basis that LAPACK refuses to solve in floats.
     """
     stats = dict.fromkeys(("bases", "nonsingular", "feasible", "solved"), 0)
     stats.update(fixed=polytope.fixed, merged=polytope.merged)
@@ -317,7 +352,7 @@ def _screen(n: int, polytope, max_bases: int):
     at_float = np.ascontiguousarray(rows[kept].T)  # (width, rank)
     b_float = rhs[kept]
 
-    candidates: dict[bytes, list[int]] = {}
+    candidates: dict[bytes | tuple, list[int]] = {}
     for lo in range(0, total, _SCREEN_CHUNK):
         combos = _combinations(width, rank, lo, min(lo + _SCREEN_CHUNK, total))
         mats = at_float[combos]  # (B, rank, rank); row k is column combos[:, k]
@@ -327,11 +362,11 @@ def _screen(n: int, polytope, max_bases: int):
         stats["nonsingular"] += nb
         if not nb:
             continue
-        sols = np.linalg.solve(
-            mats[nonsing].transpose(0, 2, 1),
-            np.broadcast_to(b_float[:, None], (nb, rank, 1)).copy(),
-        )[:, :, 0]
-        feas = sols.min(axis=1) >= _FEAS_TOL
+        sols, refused = _solve_batch(mats[nonsing].transpose(0, 2, 1), b_float)
+        if refused.any():  # solved exactly, unscreened
+            for cols in combos[nonsing][refused].tolist():
+                candidates.setdefault(tuple(cols), cols)
+        feas = sols.min(axis=1) >= _FEAS_TOL  # False on refused rows, which read NaN
         stats["feasible"] += int(feas.sum())
         if not np.any(feas):
             continue
@@ -498,6 +533,86 @@ def _structured(n: int, polytope, max_bases: int):
     # Distinct by construction: the permutations are, and relative
     # interiors of distinct edges are disjoint.
     return tuple(sorted(map(RationalMatrix, matrices), key=_flat)), stats
+
+
+def _symmetric_count(n: int, diagonal: bool) -> int:
+    """Vertices of the symmetric doubly stochastic n x n matrices, zero diagonal unless ``diagonal``.
+
+    n! [x^n] exp(x + x^2/2 + sum over odd k >= 3 of x^k / (2k)), without the
+    x term for a zero diagonal: the exponent's k-th coefficient times k!
+    counts the cycles on k labels up to orientation, (k - 1)! / 2 for odd
+    k >= 3.  The count of degree m sums over the cycle through the lowest
+    label.
+    """
+    cycles = [0, int(diagonal), 1] + [k % 2 * math.factorial(k - 1) // 2 for k in range(3, n + 1)]
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(math.comb(m - 1, k - 1) * cycles[k] * counts[m - k]
+                          for k in range(1, m + 1)))
+    return counts[n]
+
+
+def _symmetric_permutations(n: int, diagonal: bool) -> np.ndarray:
+    """One permutation P per symmetric vertex (P + P^T) / 2, one per row.
+
+    Row k holds the column of each matrix row's one.  The cycle through the
+    lowest unused label is a fixed point (only with ``diagonal``), a 2-cycle
+    or an odd cycle, entered in the one orientation whose second label is
+    below its last.
+    """
+    out = []
+    p = list(range(n))
+
+    def walk(free: tuple[int, ...]) -> None:
+        if not free:
+            out.append(p.copy())
+            return
+        first, rest = free[0], free[1:]
+        if diagonal:
+            p[first] = first
+            walk(rest)
+        for size in (2, *range(3, len(free) + 1, 2)):
+            for others in itertools.permutations(rest, size - 1):
+                if others[0] > others[-1]:
+                    continue
+                cycle = (first, *others)
+                for a, b in zip(cycle, (*others, first)):
+                    p[a] = b
+                walk(tuple(v for v in rest if v not in others))
+
+    walk(tuple(range(n)))
+    return np.array(out, dtype=np.intp).reshape(-1, n)
+
+
+def _symmetric(n: int, polytope, max_bases: int):
+    """Vertices of the symmetric doubly stochastic matrices: ``(vertices, stats)``.
+
+    The vertices are (P + P^T) / 2 over the permutations P whose cycles have
+    length 2 or odd length, fixed points only where the diagonal is free
+    (Katz, 1970; Balinski, 1965).  Their count is charged n^2 units each
+    before any is listed.
+    """
+    diagonal = bool(polytope.std[0][0] >= 0)  # entry (1, 1) has a column: the diagonal is free
+    count = _symmetric_count(n, diagonal)
+    _charge(n * n * count, max_bases)
+    perms = _symmetric_permutations(n, diagonal)
+    ones = np.zeros((len(perms), n, n), dtype=np.int8)
+    ones[np.arange(len(perms))[:, None], np.arange(n), perms] = 1
+    doubled = (ones + ones.transpose(0, 2, 1)).reshape(len(perms), n * n)
+    # Entries are 0, 1/2 and 1, so their doubles order the vertices as _flat does.
+    doubled = doubled[np.lexsort(doubled.T[::-1])]
+    # Each distinct row of Fractions is built once and shared; a row's digits
+    # base 3 name it.
+    values = (Fraction(0), Fraction(1, 2), Fraction(1))
+    flat_rows = doubled.reshape(-1, n)
+    _, first, index = np.unique(flat_rows @ 3 ** np.arange(n), return_index=True,
+                                return_inverse=True)
+    rows = [tuple(values[v] for v in row) for row in flat_rows[first].tolist()]
+    vertices = tuple(
+        RationalMatrix(tuple(rows[r] for r in matrix))
+        for matrix in index.reshape(-1, n).tolist()
+    )
+    return vertices, dict(counted=count, fixed=polytope.fixed, merged=polytope.merged)
 
 
 # ---------------------------------------------------------------------------

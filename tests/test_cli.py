@@ -359,10 +359,14 @@ def test_ensemble_counts_past_the_caps_exit_three(tmp_path, capsys, argv):
     assert not target.exists()
 
 
-def _derangement_spec(tmp_path, n):
-    path = tmp_path / f"der{n}.json"
-    path.write_text(json.dumps({"n": n, "s": list(range(n)), "constraints": {"family": "derangement"}}))
+def _family_spec(tmp_path, family, n):
+    path = tmp_path / f"{family}{n}.json"
+    path.write_text(json.dumps({"n": n, "s": list(range(n)), "constraints": {"family": family}}))
     return str(path)
+
+
+def _derangement_spec(tmp_path, n):
+    return _family_spec(tmp_path, "derangement", n)
 
 
 def test_bounds_shared_image_exits_three_and_writes_nothing(tmp_path, capsys):
@@ -463,6 +467,25 @@ def test_derangement_10_vertices_exit_three_on_the_work_budget(tmp_path, capsys)
     code, out, err = _run(capsys, "vertices", _derangement_spec(tmp_path, 10))
     assert code == 3 and out == ""
     assert err.startswith("error: over 60000 permutations") and "Traceback" not in err
+
+
+def test_pure_involution_8_vertices_and_bounds(tmp_path, capsys):
+    # The symmetric polytope's 1,057 vertices come by closed form.
+    spec = _family_spec(tmp_path, "pure_involution", 8)
+    code, out, _ = _run(capsys, "vertices", spec)
+    doc = json.loads(out)
+    assert code == 0 and (doc["num_vertices"], doc["num_integral"]) == (1_057, 105)
+    code, out, _ = _run(capsys, "bounds", spec, "--snr", "0:8:4")
+    assert code == 0 and len(list(csv.DictReader(io.StringIO(out)))) == 3
+
+
+@pytest.mark.parametrize("family,n", [("pure_involution", 12), ("involution", 10)])
+def test_symmetric_vertices_exit_three_on_the_work_budget(tmp_path, capsys, family, n):
+    # pure_involution(12) has 13,067,659 vertices and involution(10) 635,984,
+    # n^2 units each: past 6e6, refused before any is listed.
+    code, out, err = _run(capsys, "vertices", _family_spec(tmp_path, family, n))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "units of work exceed" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -369,19 +369,38 @@ def _fraction_gauss_jordan(mat, rhs):
     return pivots, a, 1
 
 
+def _exact_bases(cs):
+    """``(cols, x)`` for every column basis of the standard form's independent rows.
+
+    x maps each basic column to its value, solved in Fractions, or is None
+    when the basis is singular.  An inconsistent system has no basis.
+    """
+    std = _code_polytope(cs).std
+    if std is None:
+        return
+    _, rows, rhs, _ = std
+    a, b = rows.astype(np.int64), rhs.astype(np.int64).tolist()
+    reduced = _fraction_gauss_jordan(a.tolist(), b)
+    if reduced is None:
+        return
+    kept = sorted(r for r, _ in reduced[0])
+    a, b = a[kept], [b[r] for r in kept]
+    for cols in itertools.combinations(range(a.shape[1]), len(kept)):
+        solved = _fraction_gauss_jordan(a[:, cols].tolist(), b)
+        if solved is None or len(solved[0]) < len(kept):
+            yield cols, None
+        else:  # pivot k sits in basis column k
+            yield cols, {cols[k]: row[-1] for (_, k), row in zip(solved[0], solved[1])}
+
+
 def _exact_basis_counts(cs):
     """(bases, nonsingular, feasible) over every column basis, solved in Fractions."""
-    _, rows, rhs, _ = _code_polytope(cs).std
-    a, b = rows.astype(np.int64), rhs.astype(np.int64).tolist()
-    kept = sorted(r for r, _ in _fraction_gauss_jordan(a.tolist(), b)[0])
-    a, b = a[kept], [b[r] for r in kept]
     counts = [0, 0, 0]
-    for cols in itertools.combinations(range(a.shape[1]), len(kept)):
+    for _, x in _exact_bases(cs):
         counts[0] += 1
-        solved = _fraction_gauss_jordan(a[:, cols].tolist(), b)
-        if solved is not None and len(solved[0]) == len(kept):
+        if x is not None:
             counts[1] += 1
-            counts[2] += all(row[-1] >= 0 for row in solved[1])
+            counts[2] += min(x.values()) >= 0
     return tuple(counts)
 
 
@@ -530,7 +549,116 @@ def test_structured_stats_count_candidates_and_pairs():
     # 294 of the 6 * 78 pairs across it are edges.
     assert enumerate_vertices(_fixpair_cs(5), 5).stats == {
         "method": "row", "candidates": 414, "pairs": 468, "feasible": 330, "fixed": 0, "merged": 0}
-    assert enumerate_vertices(pure_involution(6), 6).stats["method"] == "screen"
+
+
+# ---------------------------------------------------------------------------
+# Symmetric polytopes: (P + P^T) / 2 by closed form
+# ---------------------------------------------------------------------------
+
+_INVOLUTION_COUNTS = [1, 2, 5, 14, 58, 238, 1_516, 9_020, 79_892, 635_984, 7_127_764, 70_757_968]
+_PURE_INVOLUTION_COUNTS = [0, 1, 1, 3, 22, 25, 717, 1_057, 39_196, 98_829, 3_450_925, 13_067_659]
+
+
+def test_symmetric_counts_follow_the_generating_function():
+    for diagonal, counts in ((True, _INVOLUTION_COUNTS), (False, _PURE_INVOLUTION_COUNTS)):
+        assert [polytope._symmetric_count(n, diagonal) for n in range(1, 13)] == counts
+        for n in range(1, 9):
+            perms = polytope._symmetric_permutations(n, diagonal)
+            assert len(perms) == counts[n - 1]
+            # Permutations, each matrix P + P^T once.
+            assert (np.sort(perms, axis=1) == np.arange(n)).all()
+            doubled = np.zeros((len(perms), n, n), dtype=np.int8)
+            doubled[np.arange(len(perms))[:, None], np.arange(n), perms] += 1
+            doubled = doubled + doubled.transpose(0, 2, 1)
+            assert len(np.unique(doubled.reshape(len(perms), n * n), axis=0)) == len(perms)
+            assert diagonal or not np.diagonal(doubled, axis1=1, axis2=2).any()
+
+
+@pytest.mark.parametrize(
+    "cs,n",
+    [(involution(n), n) for n in range(2, 7)]
+    + [(pure_involution(n), n) for n in range(2, 8)]
+    + [pytest.param(pure_involution(8), 8, marks=pytest.mark.slow)],
+    ids=[f"involution{n}" for n in range(2, 7)] + [f"pinv{n}" for n in range(2, 9)],
+)
+def test_symmetric_vertices_equal_the_screen(cs, n):
+    # The screen takes about 4 s on pinv8.
+    assert _assert_equals_screen(cs, n).stats["method"] == "symmetric"
+
+
+def test_symmetric_edge_degrees():
+    # involution(1) merges nothing, so it stays a face; pure_involution(1)
+    # is empty; odd pure involutions have only fractional vertices.
+    assert enumerate_vertices(involution(1), 1).stats["method"] == "face"
+    assert len(_assert_equals_screen(involution(1), 1)) == 1
+    assert len(_assert_equals_screen(pure_involution(1), 1)) == 0
+    for n, count in ((3, 1), (5, 22), (7, 717)):
+        vs = enumerate_vertices(pure_involution(n), n)
+        assert (len(vs), len(vs.integral)) == (count, 0)
+    third = enumerate_vertices(pure_involution(3), 3).vertices[0]
+    half, zero = Fraction(1, 2), Fraction(0)
+    assert third.entries == ((zero, half, half), (half, zero, half), (half, half, zero))
+
+
+def test_symmetric_stats_and_large_degrees():
+    assert enumerate_vertices(pure_involution(6), 6).stats == {
+        "method": "symmetric", "counted": 25, "fixed": 6, "merged": 15}
+    assert enumerate_vertices(involution(4), 4).stats == {
+        "method": "symmetric", "counted": 14, "fixed": 0, "merged": 6}
+    vs = enumerate_vertices(pure_involution(8), 8)
+    assert (len(vs), len(vs.integral)) == (1_057, 105)
+    vs = enumerate_vertices(involution(8), 8)
+    assert (len(vs), len(vs.integral)) == (9_020, 764)
+    for v in vs.vertices[::97]:
+        _assert_satisfies_exactly(involution(8), v)
+        assert _is_extreme(involution(8), v)
+
+
+def _rows_cs(n, rows):
+    return ConstraintSystem(n, tuple(ConstraintRow.make(c, Relation.EQ, 0) for c in rows))
+
+
+def _tie(n, a, b):
+    """x_a - x_b = 0, with a and b (i, j) pairs."""
+    return {var_index(*a, n): 1, var_index(*b, n): -1}
+
+
+def test_symmetric_tag_reads_the_presolve_not_the_family():
+    n = 4
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, i)]
+    # The symmetry rows flipped and reordered, and the zero diagonal as one
+    # row per entry: still symmetric.
+    flipped = [_tie(n, (j, i), (i, j)) for i, j in reversed(pairs)]
+    assert _code_polytope(_rows_cs(n, flipped)).method == "symmetric"
+    diag = [{var_index(i, i, n): 1} for i in range(1, n + 1)]
+    assert _code_polytope(_rows_cs(n, flipped + diag)).method == "symmetric"
+    # Near misses take the screen: one pair left unmerged, one diagonal
+    # entry fixed, two diagonal entries tied, an entry tied to one that is
+    # not its transpose, a row left beside the Birkhoff rows.
+    assert _code_polytope(_rows_cs(n, flipped[1:])).method == "screen"
+    assert _code_polytope(_rows_cs(n, flipped + diag[:1])).method == "screen"
+    assert _code_polytope(_rows_cs(n, flipped + [_tie(n, (1, 1), (2, 2))])).method == "screen"
+    assert _code_polytope(_rows_cs(n, flipped + [_tie(n, (1, 2), (1, 3))])).method == "screen"
+    assert _code_polytope(transposition(n, with_symmetry=True)).method == "screen"
+    cap = ConstraintRow.make({var_index(1, 1, n): 1}, Relation.LE, 1)
+    assert _code_polytope(ConstraintSystem(n, involution(n).rows + (cap,))).method == "screen"
+
+
+def test_symmetric_work_is_charged_before_listing(monkeypatch):
+    # n^2 = 36 units per vertex: 25 vertices fit 900 units, not 899.
+    assert len(enumerate_vertices(pure_involution(6), 6, max_bases=900)) == 25
+    listed = []
+    real = polytope._symmetric_permutations
+    monkeypatch.setattr(polytope, "_symmetric_permutations",
+                        lambda *args: listed.append(args) or real(*args))
+    with pytest.raises(BasisBudgetError, match="900 units of work exceed the budget of 899"):
+        enumerate_vertices(pure_involution(6), 6, max_bases=899)
+    # involution(10): 635,984 vertices at 100 units each pass 6e6.
+    with pytest.raises(BasisBudgetError, match="63598400 units"):
+        enumerate_vertices(involution(10), 10)
+    with pytest.raises(BasisBudgetError):
+        enumerate_vertices(pure_involution(12), 12)
+    assert listed == []
 
 
 @pytest.mark.parametrize("cs", [pure_involution(6), _fixpair_cs(5)],
@@ -729,18 +857,22 @@ def _oracle_screen(run, *args):
 
 
 @pytest.mark.parametrize(
-    "cs",
-    [involution(4), block(4, 2), block(4, 2, redundant=True), pure_involution(6)],
+    "cs,method",
+    [(involution(4), "symmetric"), (block(4, 2), "screen"),
+     (block(4, 2, redundant=True), "screen"), (pure_involution(6), "symmetric")],
     ids=["involution4", "block4", "block4_2r", "pinv6"],
 )
-def test_screen_vertices_equal_those_of_the_fraction_oracle(cs):
-    # The acceptance instances that take the screen: the same entry strings,
-    # in the same order, and the same stats.
+def test_screen_vertices_equal_those_of_the_fraction_oracle(cs, method):
+    # The acceptance instances that took the screen, screened directly: the
+    # same entry strings, in the same order, and the same stats.  The
+    # symmetric ones now enumerate by closed form, to the same vertices.
+    vertices, stats = _screened(cs, cs.n)
+    want, want_stats = _oracle_screen(_screened, cs, cs.n)
+    assert _vertex_strings(vertices) == _vertex_strings(want)
+    assert stats == want_stats
     vs = enumerate_vertices(cs, cs.n)
-    want = _oracle_screen(enumerate_vertices, cs, cs.n)
-    assert vs.stats["method"] == "screen"
-    assert _vertex_strings(vs.vertices) == _vertex_strings(want.vertices)
-    assert vs.stats == want.stats
+    assert vs.stats["method"] == method
+    assert _vertex_strings(vs.vertices) == _vertex_strings(vertices)
 
 
 @settings(max_examples=40, derandomize=True)
@@ -750,3 +882,61 @@ def test_screen_on_random_systems_equals_the_fraction_oracle(cs):
     want, want_stats = _oracle_screen(_screened, cs, cs.n)
     assert _vertex_strings(vertices) == _vertex_strings(want)
     assert stats == want_stats
+
+
+def _exact_walk(cs):
+    """Vertices of the code polytope: its feasible bases, each solved in Fractions."""
+    n, verts = cs.n, {}
+    for _, x in _exact_bases(cs):
+        if x is None or min(x.values()) < 0:
+            continue
+        columns = _code_polytope(cs).std[0]  # -1, a fixed entry, is never basic: it reads 0
+        v = RationalMatrix(tuple(tuple(Fraction(x.get(columns[i * n + j], 0)) for j in range(n))
+                                 for i in range(n)))
+        verts.setdefault(polytope._flat(v), v)
+    return tuple(verts[k] for k in sorted(verts))
+
+
+def _large_rows(rng, count):
+    """n = 3 systems of two eq rows, coefficients and rhs c * 2^e + d, |c| <= 3, 40 <= e <= 48, |d| <= 2."""
+    def big():
+        return int(rng.choice([-3, -2, -1, 1, 2, 3])) * 2 ** int(rng.integers(40, 49)) + int(
+            rng.integers(-2, 3))
+
+    for _ in range(count):
+        rows = []
+        for _ in range(2):
+            pos = (rng.choice(9, size=3, replace=False) + 1).tolist()
+            rows.append(ConstraintRow.make({p: big() for p in pos}, Relation.EQ, big()))
+        yield ConstraintSystem(3, tuple(rows))
+
+
+def test_screen_solves_exactly_the_bases_lapack_refuses():
+    # LAPACK calls one of these bases singular although its float det
+    # passes; the batched solve used to raise LinAlgError for all 36 bases.
+    cs = ConstraintSystem(3, (
+        ConstraintRow.make({3: 70368744177665, 4: -70368744177662, 9: 70368744177665},
+                           Relation.EQ, -70368744177663),
+        ConstraintRow.make({6: -8796093022209, 7: -17592186044416, 9: -17592186044415},
+                           Relation.EQ, 8796093022207),
+    ))
+    vs = enumerate_vertices(cs, 3)
+    assert vs.vertices == _exact_walk(cs) == ()
+    assert vs.stats["bases"] == 36 and vs.stats["solved"] >= 1
+
+
+def test_screen_on_large_rows_equals_the_exact_walk(monkeypatch):
+    # A seeded family of large-coefficient systems; LAPACK refuses a basis
+    # in two of them (the 97th and the 109th).
+    refused = []
+    real = polytope._solve_batch
+
+    def spy(*args):
+        sols, mask = real(*args)
+        refused.append(int(mask.sum()))
+        return sols, mask
+
+    monkeypatch.setattr(polytope, "_solve_batch", spy)
+    for cs in _large_rows(np.random.default_rng(0), 120):
+        assert enumerate_vertices(cs, 3).vertices == _exact_walk(cs)
+    assert sum(refused) >= 2
