@@ -80,6 +80,7 @@ def _report(kind: str, sigma: float, spectra: Iterable, arg: Callable) -> BoundR
     values: list[float] = []
     worst = (0.0, (1, 1))
     q: dict[float, float] = {}  # chunks of one code share most of their distances
+    buf = None  # the terms of every chunk, allocated at the first, the largest
     for keys, inverse in spectra:
         # A tiny sigma overflows an argument to inf, or (below 2.5e-312, with
         # d >= 1e-12) sends sigma d to 0 and b / 0 to inf: Q = 0 either way.
@@ -89,7 +90,11 @@ def _report(kind: str, sigma: float, spectra: Iterable, arg: Callable) -> BoundR
         for a in args:
             if a not in q:
                 q[a] = q_function(a)
-        terms = np.take(np.array([q[a] for a in args])[index], inverse)
+        if buf is None:
+            buf = np.empty(inverse.shape)
+        # mode="clip" (the indices are in range) takes without a buffered copy.
+        terms = np.take(np.array([q[a] for a in args])[index], inverse, out=buf[: len(inverse)],
+                        mode="clip")
         r, t = divmod(int(terms.argmax()), terms.shape[1])
         if terms[r, t] > worst[0]:
             worst = (terms[r, t], (len(values) + r + 1, t + 1))

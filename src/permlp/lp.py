@@ -614,9 +614,10 @@ class _CodePolytope:
     ``std`` is the standard form of the Birkhoff rows and cs.rows (None when
     inconsistent), whose presolve fixed ``fixed`` entries at zero and merged
     ``merged`` into another; ``method`` is how ``permlp.polytope`` walks its
-    vertices: "face" (only the Birkhoff rows left, nothing merged), "row"
-    (one row more), "symmetric" (see ``_is_symmetric``) or "screen" (any
-    other); ``packed`` holds those rows as given (``_pack``'s arrays).
+    vertices: with nothing merged, "face" (only the Birkhoff rows left),
+    "row" (one row more) or "cuts" (two or more), and otherwise "symmetric"
+    (see ``_is_symmetric``) or "screen" (any other, and an inconsistent
+    ``std``); ``packed`` holds those rows as given (``_pack``'s arrays).
     ``cube`` and ``bound`` hold cs.rows as exact int64 ``<=`` rows, an equality
     as two, ``cube[i, j]`` holding entry (i, j)'s coefficients: checking a
     permutation matrix is one gather and one comparison.  Arrays are read-only.
@@ -678,10 +679,10 @@ def _code_polytope(cs: ConstraintSystem) -> _CodePolytope:
     fixed = int(np.count_nonzero(columns < 0))
     merged = n * n - fixed - (int(columns.max()) + 1)
     # The 2n Birkhoff rows survive the presolve; with nothing merged and no row
-    # besides, the polytope is a Birkhoff face, and one more row cuts that face.
+    # besides, the polytope is a Birkhoff face, and each row besides cuts it.
     extra = None if std is None else len(std[1]) - 2 * n
     if not merged:
-        method = {0: "face", 1: "row"}.get(extra, "screen")
+        method = "screen" if std is None else {0: "face", 1: "row"}.get(extra, "cuts")
     else:
         method = "symmetric" if extra == 0 and _is_symmetric(columns, n) else "screen"
     packed = (rows, rhs, eq)

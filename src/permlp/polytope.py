@@ -6,15 +6,20 @@ reads too (``permlp.lp._code_polytope``): its standard form (the presolved
 rows plus one slack per <= row) and its method.  Vertices are exact rationals
 sorted by their row-major entries, and every method returns the same list.
 
-* Face: only the Birkhoff rows are left and nothing is merged.  The
+* Face, row and cuts: nothing is merged, and no row (face), one row (row)
+  or more (cuts) is left beside the Birkhoff rows.  Without a row the
   polytope is the face of the Birkhoff polytope whose fixed entries are
   zero, so its vertices are its permutation matrices (Birkhoff-von Neumann).
-* Row: one more row is left and nothing is merged.  The vertices are the
-  face's permutations on the row (for a <= row, also those inside it),
-  plus the point where the row crosses each edge [P, Q] of the face whose
-  ends lie strictly on opposite sides.  P and Q span an edge iff P^-1 Q is
-  a single cycle (Brualdi & Gibson, "Convex polyhedra of doubly stochastic
-  matrices I", J. Combin. Theory A, 1977).
+  Each row left then cuts the polytope in turn, by the double description
+  method: the vertices on the row (for a <= row, also those inside it)
+  stay, and the row adds the point where it crosses each edge [u, v] whose
+  ends lie strictly on opposite sides.  The face's permutations P and Q
+  span an edge iff P^-1 Q is a single cycle (Brualdi & Gibson, "Convex
+  polyhedra of doubly stochastic matrices I", J. Combin. Theory A, 1977);
+  after the first cut, two vertices span an edge iff no third vertex is
+  zero wherever both are (Fukuda & Prodon, "Double description method
+  revisited", 1996).  Vertices are exact integer numerators over one
+  denominator throughout, so no float decides anything.
 * Symmetric: only the Birkhoff rows are left, and the presolve merged each
   off-diagonal entry with its transpose only, with the diagonal all free or
   all fixed at zero (involution, pure involution).  The polytope is the
@@ -23,14 +28,18 @@ sorted by their row-major entries, and every method returns the same list.
   matrix per pair of orientations of a cycle, with fixed points only where
   the diagonal is free (Katz, "On the extreme points of a certain convex
   polytope", J. Combin. Theory, 1970; Balinski, 1965, for the zero diagonal).
-* Screen: every other system.  Its independent rows are kept and every
-  column basis is walked; the basic feasible solutions are the vertices.
+* Screen: every other system, that is, one with merged entries that is
+  not symmetric, or one the presolve finds inconsistent (no vertex).  Its
+  independent rows are kept and every column basis is walked; the basic
+  feasible solutions are the vertices.
 
 The screen is a batched floating-point prefilter over candidate bases.  The
 selected rows stay integral, so a basis determinant is an integer: the float
 determinant cleanly separates singular bases, and generously-tolerant
 feasibility screening only discards bases whose exact solution would be
-clearly negative.  Every surviving candidate is re-solved exactly by
+clearly negative.  Both assume small row entries: with entries of 2^40 and
+more the prefilter can discard a vertex's basis or merge two vertices' float
+solutions.  Every surviving candidate is re-solved exactly by
 ``_gauss_jordan``, a fraction-free (Bareiss) elimination on Python ints that
 also picks the independent rows; a vertex's Fractions are built once, from
 its integer numerators over their common denominator.
@@ -65,6 +74,16 @@ _SCREEN_CHUNK = 4096
 
 # Permutation pairs tested for adjacency per vectorized batch.
 _EDGE_CHUNK = 1 << 16
+
+# Vertex pairs times vertices per batch of _adjacent's containment test: an
+# 8 MB array of words, one zero-set word at a time.
+_ADJACENCY_CHUNK = 1 << 20
+
+# _adjacent's containment tests (one vertex pair against one zero-set word of
+# one vertex) that cost as much as the screen's test of one basis: 1.3-1.7
+# ns per test against 1.6 us per basis of the fixpair5 screen (3,268,760
+# bases), on one core of a shared 2-core Xeon.
+_TESTS_PER_UNIT = 1000
 
 # Start rows times images per pairwise_terms chunk.  The kernel holds a chunk
 # in (rows, images) float arrays of 128 KB each at any n: d, one column of
@@ -155,13 +174,14 @@ class VertexSet:
     """All vertices of one code polytope, deterministically ordered.
 
     ``stats`` records the work of :func:`enumerate_vertices`: the ``method``
-    that ran ("face", "row", "symmetric" or "screen") and the entries its
-    presolve fixed at zero and merged into another.  The screen adds column
-    bases in total, nonsingular and feasible in floats, and solved exactly.
-    The face and row methods add the candidates counted (the face's
-    permutations plus the crossing edges), the permutation pairs tested for
-    an edge, and the candidates that are vertices (``feasible``).  The
-    symmetric method adds the vertices its generating function ``counted``.
+    that ran ("face", "row", "cuts", "symmetric" or "screen") and the
+    entries its presolve fixed at zero and merged into another.  The screen
+    adds column bases in total, nonsingular and feasible in floats, and
+    solved exactly.  The face, row and cuts methods add the ``candidates``
+    (the face's permutations plus every crossing of a row with an edge),
+    the vertex ``pairs`` across each row, summed over the rows, and the
+    vertices left after the last row (``feasible``).  The symmetric method
+    adds the vertices its generating function ``counted``.
     It is None for a set built by hand.
     """
 
@@ -261,9 +281,11 @@ def enumerate_vertices(
 
     ``max_bases`` bounds the work; past it BasisBudgetError is raised before
     the work starts.  The screen charges one unit per column basis.  The
-    face and row methods charge n^2 per candidate vertex plus one per
-    permutation pair tested, the symmetric method n^2 per vertex it counts,
-    and they check before they build any Fraction.
+    face, row and cuts methods charge n^2 per permutation of the face and
+    per crossing, one per permutation pair across the first row, and, for
+    each later row, its pairs times the vertices times their zero-set words
+    over ``_TESTS_PER_UNIT``; the symmetric method charges n^2 per vertex it
+    counts.  Each checks before it builds any Fraction.
     """
     if cs.n != n:
         raise ValueError("constraint system degree does not match n")
@@ -482,14 +504,48 @@ def _charge(work: int, max_bases: int) -> None:
         )
 
 
-def _structured(n: int, polytope, max_bases: int):
-    """Vertices of a Birkhoff face cut by at most one row: ``(vertices, stats)``.
+def _adjacent(zero: np.ndarray, above: np.ndarray, below: np.ndarray):
+    """Index pairs (a, b) where vertices above[a] and below[b] span an edge of the polytope.
 
-    The face's vertices are its permutation matrices (Birkhoff-von Neumann).
-    A row keeps those on it (an ``le`` row also those inside it) and adds
-    the point where it crosses each edge [P, Q] of the face whose ends lie
-    strictly on opposite sides.  Candidates are the face's permutations and
-    the crossing edges; ``feasible`` counts those that are vertices.
+    ``zero[k]`` marks the inequalities tight at vertex k: its zero entries
+    and the slacks of the ``le`` rows it lies on.  Two vertices span an edge
+    iff no third vertex is tight wherever both are (the combinatorial test
+    of Fukuda & Prodon, "Double description method revisited", 1996): the
+    vertices tight there are those of the least face holding both.  The
+    zero sets are packed 64 to a word, and a pair is an edge iff exactly
+    two vertices, its own ends, contain its common zeros.
+    """
+    words = np.packbits(np.pad(zero, ((0, 0), (0, -zero.shape[1] % 64))), axis=1).view(np.uint64)
+    free = np.ascontiguousarray(~words.T)  # (W, vertices)
+    width = len(below)
+    ups, downs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    step = max(1, _ADJACENCY_CHUNK // len(words))
+    for lo in range(0, len(above) * width, step):
+        a, b = np.divmod(np.arange(lo, min(lo + step, len(above) * width)), width)
+        common = words[above[a]] & words[below[b]]  # (pairs, W)
+        holders = np.ones((len(a), len(words)), dtype=bool)
+        for word, outside in zip(common.T, free):
+            holders &= (word[:, None] & outside) == 0
+        edge = np.count_nonzero(holders, axis=1) == 2
+        ups.append(a[edge])
+        downs.append(b[edge])
+    return np.concatenate(ups), np.concatenate(downs)
+
+
+def _structured(n: int, polytope, max_bases: int):
+    """Vertices of a Birkhoff face cut by every row the presolve left: ``(vertices, stats)``.
+
+    The face's vertices are its permutation matrices (Birkhoff-von Neumann),
+    and each row cuts the polytope so far in turn (the double description
+    method).  A row keeps the vertices on it (an ``le`` row also those
+    inside it) and adds the point where it crosses each edge [u, v] whose
+    ends lie strictly on opposite sides.  The first row finds the face's
+    edges by ``_edges``, later rows by ``_adjacent``'s zero-set test.
+    Vertices are integer numerators over one reduced denominator each, so
+    no step rounds; their Fractions are built once, at the end.
+    ``candidates`` counts the face's permutations and every crossing,
+    ``pairs`` the vertex pairs across each row, and ``feasible`` the
+    vertices of the cut polytope.
     """
     columns, rows, rhs, is_eq = polytope.std
     stats = dict(candidates=0, pairs=0, feasible=0, fixed=polytope.fixed, merged=polytope.merged)
@@ -500,39 +556,68 @@ def _structured(n: int, polytope, max_bases: int):
             f"over {max_bases // unit} permutations at {unit} units each exceed the "
             f"budget of {max_bases}; raise max_bases"
         )
-    one, zero = Fraction(1), Fraction(0)
-    units = [tuple(one if j == c else zero for j in range(n)) for c in range(n)]
-    kept, crossings = perms, []
-    if len(rows) > 2 * n:
-        live = columns >= 0
-        coeffs = np.zeros(n * n, dtype=np.int64)
-        coeffs[live] = rows[2 * n, columns[live]]
-        values = coeffs.reshape(n, n)[np.arange(n), perms].sum(axis=1)
-        b = int(rhs[2 * n])
-        kept = perms[values == b if is_eq[2 * n] else values <= b]
-        above, below = values > b, values < b
-        stats["pairs"] = int(above.sum()) * int(below.sum())
-        work = unit * len(perms) + stats["pairs"]
+    # Vertex k is num[k] / den[k], row-major; Python ints, so nothing overflows.
+    ones = perms + np.arange(0, unit, n)
+    num = np.zeros((len(perms), unit), dtype=object)
+    np.put_along_axis(num, ones, 1, axis=1)
+    den = np.ones(len(perms), dtype=object)
+    live = columns >= 0
+    cuts = range(2 * n, len(rows))
+    zero = None  # the zero sets _adjacent reads, kept from the second cut on
+    if len(cuts) > 1:
+        zero = np.ones((len(perms), unit), dtype=bool)
+        np.put_along_axis(zero, ones, False, axis=1)
+    work = unit * len(perms)
+    stats["candidates"] = len(perms)
+    for k, r in enumerate(cuts):
+        if not len(num):  # the rows so far leave nothing
+            break
+        coeffs = np.zeros(unit, dtype=object)
+        coeffs[live] = rows[r, columns[live]].astype(np.int64).tolist()
+        h = num.dot(coeffs) - int(rhs[r]) * den  # the row's excess, times den
+        above, below, on = h > 0, h < 0, h == 0
+        keep = on if is_eq[r] else ~above
+        pairs = int(above.sum()) * int(below.sum())
+        stats["pairs"] += pairs
+        above, below = np.flatnonzero(above), np.flatnonzero(below)
+        if k == 0:
+            work += pairs
+            _charge(work, max_bases)
+            ups, downs = _edges(perms[above], perms[below])
+        else:
+            words = -(-zero.shape[1] // 64)  # per vertex, as _adjacent packs them
+            work += -(-pairs * len(num) * words // _TESTS_PER_UNIT)
+            _charge(work, max_bases)
+            ups, downs = _adjacent(zero, above, below)
+        work += unit * len(ups)
         _charge(work, max_bases)
-        ups, downs = _edges(perms[above], perms[below])
-        _charge(work + unit * len(ups), max_bases)
-        for p, q, vp, vq in zip(
-            perms[above][ups].tolist(), perms[below][downs].tolist(),
-            values[above][ups].tolist(), values[below][downs].tolist(),
-        ):
-            lam = Fraction(b - vq, vp - vq)
-            mu = one - lam
-            crossings.append(tuple(
-                units[pc] if pc == qc
-                else tuple(lam if c == pc else mu if c == qc else zero for c in range(n))
-                for pc, qc in zip(p, q)
-            ))
-    stats["candidates"] = len(perms) + len(crossings)
-    stats["feasible"] = len(kept) + len(crossings)
-    matrices = [tuple(units[c] for c in p) for p in kept.tolist()] + crossings
-    # Distinct by construction: the permutations are, and relative
-    # interiors of distinct edges are disjoint.
-    return tuple(sorted(map(RationalMatrix, matrices), key=_flat)), stats
+        u, v = above[ups], below[downs]
+        hu, hv = h[u], h[v]
+        cross = hu[:, None] * num[v] - hv[:, None] * num[u]
+        cross_den = hu * den[v] - hv * den[u]
+        g = np.gcd.reduce(np.column_stack([cross, cross_den]), axis=1)
+        if zero is not None:
+            zero = np.vstack([zero[keep], zero[u] & zero[v]])
+            if not is_eq[r]:  # the row's slack: zero on it, hence at every crossing
+                zero = np.column_stack([zero, np.append(on[keep], np.ones(len(u), dtype=bool))])
+        num = np.vstack([num[keep], cross // g[:, None]])
+        den = np.concatenate([den[keep], cross_den // g])
+        stats["candidates"] += len(u)
+    stats["feasible"] = len(num)
+    # Each distinct row of Fractions is built once and shared.
+    built: dict[tuple, tuple[Fraction, ...]] = {}
+    matrices = []
+    for entries, d in zip(num.tolist(), den.tolist()):
+        matrix = []
+        for i in range(0, unit, n):
+            key = (d, *entries[i : i + n])
+            if key not in built:
+                built[key] = tuple(Fraction(p, d) for p in entries[i : i + n])
+            matrix.append(built[key])
+        matrices.append(RationalMatrix(tuple(matrix)))
+    # Distinct by construction: a row keeps distinct vertices, and the
+    # relative interiors of distinct edges are disjoint.
+    return tuple(sorted(matrices, key=_flat)), stats
 
 
 def _symmetric_count(n: int, diagonal: bool) -> int:
@@ -655,17 +740,21 @@ def pairwise_terms(images: np.ndarray, starts: np.ndarray,
     v = images[t], d[r, t] = |v - x| and, with_b, b[r, t] = |x|^2 - v.x (else b
     is None).  Own pairs (t == starts[k]) read +inf in both, which no other pair
     reads once lp._check_scale(s) has passed.  The squared differences add up
-    one column at a time in d, with no (rows, len(images), n) temporary.
+    one column at a time in d, with no (rows, len(images), n) temporary.  The
+    arrays are allocated once per call and overwritten by the next chunk.
     """
     m = len(images)
     columns = np.ascontiguousarray(images.T)
     step = max(1, _PAIR_CHUNK // m)
+    d_buf = np.empty((min(step, len(starts)), m))
+    diff_buf = np.empty_like(d_buf)
+    b_buf = np.empty_like(d_buf) if with_b else None
     for lo in range(0, len(starts), step):
         idx = starts[lo : lo + step]
         x = images[idx]
         own = (np.arange(len(idx)), idx)
-        d = np.square(columns[0] - x[:, :1])
-        diff = np.empty_like(d)
+        d, diff = d_buf[: len(idx)], diff_buf[: len(idx)]
+        np.square(np.subtract(columns[0], x[:, :1], out=d), out=d)
         for column, xj in zip(columns[1:], x.T[1:, :, None]):
             np.subtract(column, xj, out=diff)
             d += np.square(diff, out=diff)
@@ -673,9 +762,28 @@ def pairwise_terms(images: np.ndarray, starts: np.ndarray,
         d[own] = np.inf
         b = None
         if with_b:
-            b = np.einsum("rj,rj->r", x, x)[:, None] - x @ images.T
+            b = np.matmul(x, images.T, out=b_buf[: len(idx)])
+            np.subtract(np.einsum("rj,rj->r", x, x)[:, None], b, out=b)
             b[own] = np.inf
         yield b, d
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, ranks)``: values' distinct entries in order, and each entry's index among them.
+
+    As np.unique(values, return_inverse=True), by one argsort, with ranks
+    shaped as values in the smallest unsigned type that fits.
+    """
+    flat = values.reshape(-1)
+    order = flat.argsort()
+    ordered = flat[order]
+    step = np.empty(flat.shape, dtype=bool)
+    step[0] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    ranks = np.empty(values.shape, dtype=np.min_scalar_type(np.count_nonzero(step)))
+    ranks.reshape(-1)[order] = np.cumsum(step, dtype=ranks.dtype)
+    step[0] = True
+    return ordered[step], ranks
 
 
 def _chunk_spectrum(b: Optional[np.ndarray], d: np.ndarray):
@@ -688,19 +796,16 @@ def _chunk_spectrum(b: Optional[np.ndarray], d: np.ndarray):
     Own pairs read +inf, so their key sorts last and is dropped.
     """
     if b is None:
-        d_keys, inverse = np.unique(d, return_inverse=True)
-        keys = (d_keys[:-1],)
-    else:
-        # Ranks of b, of d, then of one int64 code per pair, which orders the
-        # pairs as (b, d) does.  A float or int64 sort of a 12,912-pair chunk
-        # takes 250-400 us against 1.7-2.0 ms for one sort of complex (b, d).
-        b_keys, b_rank = np.unique(b, return_inverse=True)
-        d_keys, d_rank = np.unique(d, return_inverse=True)
-        codes, inverse = np.unique(b_rank * len(d_keys) + d_rank, return_inverse=True)
-        b_index, d_index = np.divmod(codes[:-1], len(d_keys))
-        keys = (b_keys[b_index], d_keys[d_index])
-    # numpy 1.x flattens np.unique's inverse of a 2-D array; numpy 2 keeps its shape.
-    return keys, inverse.reshape(d.shape).astype(np.min_scalar_type(len(keys[0])))
+        d_keys, inverse = _ranks(d)
+        return (d_keys[:-1],), inverse
+    # Ranks of b, of d, then of one int64 code per pair, which orders the
+    # pairs as (b, d) does.  A float or int64 sort of a 12,912-pair chunk
+    # takes 250-400 us against 1.7-2.0 ms for one sort of complex (b, d).
+    b_keys, b_rank = _ranks(b)
+    d_keys, d_rank = _ranks(d)
+    codes, inverse = _ranks(b_rank.astype(np.int64) * len(d_keys) + d_rank)
+    b_index, d_index = np.divmod(codes[:-1], len(d_keys))
+    return (b_keys[b_index], d_keys[d_index]), inverse
 
 
 def _pair_spectra(owner, key, images: np.ndarray, starts: np.ndarray, with_b: bool):

@@ -488,6 +488,18 @@ def test_symmetric_vertices_exit_three_on_the_work_budget(tmp_path, capsys, fami
     assert err.startswith("error: ") and "units of work exceed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("nu", [3, 2])
+def test_block_6_vertices_exit_three_on_the_work_budget(tmp_path, capsys, nu):
+    # The cuts' second row would test tens of millions of vertex pairs
+    # against every vertex: refused before the test runs.
+    path = tmp_path / f"block6_{nu}.json"
+    path.write_text(json.dumps({"n": 6, "s": list(range(6)),
+                                "constraints": {"family": "block", "params": {"nu": nu}}}))
+    code, out, err = _run(capsys, "vertices", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "units of work exceed" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

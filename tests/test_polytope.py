@@ -1,6 +1,7 @@
 """Exact vertex enumeration: feasibility, extremality, and known geometry."""
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -858,14 +859,15 @@ def _oracle_screen(run, *args):
 
 @pytest.mark.parametrize(
     "cs,method",
-    [(involution(4), "symmetric"), (block(4, 2), "screen"),
-     (block(4, 2, redundant=True), "screen"), (pure_involution(6), "symmetric")],
+    [(involution(4), "symmetric"), (block(4, 2), "cuts"),
+     (block(4, 2, redundant=True), "cuts"), (pure_involution(6), "symmetric")],
     ids=["involution4", "block4", "block4_2r", "pinv6"],
 )
 def test_screen_vertices_equal_those_of_the_fraction_oracle(cs, method):
     # The acceptance instances that took the screen, screened directly: the
-    # same entry strings, in the same order, and the same stats.  The
-    # symmetric ones now enumerate by closed form, to the same vertices.
+    # same entry strings, in the same order, and the same stats.  They now
+    # enumerate by closed form (symmetric) or by cutting the face (cuts), to
+    # the same vertices.
     vertices, stats = _screened(cs, cs.n)
     want, want_stats = _oracle_screen(_screened, cs, cs.n)
     assert _vertex_strings(vertices) == _vertex_strings(want)
@@ -897,17 +899,21 @@ def _exact_walk(cs):
     return tuple(verts[k] for k in sorted(verts))
 
 
-def _large_rows(rng, count):
-    """n = 3 systems of two eq rows, coefficients and rhs c * 2^e + d, |c| <= 3, 40 <= e <= 48, |d| <= 2."""
-    def big():
-        return int(rng.choice([-3, -2, -1, 1, 2, 3])) * 2 ** int(rng.integers(40, 49)) + int(
-            rng.integers(-2, 3))
+def _large_rows(rng, count, one_exponent=False):
+    """n = 3 systems of two eq rows, coefficients and rhs c * 2^e + d, |c| <= 3, 40 <= e <= 48, |d| <= 2.
+
+    Each coefficient draws its own e, or with one_exponent each row draws one.
+    """
+    def big(e=None):
+        c = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+        return c * 2 ** (int(rng.integers(40, 49)) if e is None else e) + int(rng.integers(-2, 3))
 
     for _ in range(count):
         rows = []
         for _ in range(2):
             pos = (rng.choice(9, size=3, replace=False) + 1).tolist()
-            rows.append(ConstraintRow.make({p: big() for p in pos}, Relation.EQ, big()))
+            e = int(rng.integers(40, 49)) if one_exponent else None
+            rows.append(ConstraintRow.make({p: big(e) for p in pos}, Relation.EQ, big(e)))
         yield ConstraintSystem(3, tuple(rows))
 
 
@@ -920,14 +926,15 @@ def test_screen_solves_exactly_the_bases_lapack_refuses():
         ConstraintRow.make({6: -8796093022209, 7: -17592186044416, 9: -17592186044415},
                            Relation.EQ, 8796093022207),
     ))
-    vs = enumerate_vertices(cs, 3)
-    assert vs.vertices == _exact_walk(cs) == ()
-    assert vs.stats["bases"] == 36 and vs.stats["solved"] >= 1
+    vertices, stats = _screened(cs, 3)
+    assert vertices == _exact_walk(cs) == enumerate_vertices(cs, 3).vertices == ()
+    assert stats["bases"] == 36 and stats["solved"] >= 1
 
 
 def test_screen_on_large_rows_equals_the_exact_walk(monkeypatch):
     # A seeded family of large-coefficient systems; LAPACK refuses a basis
-    # in two of them (the 97th and the 109th).
+    # in two of them (the 97th and the 109th).  They take the cuts, so the
+    # screen is called directly.
     refused = []
     real = polytope._solve_batch
 
@@ -938,5 +945,151 @@ def test_screen_on_large_rows_equals_the_exact_walk(monkeypatch):
 
     monkeypatch.setattr(polytope, "_solve_batch", spy)
     for cs in _large_rows(np.random.default_rng(0), 120):
-        assert enumerate_vertices(cs, 3).vertices == _exact_walk(cs)
+        assert _screened(cs, 3)[0] == _exact_walk(cs) == enumerate_vertices(cs, 3).vertices
     assert sum(refused) >= 2
+
+
+# ---------------------------------------------------------------------------
+# Cuts: a Birkhoff face cut by every row the presolve leaves
+# ---------------------------------------------------------------------------
+
+
+def _rows(n, *rows):
+    """A system of (coeffs, relation, rhs) rows."""
+    return ConstraintSystem(n, tuple(ConstraintRow.make(*row) for row in rows))
+
+
+_EQ, _LE = Relation.EQ, Relation.LE
+_CAP = ConstraintRow.make({var_index(1, 1, 4): 1, var_index(2, 2, 4): 1}, _LE, 1)
+
+
+@pytest.mark.parametrize(
+    "cs,n",
+    [
+        (block(4, 2), 4),
+        (block(4, 2, redundant=True), 4),
+        (ConstraintSystem(4, transposition(4).rows + (_CAP,)), 4),
+        # Inconsistent, though each row alone is not: the second row cuts
+        # away every vertex the first leaves.
+        (_rows(3, ({1: 1, 5: 1}, _EQ, 2), ({1: 1, 5: 1}, _LE, 1)), 3),
+        # A row repeated, and a row that every vertex of the first lies on.
+        (_rows(3, ({1: 1, 5: 1}, _EQ, 1), ({1: 1, 5: 1}, _EQ, 1), ({1: 2, 5: 2}, _LE, 2)), 3),
+        # Fixed entries beside two general rows.
+        (_rows(4, ({2: 1, 7: 1, 12: 1}, _EQ, 0), ({1: 1, 6: 2, 11: -1}, _EQ, 1),
+               ({3: 1, 8: 1, 16: 1}, _LE, 1)), 4),
+        # An le row tight at the crossings of the first: they read x11 = 1/2.
+        (_rows(3, ({1: 1, 5: 1}, _EQ, 1), ({1: 2}, _LE, 1)), 3),
+        (_rows(4, ({1: 1, 6: 1, 11: 1}, _EQ, 2), ({1: 2, 6: -1}, _LE, 1), ({16: 2}, _LE, 1)), 4),
+        (_rows(1, ({1: 1}, _EQ, 1), ({1: 2}, _LE, 2)), 1),
+        (_rows(1, ({1: 1}, _LE, 1), ({1: 2}, _LE, 1)), 1),
+        (_rows(2, ({1: 2, 4: 1}, _EQ, 2), ({1: 1}, _LE, 1)), 2),
+        (_rows(2, ({1: 2}, _LE, 1), ({2: 2}, _LE, 1)), 2),
+    ],
+    ids=["block4", "block4_2r", "transposition4_cap", "inconsistent", "redundant", "fixed",
+         "tight_le", "tight_le_n4", "n1", "n1_empty", "n2", "n2_half"],
+)
+def test_cuts_equal_the_screen(cs, n):
+    vs = _assert_equals_screen(cs, n)
+    assert vs.stats["method"] == "cuts"
+
+
+def test_cuts_edge_cases_have_the_expected_vertices():
+    # The inconsistent system is empty; the tight le row keeps the crossings
+    # of the first row, where x11 = x22 = 1/2; n = 1 keeps its one vertex;
+    # at n = 2 each pair of rows leaves one point between the two permutations.
+    assert len(enumerate_vertices(_rows(3, ({1: 1, 5: 1}, _EQ, 2), ({1: 1, 5: 1}, _LE, 1)), 3)) == 0
+    tight = enumerate_vertices(_rows(3, ({1: 1, 5: 1}, _EQ, 1), ({1: 2}, _LE, 1)), 3)
+    assert Fraction(1, 2) in {v.entries[0][0] for v in tight.vertices}
+    assert all(2 * v.entries[0][0] <= 1 for v in tight.vertices)
+    assert len(enumerate_vertices(_rows(1, ({1: 1}, _EQ, 1), ({1: 2}, _LE, 2)), 1)) == 1
+    assert len(enumerate_vertices(_rows(1, ({1: 1}, _LE, 1), ({1: 2}, _LE, 1)), 1)) == 0
+    at_n2 = [((({1: 2, 4: 1}, _EQ, 2), ({1: 1}, _LE, 1)), Fraction(2, 3)),
+             ((({1: 2}, _LE, 1), ({2: 2}, _LE, 1)), Fraction(1, 2))]
+    for rows, x11 in at_n2:
+        (vertex,) = enumerate_vertices(_rows(2, *rows), 2).vertices
+        assert vertex.entries == ((x11, 1 - x11), (1 - x11, x11))
+
+
+@st.composite
+def _cut_systems(draw):
+    """Two or three eq or le rows at n = 3 or two at n = 4, coefficients -2..3.
+
+    Each rhs lies near an anchor permutation's value on its row, so most
+    systems keep some vertices.
+    """
+    n = draw(st.integers(3, 4))
+    anchor = draw(st.permutations(range(n)))
+    rows = []
+    for _ in range(draw(st.integers(2, 3 if n == 3 else 2))):
+        pos = draw(st.lists(st.integers(1, n * n), min_size=2, max_size=n * n // 2, unique=True))
+        coeffs = {p: draw(st.sampled_from([-2, -1, 1, 2, 3])) for p in pos}
+        value = sum(c for p, c in coeffs.items() if anchor[(p - 1) // n] == (p - 1) % n)
+        rhs = value + draw(st.integers(-1, 1))
+        rows.append(ConstraintRow.make(coeffs, draw(st.sampled_from(list(Relation))), rhs))
+    return ConstraintSystem(n, tuple(rows))
+
+
+@settings(max_examples=40, derandomize=True)
+@given(_cut_systems())
+def test_cuts_match_the_screen_on_random_rows(cs):
+    _assert_equals_screen(cs, cs.n)
+
+
+def test_cuts_stats_count_candidates_and_pairs():
+    # block4: 24 permutations; four rows add 52 crossings in all and leave
+    # 28 vertices.  The redundant rows leave the 8 codewords.
+    assert enumerate_vertices(block(4, 2), 4).stats == {
+        "method": "cuts", "candidates": 76, "pairs": 320, "feasible": 28, "fixed": 0, "merged": 0}
+    assert enumerate_vertices(block(4, 2, redundant=True), 4).stats == {
+        "method": "cuts", "candidates": 76, "pairs": 372, "feasible": 8, "fixed": 0, "merged": 0}
+    assert _code_polytope(block(4, 2)).method == "cuts"
+    assert _code_polytope(_trace_cs(4, 2)).method == "row"
+
+
+_FOUND_LARGE = [
+    # The screen's float feasibility test discards this system's one vertex.
+    _rows(3, ({2: 828497040764736, 8: -2485491122294212, 9: -2485491122294209}, _EQ,
+              -2485491122294212),
+          ({1: 2485491122294209, 4: 2485491122294211, 7: 2485491122294211}, _EQ,
+           2485491122294209)),
+    # The screen groups float solutions at 1e-9 and drops two of six vertices.
+    _rows(3, ({2: 6597069766656, 8: 4398046511103, 9: 4398046511104}, _EQ, 4398046511106),
+          ({1: 17592186044418, 5: -8796093022206, 9: 17592186044417}, _EQ, 8796093022207)),
+]
+
+
+def test_cuts_on_large_rows_equal_the_exact_walk():
+    # The cuts take no float decision, so the entries' size does not matter.
+    # The screen lists 0 of 1 and 4 of 6 vertices on the two systems it is
+    # known to miss, and misses 3 of these 30 seeded systems.
+    for cs, count in zip(_FOUND_LARGE, (1, 6)):
+        vs = enumerate_vertices(cs, 3)
+        assert vs.stats["method"] == "cuts"
+        assert vs.vertices == _exact_walk(cs) and len(vs) == count
+    screen_misses = 0
+    for cs in _large_rows(np.random.default_rng(0), 30, one_exponent=True):
+        want = _exact_walk(cs)
+        assert enumerate_vertices(cs, 3).vertices == want
+        screen_misses += _screened(cs, 3)[0] != want
+    assert screen_misses >= 1
+
+
+def test_cuts_charge_the_pair_test_before_running_it(monkeypatch):
+    # block(6, 3) keeps 23,832 vertices after its first cut, and its second
+    # would test 4.5e7 pairs against all of them; block(6, 2) is alike.
+    tested = []
+    real = polytope._adjacent
+    monkeypatch.setattr(polytope, "_adjacent",
+                        lambda zero, above, below: tested.append(len(above) * len(below))
+                        or real(zero, above, below))
+    for nu in (3, 2):
+        with pytest.raises(BasisBudgetError, match="units of work exceed"):
+            enumerate_vertices(block(6, nu), 6)
+    assert sum(tested) == 0  # block(6, 2)'s second row has no pair across it
+    # block4: 16 units for each of 24 permutations; the first row has 8 x 8
+    # pairs across it, one unit each, and 48 crossings; the third has 16 x 16
+    # pairs to test against 56 vertices of one word, and 4 crossings.
+    work = 16 * 24 + 64 + 16 * 48 + math.ceil(256 * 56 / polytope._TESTS_PER_UNIT) + 16 * 4
+    assert len(enumerate_vertices(block(4, 2), 4, max_bases=work)) == 28
+    with pytest.raises(BasisBudgetError, match=f"{work} units of work exceed the budget"):
+        enumerate_vertices(block(4, 2), 4, max_bases=work - 1)
